@@ -1,38 +1,12 @@
-"""Hot integer kernels with a numba backend and a pure-numpy fallback.
+"""Hot integer kernels in numpy.
 
-The backend is chosen once at import time from FFPERM_BACKEND:
-  auto   use numba when importable, numpy otherwise (default)
-  numba  require numba, fail loudly if missing
-  numpy  force the fallback
-
-All kernels operate on int64 rank arrays plus the field lookup tables and
-must produce bit-identical results on both backends.
+All kernels operate on int64 rank arrays plus the field lookup tables.
 """
-
-import os
 
 import numpy as np
 
-_FLAG = os.environ.get("FFPERM_BACKEND", "auto").strip().lower()
-if _FLAG not in ("auto", "numba", "numpy"):
-    raise RuntimeError(f"FFPERM_BACKEND must be auto, numba or numpy, got {_FLAG!r}")
 
-_nb = None
-if _FLAG in ("auto", "numba"):
-    try:
-        import numba as _nb
-    except ImportError:
-        if _FLAG == "numba":
-            raise
-        _nb = None
-
-BACKEND = "numba" if _nb is not None else "numpy"
-
-
-# ---------------------------------------------------------------------------
-# pure numpy implementations
-
-def mat_apply_np(M, A, add_t, mul_t):
+def mat_apply(M, A, add_t, mul_t):
     """out[e, r] = sum_a M[e, a] * A[a, r] in the field (tables add_t/mul_t)."""
     q = M.shape[0]
     R = A.shape[1]
@@ -48,13 +22,13 @@ def mat_apply_np(M, A, add_t, mul_t):
     return out
 
 
-def poly_mul_np(exps_a, vals_a, exps_b, vals_b, q, radix, add_t, mul_t,
-                digit_t, p_pows, p, out):
+def poly_mul(exps_a, vals_a, exps_b, vals_b, q, radix, add_t, mul_t,
+             digit_t, p_pows, p, out):
     """Accumulate the product of two term lists into the flat coeff array out.
 
-    Exponent sums fold by e -> e - (q-1) when e >= q.  The fallback
-    accumulates coefficient digit vectors with np.add.at (collision safe)
-    and recombines ranks at the end.
+    Exponent sums fold by e -> e - (q-1) when e >= q.  Coefficient digit
+    vectors accumulate with np.add.at (collision safe) and ranks are
+    recombined at the end.
     """
     r = digit_t.shape[1]
     acc = np.zeros((out.size, r), dtype=np.int64)
@@ -68,7 +42,7 @@ def poly_mul_np(exps_a, vals_a, exps_b, vals_b, q, radix, add_t, mul_t,
     return out
 
 
-def lpp_scan_np(table, n, q):
+def lpp_scan(table, n, q):
     """Find the first coordinate restriction that is not a bijection.
 
     Scans coordinates in order; within a coordinate, assignments to the
@@ -87,84 +61,3 @@ def lpp_scan_np(table, n, q):
         L *= q
         R //= q
     return -1, -1, -1
-
-
-# ---------------------------------------------------------------------------
-# numba implementations (same contracts)
-
-if _nb is not None:
-
-    @_nb.njit(cache=True)
-    def _mat_apply_jit(M, A, add_t, mul_t):
-        q = M.shape[0]
-        R = A.shape[1]
-        out = np.zeros((q, R), dtype=np.int64)
-        for e in range(q):
-            for a in range(q):
-                m = M[e, a]
-                if m == 0:
-                    continue
-                for r in range(R):
-                    out[e, r] = add_t[out[e, r], mul_t[m, A[a, r]]]
-        return out
-
-    @_nb.njit(cache=True)
-    def _poly_mul_jit(exps_a, vals_a, exps_b, vals_b, q, radix, add_t, mul_t,
-                      digit_t, p_pows, p, out):
-        ma = exps_a.shape[0]
-        mb = exps_b.shape[0]
-        n = exps_a.shape[1]
-        for i in range(ma):
-            va = vals_a[i]
-            for j in range(mb):
-                idx = 0
-                for k in range(n):
-                    e = exps_a[i, k] + exps_b[j, k]
-                    if e >= q:
-                        e -= q - 1
-                    idx += e * radix[k]
-                out[idx] = add_t[out[idx], mul_t[va, vals_b[j]]]
-        return out
-
-    @_nb.njit(cache=True)
-    def _lpp_scan_jit(table, n, q):
-        size = table.size
-        L = 1
-        R = size // q
-        seen = np.zeros(q, dtype=np.int64)
-        stamp = 0
-        for axis in range(n):
-            qR = q * R
-            for lo in range(L):
-                base_l = lo * qR
-                for hi in range(R):
-                    stamp += 1
-                    base = base_l + hi
-                    for a in range(q):
-                        v = table[base + a * R]
-                        if seen[v] == stamp:
-                            return axis, lo, hi
-                        seen[v] = stamp
-            L *= q
-            R //= q
-        return -1, -1, -1
-
-    def mat_apply_nb(M, A, add_t, mul_t):
-        return _mat_apply_jit(M, A, add_t, mul_t)
-
-    def poly_mul_nb(exps_a, vals_a, exps_b, vals_b, q, radix, add_t, mul_t,
-                    digit_t, p_pows, p, out):
-        return _poly_mul_jit(exps_a, vals_a, exps_b, vals_b, q, radix,
-                             add_t, mul_t, digit_t, p_pows, p, out)
-
-    def lpp_scan_nb(table, n, q):
-        axis, lo, hi = _lpp_scan_jit(table, n, q)
-        return int(axis), int(lo), int(hi)
-
-    mat_apply = mat_apply_nb
-    poly_mul = poly_mul_nb
-    lpp_scan = lpp_scan_nb
-else:
-    mat_apply = mat_apply_np
-    poly_mul = poly_mul_np
-    lpp_scan = lpp_scan_np

@@ -86,7 +86,11 @@ def cmd_verify(args) -> int:
     else:
         with open(args.input, "r", encoding="utf-8") as fh:
             text = fh.read()
-    f = poly_from_json(json.loads(text))
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON input is nested too deeply") from None
+    f = poly_from_json(doc)
     cap = args.point_cap
     if args.pp:
         rep = vf.is_pp(f, cap=cap)
@@ -185,7 +189,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="local permutation check")
     v.add_argument("--degree", type=int, default=None,
                    help="assert exact total degree")
-    v.add_argument("--point-cap", type=int, default=None)
+    v.add_argument("--point-cap", type=int, default=None,
+                   help="lower the point cap for this check; it cannot "
+                        "raise FFPERM_POINT_CAP, which reading the input "
+                        "already enforces")
     v.set_defaults(func=cmd_verify)
 
     k = sub.add_parser("check", help="run a named verification suite")

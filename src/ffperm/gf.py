@@ -8,8 +8,7 @@ coefficient vectors are ordered by that same base-p rank, so a given (p, r)
 always yields the same field, the same element order and the same tables.
 
 Fields carry dense q x q lookup tables (add, mul, pow, interpolation) used
-by the array kernels; they are built eagerly for q <= TABLE_CAP.  Larger
-fields still support scalar arithmetic but reject table-backed bulk work.
+by the array kernels, built eagerly; make_field refuses q > TABLE_CAP.
 """
 
 from functools import lru_cache
@@ -17,7 +16,6 @@ from math import comb, isqrt
 
 import numpy as np
 
-from .caps import point_cap
 from .errors import (CapExceeded, DivisionByZero, FieldMismatch,
                      NoIrreducibleFound, NotPrime)
 
@@ -104,9 +102,8 @@ def _smallest_irreducible(p: int, r: int) -> tuple[int, ...]:
 class Field:
     """Immutable field F_{p^r}; construct via make_field."""
 
-    __slots__ = ("p", "r", "q", "modulus", "generator", "has_tables",
-                 "p_pows", "digit_t", "add_t", "mul_t", "neg_t", "inv_t",
-                 "pow_t", "lagr_t", "_red")
+    __slots__ = ("p", "r", "q", "modulus", "generator", "p_pows", "digit_t",
+                 "add_t", "mul_t", "neg_t", "inv_t", "pow_t", "lagr_t", "_red")
 
     def __init__(self, p: int, r: int, modulus: tuple[int, ...] | None):
         self.p = p
@@ -114,7 +111,7 @@ class Field:
         self.q = p**r
         self.modulus = modulus
         self.p_pows = np.array([p**i for i in range(r)], dtype=np.int64)
-        # digit vectors of z^r .. z^{2r-2} reduced mod m, used by scalar mul
+        # digit vectors of z^r .. z^{2r-2} reduced mod m, used by _build_tables
         if r >= 2:
             red = np.zeros((r - 1, r), dtype=np.int64)
             cur = [(-modulus[i]) % p for i in range(r)]
@@ -126,14 +123,7 @@ class Field:
             self._red = red
         else:
             self._red = np.zeros((0, 1), dtype=np.int64)
-        self.has_tables = self.q <= TABLE_CAP
-        if self.has_tables:
-            self._build_tables()
-        else:
-            ar = np.arange(min(self.q, 1), dtype=np.int64)  # placeholders
-            self.digit_t = ar.reshape(-1, 1)
-            self.add_t = self.mul_t = self.pow_t = self.lagr_t = None
-            self.neg_t = self.inv_t = None
+        self._build_tables()
         self.generator = self._find_generator()
         for name in ("p_pows", "digit_t", "_red"):
             getattr(self, name).setflags(write=False)
@@ -213,47 +203,23 @@ class Field:
 
     def add(self, a: int, b: int) -> int:
         a, b = self._check(a), self._check(b)
-        if self.has_tables:
-            return int(self.add_t[a, b])
-        da, db = self.coeffs_of(a), self.coeffs_of(b)
-        return self.rank_of([(x + y) % self.p for x, y in zip(da, db)])
+        return int(self.add_t[a, b])
 
     def neg(self, a: int) -> int:
-        a = self._check(a)
-        if self.has_tables:
-            return int(self.neg_t[a])
-        return self.rank_of([(-x) % self.p for x in self.coeffs_of(a)])
+        return int(self.neg_t[self._check(a)])
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
         a, b = self._check(a), self._check(b)
-        if self.has_tables:
-            return int(self.mul_t[a, b])
-        p, r = self.p, self.r
-        if r == 1:
-            return a * b % p
-        da, db = self.coeffs_of(a), self.coeffs_of(b)
-        conv = [0] * (2 * r - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    conv[i + j] += x * y
-        dig = [c % p for c in conv[:r]]
-        for k in range(r - 1):
-            hi = conv[r + k] % p
-            if hi:
-                dig = [(dig[i] + hi * self._red[k][i]) % p for i in range(r)]
-        return self.rank_of(dig)
+        return int(self.mul_t[a, b])
 
     def inv(self, a: int) -> int:
         a = self._check(a)
         if a == 0:
             raise DivisionByZero("zero has no multiplicative inverse")
-        if self.has_tables:
-            return int(self.inv_t[a])
-        return self.pow(a, self.q - 2)
+        return int(self.inv_t[a])
 
     def pow(self, a: int, k: int) -> int:
         """a^k for k >= 0, folding the exponent into [1, q-1] when k >= q."""
@@ -262,15 +228,7 @@ class Field:
             raise ValueError("exponent must be nonnegative")
         if k >= self.q:
             k = (k - 1) % (self.q - 1) + 1
-        if self.has_tables:
-            return int(self.pow_t[a, k])
-        acc, base = 1, a
-        while k:
-            if k & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return acc
+        return int(self.pow_t[a, k])
 
     def from_int(self, m: int) -> int:
         """Embed an ordinary integer as the constant m mod p."""
@@ -338,16 +296,19 @@ class Field:
 def make_field(p: int, r: int = 1) -> Field:
     """Build F_{p^r} with the canonical (smallest) modulus.
 
-    Raises NotPrime for composite p, CapExceeded when q exceeds the
-    point cap, and ValueError for r < 1.
+    Raises NotPrime for composite p, CapExceeded when q exceeds
+    TABLE_CAP, and ValueError for r < 1.
     """
     p, r = int(p), int(r)
     if r < 1:
         raise ValueError("extension degree must be at least 1")
-    if not _is_prime(p):
+    # trial division of a huge p would not end; such a p is over the cap
+    if p <= TABLE_CAP and not _is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    if p**r > point_cap():
-        raise CapExceeded(f"field order {p}^{r} exceeds the point cap")
+    # p >= 2, so r >= bit_length(TABLE_CAP) alone puts p^r over the cap
+    if r >= TABLE_CAP.bit_length() or p**r > TABLE_CAP:
+        raise CapExceeded(
+            f"field order {p}^{r} exceeds the field cap {TABLE_CAP}")
     modulus = _smallest_irreducible(p, r) if r > 1 else None
     return Field(p, r, modulus)
 

@@ -23,18 +23,13 @@ def fold_exp(e: int, q: int) -> int:
     return e if e < q else (e - 1) % (q - 1) + 1
 
 
-def _require_tables(field: Field) -> None:
-    if not field.has_tables:
-        raise CapExceeded(
-            f"field of order {field.q} exceeds the dense-table cap; "
-            "bulk polynomial operations are unavailable")
-
-
 def _check_points(field: Field, n: int, cap: int | None = None) -> int:
-    size = field.q**n
-    if size > point_cap(cap):
+    limit = point_cap(cap)
+    # q >= 2, so n >= bit_length(limit) puts q^n over the cap without
+    # building a huge q^n first
+    if n >= limit.bit_length() or field.q**n > limit:
         raise CapExceeded(f"{field.q}^{n} points exceed the point cap")
-    return size
+    return field.q**n
 
 
 class MultiPoly:
@@ -97,31 +92,26 @@ class MultiPoly:
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         self._compat(other)
-        _require_tables(self.field)
         return MultiPoly(self.field, self.n,
                          self.field.add_t[self.coeffs, other.coeffs])
 
     def __neg__(self) -> "MultiPoly":
-        _require_tables(self.field)
         return MultiPoly(self.field, self.n, self.field.neg_t[self.coeffs])
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         self._compat(other)
-        _require_tables(self.field)
         return MultiPoly(self.field, self.n,
                          self.field.add_t[self.coeffs,
                                           self.field.neg_t[other.coeffs]])
 
     def scale(self, c: int) -> "MultiPoly":
         """Multiply every coefficient by the element of rank c."""
-        _require_tables(self.field)
         c = self.field._check(c)
         return MultiPoly(self.field, self.n, self.field.mul_t[c, self.coeffs])
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._compat(other)
         field = self.field
-        _require_tables(field)
         q, n = field.q, self.n
         if n == 0:
             return MultiPoly(field, 0,
@@ -169,7 +159,6 @@ class MultiPoly:
         """Replace x_{i+1} (0-based slot i) by a field element rank or a
         univariate MultiPoly; constants drop the variable, polynomials keep n."""
         field = self.field
-        _require_tables(field)
         if not 0 <= i < self.n:
             raise IndexOutOfRange(f"variable index {i} outside [0, {self.n})")
         q = field.q
@@ -211,8 +200,6 @@ class MultiPoly:
         if len(pt) != self.n:
             raise VariableCountMismatch(
                 f"point has {len(pt)} coordinates, poly has {self.n}")
-        if not field.has_tables:
-            return self._evaluate_scalar(pt)
         arr = self.coeffs
         q = field.q
         for a in pt:
@@ -224,16 +211,6 @@ class MultiPoly:
                     acc = field.add_t[acc, field.mul_t[row[e], flat[e]]]
             arr = acc.reshape(arr.shape[1:])
         return int(arr)
-
-    def _evaluate_scalar(self, pt: list[int]) -> int:
-        field = self.field
-        total = 0
-        for exps, c in self.terms():
-            v = c
-            for a, e in zip(pt, exps):
-                v = field.mul(v, field.pow(a, e))
-            total = field.add(total, v)
-        return total
 
     def __repr__(self) -> str:
         return (f"MultiPoly(q={self.field.q}, n={self.n}, "
@@ -352,7 +329,6 @@ def _transform(field: Field, arr: np.ndarray, M: np.ndarray,
 def to_table(f: MultiPoly, cap: int | None = None) -> FuncTable:
     """Exhaustively evaluate f at every point of F_q^n."""
     field = f.field
-    _require_tables(field)
     _check_points(field, f.n, cap)
     if f._table is None:
         vals = _transform(field, f.coeffs, field.pow_t, f.n)
@@ -363,7 +339,6 @@ def to_table(f: MultiPoly, cap: int | None = None) -> FuncTable:
 def interpolate(tbl: FuncTable) -> MultiPoly:
     """The unique reduced polynomial realizing the table."""
     field = tbl.field
-    _require_tables(field)
     arr = tbl.values.reshape((field.q,) * tbl.n)
     return MultiPoly(field, tbl.n,
                      _transform(field, arr, field.lagr_t, tbl.n))
@@ -395,14 +370,49 @@ def poly_to_json(f: MultiPoly) -> dict:
     }
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _is_int_list(x) -> bool:
+    return isinstance(x, list) and all(_is_int(v) for v in x)
+
+
+def _check_poly_json(data) -> None:
+    """Raise ValueError unless data has the shape of a polynomial document."""
+    if not isinstance(data, dict):
+        raise ValueError("polynomial JSON must be an object")
+    fdoc = data.get("field")
+    if not isinstance(fdoc, dict):
+        raise ValueError('"field" must be an object')
+    if not _is_int(fdoc.get("p")) or not _is_int(fdoc.get("r", 1)):
+        raise ValueError('"field" needs an integer "p" and an optional '
+                         'integer "r"')
+    if fdoc.get("modulus") is not None and not _is_int_list(fdoc["modulus"]):
+        raise ValueError('"modulus" must be a list of integers')
+    if not _is_int(data.get("n")):
+        raise ValueError('"n" must be an integer')
+    terms = data.get("terms")
+    if not isinstance(terms, list):
+        raise ValueError('"terms" must be a list')
+    for t in terms:
+        if not (isinstance(t, dict) and _is_int_list(t.get("exps"))
+                and (_is_int(t.get("coeff")) or _is_int_list(t.get("coeff")))):
+            raise ValueError('each term must be {"exps": [int, ...], '
+                             '"coeff": int or [int, ...]}')
+
+
 def poly_from_json(data: dict) -> MultiPoly:
-    """Accepts unreduced exponents and unsorted terms; extra keys ignored."""
+    """Accepts unreduced exponents and unsorted terms; extra keys ignored.
+
+    Raises ValueError when the document has the wrong shape."""
     from .gf import field_from_json
+    _check_poly_json(data)
     field = field_from_json(data["field"])
     n = int(data["n"])
     terms = []
     for t in data["terms"]:
         coeff = t["coeff"]
-        rank = field.rank_of(coeff) if isinstance(coeff, list) else int(coeff)
-        terms.append((tuple(int(e) for e in t["exps"]), rank))
+        rank = field.rank_of(coeff) if isinstance(coeff, list) else coeff
+        terms.append((t["exps"], rank))
     return poly_build(field, n, terms)

@@ -332,11 +332,11 @@ def suite_thm53(override=None) -> list[Row]:
 
 
 def suite_thm54(override=None) -> list[Row]:
-    plan = [("lpp_3var_a", "A", ((5, 1), (7, 1)), True),
-            ("lpp_3var_b", "B", ((3, 2), (3, 3)), True),
-            ("lpp_3var_c", "C", ((2, 2), (2, 3), (2, 4)), False)]
+    plan = [("lpp_3var_a", "A", ((5, 1), (7, 1))),
+            ("lpp_3var_b", "B", ((3, 2), (3, 3))),
+            ("lpp_3var_c", "C", ((2, 2), (2, 3), (2, 4)))]
     rows = []
-    for family, variant, cells, gate_lpp in plan:
+    for family, variant, cells in plan:
         for p, r in cells if override is None else [override[:2]]:
             field = make_field(p, r)
             q = field.q
@@ -344,7 +344,7 @@ def suite_thm54(override=None) -> list[Row]:
                 rows.append(_family_row(
                     "thm5.4", family,
                     lambda f=field, v=variant: cons.lpp_three(f, v),
-                    field, 3, 3 * (q - 2), gate_lpp=gate_lpp))
+                    field, 3, 3 * (q - 2), gate_lpp=True))
             except UnsupportedField:
                 # under an override, run only the variants this field admits
                 if override is None:

@@ -125,6 +125,16 @@ def test_verify_bad_json_exit_2():
     assert res.returncode == 2
     res = run("verify", "--input", "/nonexistent/poly.json", "--pp")
     assert res.returncode == 2
+    # wrong shapes are usage errors, not a traceback that reads as exit 1
+    good = {"field": {"p": 5, "r": 1}, "n": 1,
+            "terms": [{"exps": [1], "coeff": 1}]}
+    for doc in (dict(good, terms=5), None, [1, 2],
+                dict(good, terms=[{"exps": [1], "coeff": {"a": 1}}])):
+        res = run("verify", "--input", "-", "--pp", input=json.dumps(doc))
+        assert res.returncode == 2, doc
+        assert "Traceback" not in res.stderr
+    res = run("verify", "--input", "-", "--pp", input="[" * 100000)
+    assert res.returncode == 2 and "Traceback" not in res.stderr
 
 
 def test_verify_point_cap_exit_2():

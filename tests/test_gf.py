@@ -115,25 +115,42 @@ def test_make_field_errors():
     with pytest.raises(NotPrime):
         make_field(1)
     with pytest.raises(CapExceeded):
-        make_field(2, 21)           # 2^21 elements exceed the point cap
+        make_field(2, 21)           # 2^21 elements exceed the field cap
+    with pytest.raises(CapExceeded):
+        make_field(2, 10**12)       # refused before 2^r is built
+    with pytest.raises(CapExceeded):
+        make_field(10**30 + 1)      # refused before trial division
     with pytest.raises(ValueError):
         make_field(3, 0)
 
 
-def test_large_field_works_without_tables():
-    # between the dense-table cap (1024) and the point cap, scalar
-    # arithmetic still works but table-backed operations refuse
-    field = make_field(2, 11)
-    assert not field.has_tables
-    ref = naive_of(field)
-    for a, b in [(1, 1), (2, 3), (100, 200), (2047, 2047), (891, 17)]:
-        assert field.add(a, b) == ref.add(a, b)
-        assert field.mul(a, b) == ref.mul(a, b)
-    assert field.mul(field.inv(891), 891) == 1
-    from ffperm import to_table
-    from ffperm.mvpoly import variable
+def test_large_field_exceeds_table_cap(monkeypatch):
+    # fields stop at the dense-table cap, whatever the point cap says
+    assert make_field(2, 10).q == 1024
     with pytest.raises(CapExceeded):
-        to_table(variable(field, 1, 0))
+        make_field(2, 11)
+    monkeypatch.setenv("FFPERM_POINT_CAP", str(1 << 30))
+    make_field.cache_clear()
+    try:
+        with pytest.raises(CapExceeded):
+            make_field(2, 11)
+    finally:
+        make_field.cache_clear()
+
+
+def test_point_cap_is_checked_by_poly_build_not_make_field(monkeypatch):
+    # make_field's cache cannot hold a stale point-cap decision: the point
+    # cap is enforced where points are, in poly_build
+    from ffperm import poly_build
+    monkeypatch.setenv("FFPERM_POINT_CAP", "10")
+    make_field.cache_clear()
+    try:
+        field = make_field(5, 2)
+        assert field.q == 25
+        with pytest.raises(CapExceeded):
+            poly_build(field, 1, [((1,), 1)])
+    finally:
+        make_field.cache_clear()
 
 
 def test_make_field_is_cached():

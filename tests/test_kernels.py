@@ -1,79 +1,10 @@
-"""Backend parity: the numba kernels and the numpy fallbacks must return
-bit-identical results, and FFPERM_BACKEND must select implementations."""
-
-import os
-import subprocess
-import sys
+"""The numpy kernels on hand-made inputs."""
 
 import numpy as np
-import pytest
 
-from ffperm import _kernels, make_field
-from ffperm.mvpoly import poly_build
-
-HAS_NUMBA = _kernels._nb is not None
-
-pairs = pytest.mark.skipif(not HAS_NUMBA,
-                           reason="numba backend not importable")
+from ffperm import _kernels
 
 
-@pairs
-@pytest.mark.parametrize("p,r", [(5, 1), (2, 2), (3, 2)])
-def test_mat_apply_parity(p, r):
-    field = make_field(p, r)
-    q = field.q
-    rng = np.random.default_rng(q)
-    for cols in (1, 7):
-        M = rng.integers(0, q, size=(q, q)).astype(np.int64)
-        A = rng.integers(0, q, size=(q, cols)).astype(np.int64)
-        a = _kernels.mat_apply_np(M, A, field.add_t, field.mul_t)
-        b = _kernels.mat_apply_nb(M, A, field.add_t, field.mul_t)
-        assert np.array_equal(a, b)
-
-
-@pairs
-@pytest.mark.parametrize("p,r,n", [(5, 1, 2), (2, 2, 2), (3, 2, 1), (7, 1, 3)])
-def test_poly_mul_parity(p, r, n):
-    field = make_field(p, r)
-    q = field.q
-    rng = np.random.default_rng(q * 10 + n)
-    radix = np.array([q**(n - 1 - i) for i in range(n)], dtype=np.int64)
-    for _ in range(5):
-        def random_terms():
-            m = int(rng.integers(1, 9))
-            exps = rng.integers(0, q, size=(m, n)).astype(np.int64)
-            vals = rng.integers(1, q, size=m).astype(np.int64)
-            return exps, vals
-        ea, va = random_terms()
-        eb, vb = random_terms()
-        args = (q, radix, field.add_t, field.mul_t, field.digit_t,
-                field.p_pows, field.p)
-        out_np = np.zeros(q**n, dtype=np.int64)
-        _kernels.poly_mul_np(ea, va, eb, vb, *args, out_np)
-        out_nb = np.zeros(q**n, dtype=np.int64)
-        _kernels.poly_mul_nb(ea, va, eb, vb, *args, out_nb)
-        assert np.array_equal(out_np, out_nb)
-
-
-@pairs
-def test_lpp_scan_parity_including_witness():
-    q = 4
-    rng = np.random.default_rng(0)
-    # good tables: any LPP's table scans clean on both backends
-    field = make_field(2, 2)
-    from ffperm import lpp_beta, to_table
-    good = to_table(lpp_beta(field, 2)).values
-    assert _kernels.lpp_scan_np(good.copy(), 2, q) == (-1, -1, -1)
-    assert _kernels.lpp_scan_nb(good.copy(), 2, q) == (-1, -1, -1)
-    # random tables: identical verdicts and identical first witnesses
-    for _ in range(50):
-        tbl = rng.integers(0, q, size=q**2).astype(np.int64)
-        a = _kernels.lpp_scan_np(tbl.copy(), 2, q)
-        b = _kernels.lpp_scan_nb(tbl.copy(), 2, q)
-        assert a == b
-
-
-@pairs
 def test_lpp_scan_reports_lowest_witness():
     # craft a 2-variable table over F_2 bad in both axes; the witness must be
     # axis 0 with the lowest assignment rank
@@ -81,54 +12,7 @@ def test_lpp_scan_reports_lowest_witness():
     tbl = np.array([0, 0, 1, 1], dtype=np.int64)  # f(0,0)=0 f(0,1)=0 ...
     # axis 0 restriction x2=0: values (0, 1) fine; x2=1: (0, 1) fine
     # axis 1 restriction x1=0: values (0, 0) bad at lo=0
-    assert _kernels.lpp_scan_np(tbl, 2, q) == (1, 0, 0)
-    if HAS_NUMBA:
-        assert _kernels.lpp_scan_nb(tbl, 2, q) == (1, 0, 0)
+    assert _kernels.lpp_scan(tbl, 2, q) == (1, 0, 0)
     tbl2 = np.array([0, 0, 0, 1], dtype=np.int64)
     # axis 0, x2=0 gives f(0,0)=0, f(1,0)=0: witness (0, 0, 0)
-    assert _kernels.lpp_scan_np(tbl2, 2, q) == (0, 0, 0)
-    if HAS_NUMBA:
-        assert _kernels.lpp_scan_nb(tbl2, 2, q) == (0, 0, 0)
-
-
-def _run_with_backend(value: str):
-    env = dict(os.environ, FFPERM_BACKEND=value)
-    code = ("import ffperm._kernels as k; print(k.BACKEND); "
-            "import ffperm; f = ffperm.make_field(3, 2); "
-            "g = ffperm.lpp_chain(f, 2); print(g.total_degree)")
-    return subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True)
-
-
-def test_backend_env_numpy():
-    res = _run_with_backend("numpy")
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == ["numpy", "14"]
-
-
-@pairs
-def test_backend_env_numba():
-    res = _run_with_backend("numba")
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == ["numba", "14"]
-
-
-def test_backend_env_invalid():
-    res = _run_with_backend("gpu")
-    assert res.returncode != 0
-    assert "FFPERM_BACKEND" in res.stderr
-
-
-def test_backends_build_identical_families():
-    # one full construction compared across backends in subprocesses
-    code = ("import ffperm, json; f = ffperm.make_field(5, 1); "
-            "g = ffperm.lpp_power(f, 3); "
-            "print(json.dumps(ffperm.poly_to_json(g)))")
-    outs = []
-    for backend in ("numpy", "auto"):
-        env = dict(os.environ, FFPERM_BACKEND=backend)
-        res = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True)
-        assert res.returncode == 0, res.stderr
-        outs.append(res.stdout)
-    assert outs[0] == outs[1]
+    assert _kernels.lpp_scan(tbl2, 2, q) == (0, 0, 0)

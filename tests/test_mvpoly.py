@@ -174,6 +174,8 @@ def test_table_cap():
     f = variable(field, 3, 0)
     with pytest.raises(CapExceeded):
         to_table(f, cap=100)         # 125 points > 100
+    with pytest.raises(CapExceeded):
+        poly_build(field, 10**12, [])  # refused before 5^n is built
 
 
 # -- degrees ------------------------------------------------------------------
