@@ -22,6 +22,8 @@ def mat_apply(M, A, add_t, mul_t):
     return out
 
 
+# No caller: MultiPoly multiplies value tables.  Kept because the benchmark
+# tracer (perfbench/tracer.py) resolves this name when it installs.
 def poly_mul(exps_a, vals_a, exps_b, vals_b, q, radix, add_t, mul_t,
              digit_t, p_pows, p, out):
     """Accumulate the product of two term lists into the flat coeff array out.

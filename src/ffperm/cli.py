@@ -131,7 +131,8 @@ def cmd_field(args) -> int:
         print(_dump(doc))
         return 0
     print(f"q={field.q} p={field.p} r={field.r}")
-    print(f"modulus={list(field.modulus)}")
+    if field.r > 1:
+        print(f"modulus={list(field.modulus)}")
     print(f"generator={field.generator} ({field.element_str(field.generator)})")
     for a in field.elements():
         print(f"  {a}: {field.element_str(a)}")

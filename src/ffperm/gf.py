@@ -102,8 +102,8 @@ def _smallest_irreducible(p: int, r: int) -> tuple[int, ...]:
 class Field:
     """Immutable field F_{p^r}; construct via make_field."""
 
-    __slots__ = ("p", "r", "q", "modulus", "generator", "p_pows", "digit_t",
-                 "add_t", "mul_t", "neg_t", "inv_t", "pow_t", "lagr_t", "_red")
+    __slots__ = ("p", "r", "q", "modulus", "generator", "p_pows", "add_t",
+                 "mul_t", "neg_t", "inv_t", "pow_t", "lagr_t", "_red")
 
     def __init__(self, p: int, r: int, modulus: tuple[int, ...] | None):
         self.p = p
@@ -125,7 +125,7 @@ class Field:
             self._red = np.zeros((0, 1), dtype=np.int64)
         self._build_tables()
         self.generator = self._find_generator()
-        for name in ("p_pows", "digit_t", "_red"):
+        for name in ("p_pows", "_red"):
             getattr(self, name).setflags(write=False)
 
     # -- table construction ---------------------------------------------
@@ -134,7 +134,6 @@ class Field:
         p, r, q = self.p, self.r, self.q
         ar = np.arange(q, dtype=np.int64)
         if r == 1:
-            D = ar.reshape(q, 1)
             add_t = (ar[:, None] + ar[None, :]) % p
             mul_t = (ar[:, None] * ar[None, :]) % p
             neg_t = (p - ar) % p
@@ -176,7 +175,6 @@ class Field:
             lagr_t[:, c] = add_t[delta, neg_t[w]]
         assert np.array_equal(mul_t[1], ar) and np.array_equal(add_t[0], ar)
         assert np.all(mul_t[ar[1:], inv_t[1:]] == 1)
-        self.digit_t = D
         self.add_t = add_t
         self.mul_t = mul_t
         self.neg_t = neg_t

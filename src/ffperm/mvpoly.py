@@ -1,10 +1,21 @@
 """Dense polynomials over F_q[x_1..x_n] reduced modulo x_i^q - x_i.
 
-Coefficients live in a (q, ..., q) int64 tensor; axis i carries the
-exponent of x_{i+1}, so the C-order flat index of a term is its rank with
-the x_1 exponent most significant.  Exponents e >= q fold to
+A reduced polynomial and the function F_q^n -> F_q it defines determine
+each other, so a MultiPoly lives in two domains and holds either or both:
+
+- the coefficient domain, a (q, ..., q) int64 tensor whose axis i carries
+  the exponent of x_{i+1}, so the C-order flat index of a term is its rank
+  with the x_1 exponent most significant;
+- the value-table domain, a FuncTable listing f at every point of F_q^n in
+  the same rank order.
+
+Whichever is missing is computed on first use (one q x q field matrix per
+axis, see _transform) and cached.  Ring operations, substitution,
+extension and composition act pointwise on value tables and return
+table-only polynomials, and evaluate reads the table; poly_build, terms,
+degrees and JSON work on coefficients.  Exponents e >= q fold to
 ((e - 1) mod (q - 1)) + 1, which keeps x^0 and x^{q-1} distinct and makes
-reduced polynomials correspond one-to-one with functions F_q^n -> F_q.
+the correspondence one-to-one.
 """
 
 import itertools
@@ -33,18 +44,45 @@ def _check_points(field: Field, n: int, cap: int | None = None) -> int:
 
 
 class MultiPoly:
-    """Immutable reduced polynomial; build via poly_build or the helpers."""
+    """Immutable reduced polynomial holding its coefficient tensor, its value
+    table, or both; build via poly_build, interpolate or the helpers.
 
-    __slots__ = ("field", "n", "coeffs", "_table")
+    ``coeffs`` is interpolated from the table on first access, and the table
+    is evaluated from ``coeffs`` on first use; both are then cached.
+    """
 
-    def __init__(self, field: Field, n: int, coeffs: np.ndarray):
+    __slots__ = ("field", "n", "_coeffs", "_table")
+
+    def __init__(self, field: Field, n: int, coeffs: np.ndarray | None = None,
+                 table: "FuncTable | None" = None):
         self.field = field
         self.n = n
-        arr = np.ascontiguousarray(coeffs, dtype=np.int64)
-        arr = arr.reshape((field.q,) * n)
-        arr.setflags(write=False)
-        self.coeffs = arr
-        self._table = None
+        self._coeffs = None
+        self._table = table
+        if coeffs is not None:
+            arr = np.ascontiguousarray(coeffs, dtype=np.int64)
+            arr = arr.reshape((field.q,) * n)
+            arr.setflags(write=False)
+            self._coeffs = arr
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        """Read-only coefficient tensor of shape (q,)*n."""
+        if self._coeffs is None:
+            field = self.field
+            arr = self._table.values.reshape((field.q,) * self.n)
+            arr = _transform(field, arr, field.lagr_t, self.n)
+            arr.setflags(write=False)
+            self._coeffs = arr
+        return self._coeffs
+
+    def _values(self) -> np.ndarray:
+        """Flat value table in point-rank order, evaluated on first use."""
+        if self._table is None:
+            field = self.field
+            vals = _transform(field, self._coeffs, field.pow_t, self.n)
+            self._table = FuncTable(field, self.n, vals)
+        return self._table.values
 
     # -- metadata ----------------------------------------------------------
 
@@ -79,7 +117,7 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.coeffs.any()
 
-    # -- ring operations -----------------------------------------------------
+    # -- ring operations: pointwise on value tables ---------------------------
 
     def _compat(self, other: "MultiPoly") -> None:
         if not isinstance(other, MultiPoly):
@@ -90,68 +128,47 @@ class MultiPoly:
             raise VariableCountMismatch(
                 f"operands have {self.n} and {other.n} variables")
 
+    def _tabled(self, values, n: int | None = None) -> "MultiPoly":
+        n = self.n if n is None else n
+        return MultiPoly(self.field, n, table=FuncTable(self.field, n, values))
+
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         self._compat(other)
-        return MultiPoly(self.field, self.n,
-                         self.field.add_t[self.coeffs, other.coeffs])
+        return self._tabled(self.field.add_t[self._values(), other._values()])
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.field, self.n, self.field.neg_t[self.coeffs])
+        return self._tabled(self.field.neg_t[self._values()])
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         self._compat(other)
-        return MultiPoly(self.field, self.n,
-                         self.field.add_t[self.coeffs,
-                                          self.field.neg_t[other.coeffs]])
+        field = self.field
+        return self._tabled(
+            field.add_t[self._values(), field.neg_t[other._values()]])
 
     def scale(self, c: int) -> "MultiPoly":
         """Multiply every coefficient by the element of rank c."""
         c = self.field._check(c)
-        return MultiPoly(self.field, self.n, self.field.mul_t[c, self.coeffs])
+        return self._tabled(self.field.mul_t[c, self._values()])
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._compat(other)
-        field = self.field
-        q, n = field.q, self.n
-        if n == 0:
-            return MultiPoly(field, 0,
-                             field.mul_t[int(self.coeffs), int(other.coeffs)])
-        a, b = self.coeffs.reshape(-1), other.coeffs.reshape(-1)
-        nza, nzb = np.flatnonzero(a), np.flatnonzero(b)
-        if nza.size == 0 or nzb.size == 0:
-            return MultiPoly(field, n, np.zeros(q**n, dtype=np.int64))
-        if nza.size > nzb.size:  # keep the smaller support on the outer loop
-            a, b, nza, nzb = b, a, nzb, nza
-        shape = (q,) * n
-        exps_a = np.stack(np.unravel_index(nza, shape), axis=1).astype(np.int64)
-        exps_b = np.stack(np.unravel_index(nzb, shape), axis=1).astype(np.int64)
-        radix = (q ** np.arange(n - 1, -1, -1)).astype(np.int64)
-        out = np.zeros(q**n, dtype=np.int64)
-        _kernels.poly_mul(exps_a, a[nza], exps_b, b[nzb], q, radix,
-                          field.add_t, field.mul_t, field.digit_t,
-                          field.p_pows, field.p, out)
-        return MultiPoly(field, n, out)
+        return self._tabled(self.field.mul_t[self._values(), other._values()])
 
     def __pow__(self, k: int) -> "MultiPoly":
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = constant(self.field, self.n, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        # a^k == a^fold(k) for every a in F_q, and pow_t[a, 0] == 1
+        return self._tabled(
+            self.field.pow_t[self._values(), fold_exp(k, self.field.q)])
 
     def __eq__(self, other) -> bool:
+        # tables and reduced polynomials correspond one to one
         return (isinstance(other, MultiPoly) and self.field == other.field
                 and self.n == other.n
-                and np.array_equal(self.coeffs, other.coeffs))
+                and np.array_equal(self._values(), other._values()))
 
     def __hash__(self) -> int:
-        return hash((self.field, self.n, self.coeffs.tobytes()))
+        return hash((self.field, self.n, self._values().tobytes()))
 
     # -- substitution and evaluation ----------------------------------------
 
@@ -161,37 +178,16 @@ class MultiPoly:
         field = self.field
         if not 0 <= i < self.n:
             raise IndexOutOfRange(f"variable index {i} outside [0, {self.n})")
-        q = field.q
-        moved = np.moveaxis(self.coeffs, i, 0)
+        tensor = self._values().reshape((field.q,) * self.n)
         if isinstance(value, MultiPoly):
             if value.field != field:
                 raise FieldMismatch("substituted polynomial field differs")
             if value.n != 1:
                 raise VariableCountMismatch(
                     "substituted polynomial must be univariate")
-            flat = np.ascontiguousarray(moved).reshape(q, -1)
-            powers = np.empty((q, q), dtype=np.int64)
-            acc = constant(field, 1, 1)
-            for e in range(q):
-                powers[e] = acc.coeffs
-                if e + 1 < q:
-                    acc = acc * value
-            out = np.zeros_like(flat)
-            for e in range(q):
-                row = powers[e]
-                piece = flat[e]
-                for d in np.flatnonzero(row):
-                    out[d] = field.add_t[out[d], field.mul_t[row[d], piece]]
-            out = np.moveaxis(out.reshape(moved.shape), 0, i)
-            return MultiPoly(field, self.n, out)
+            return self._tabled(np.take(tensor, value._values(), axis=i))
         s = field._check(value)
-        row = field.pow_t[s]
-        rest = np.zeros(moved.shape[1:], dtype=np.int64).reshape(-1)
-        flat = np.ascontiguousarray(moved).reshape(q, -1)
-        for e in range(q):
-            if row[e]:
-                rest = field.add_t[rest, field.mul_t[row[e], flat[e]]]
-        return MultiPoly(field, self.n - 1, rest)
+        return self._tabled(np.take(tensor, s, axis=i), self.n - 1)
 
     def evaluate(self, pt) -> int:
         """Value at a point given as a sequence of n element ranks."""
@@ -200,17 +196,7 @@ class MultiPoly:
         if len(pt) != self.n:
             raise VariableCountMismatch(
                 f"point has {len(pt)} coordinates, poly has {self.n}")
-        arr = self.coeffs
-        q = field.q
-        for a in pt:
-            row = field.pow_t[a]
-            flat = arr.reshape(q, -1)
-            acc = np.zeros(flat.shape[1], dtype=np.int64)
-            for e in range(q):
-                if row[e]:
-                    acc = field.add_t[acc, field.mul_t[row[e], flat[e]]]
-            arr = acc.reshape(arr.shape[1:])
-        return int(arr)
+        return int(self._values().reshape((field.q,) * self.n)[tuple(pt)])
 
     def __repr__(self) -> str:
         return (f"MultiPoly(q={self.field.q}, n={self.n}, "
@@ -270,11 +256,10 @@ def extend(f: MultiPoly, n: int, offset: int) -> MultiPoly:
     if offset < 0 or offset + f.n > n:
         raise IndexOutOfRange(
             f"cannot place {f.n} variables at offset {offset} inside {n}")
-    pad = [0] * offset
-    tail = [0] * (n - offset - f.n)
-    return poly_build(
-        f.field, n,
-        [(tuple(pad + list(e) + tail), c) for e, c in f.terms()])
+    _check_points(f.field, n)
+    q = f.field.q
+    shape = (1,) * offset + (q,) * f.n + (1,) * (n - offset - f.n)
+    return f._tabled(np.broadcast_to(f._values().reshape(shape), (q,) * n), n)
 
 
 # ---------------------------------------------------------------------------
@@ -328,20 +313,15 @@ def _transform(field: Field, arr: np.ndarray, M: np.ndarray,
 
 def to_table(f: MultiPoly, cap: int | None = None) -> FuncTable:
     """Exhaustively evaluate f at every point of F_q^n."""
-    field = f.field
-    _check_points(field, f.n, cap)
-    if f._table is None:
-        vals = _transform(field, f.coeffs, field.pow_t, f.n)
-        f._table = FuncTable(field, f.n, vals.reshape(-1))
+    _check_points(f.field, f.n, cap)
+    f._values()  # fills the cache
     return f._table
 
 
 def interpolate(tbl: FuncTable) -> MultiPoly:
-    """The unique reduced polynomial realizing the table."""
-    field = tbl.field
-    arr = tbl.values.reshape((field.q,) * tbl.n)
-    return MultiPoly(field, tbl.n,
-                     _transform(field, arr, field.lagr_t, tbl.n))
+    """The unique reduced polynomial realizing the table; its coefficients
+    are computed when first read."""
+    return MultiPoly(tbl.field, tbl.n, table=tbl)
 
 
 def compose_univariate(g: MultiPoly, f: MultiPoly) -> MultiPoly:
@@ -351,9 +331,7 @@ def compose_univariate(g: MultiPoly, f: MultiPoly) -> MultiPoly:
         raise VariableCountMismatch("outer polynomial must be univariate")
     if g.field != f.field:
         raise FieldMismatch("operands live in different fields")
-    g_tbl = to_table(g).values
-    f_tbl = to_table(f).values
-    return interpolate(FuncTable(f.field, f.n, g_tbl[f_tbl]))
+    return f._tabled(g._values()[f._values()])
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,11 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import _kernels
-from .caps import point_cap, scan_cap
+from .caps import scan_cap
 from .errors import CapExceeded
 from .gf import Field
-from .mvpoly import (FuncTable, MultiPoly, _transform, compose_univariate,
-                     interpolate, monomial, to_table)
+from .mvpoly import (FuncTable, MultiPoly, _check_points, _transform,
+                     compose_univariate, interpolate, monomial, to_table)
 from .univ import h_polys, t_poly, transposition
 
 
@@ -150,10 +150,10 @@ def scan_pp_degree_bound(field: Field, n: int, cap: int | None = None,
     """
     t0 = time.perf_counter()
     from math import factorial
+    if n < 1:
+        raise ValueError("need at least one variable")
     q = field.q
-    size = q**n
-    if size > point_cap(cap):
-        raise CapExceeded(f"{q}^{n} points exceed the point cap")
+    size = _check_points(field, n, cap)
     total = factorial(size) // factorial(size // q) ** q
     if total > scan_cap(table_cap):
         raise CapExceeded(f"{total} balanced tables exceed the scan cap")
@@ -256,8 +256,7 @@ def conjecture_fn(field: Field, n: int, cap: int | None = None) -> VerifyReport:
     q = field.q
     if field.p == 2 or q <= 3:
         raise UnsupportedField("the conjecture concerns odd q > 3")
-    if q**n > point_cap(cap):
-        raise CapExceeded(f"{q}^{n} points exceed the point cap")
+    _check_points(field, n, cap)
     f = lpp_chain(field, n)
     measured = f.total_degree
     expected = n * (q - 2)

@@ -215,6 +215,15 @@ def test_field_text():
     assert "  0 2 3 1" in res.stdout              # mul row of z
 
 
+def test_field_text_prime_field():
+    res = run("field", "--p", "5")
+    assert res.returncode == 0
+    assert "q=5 p=5 r=1" in res.stdout
+    assert "modulus" not in res.stdout            # prime fields have none
+    assert "generator=2 (2)" in res.stdout
+    assert "  0 2 4 1 3" in res.stdout            # mul row of 2
+
+
 def test_field_json():
     res = run("field", "--p", "3", "--r", "2", "--format", "json")
     doc = json.loads(res.stdout)
@@ -238,6 +247,14 @@ def test_scan_cap_exit_2():
     assert res.returncode == 2
     res = run("scan", "--p", "3", "--n", "2", "--scan-cap", "10")
     assert res.returncode == 2
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_scan_needs_a_variable_exit_2(n):
+    res = run("scan", "--p", "3", "--n", n)
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert "need at least one variable" in res.stderr
 
 
 def test_usage_errors_exit_2():

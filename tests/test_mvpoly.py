@@ -101,6 +101,26 @@ def test_pow_is_repeated_mul():
     assert f**0 == constant(field, 2, 1)
 
 
+@pytest.mark.parametrize("p,r", SMALL)
+@pytest.mark.parametrize("n", [1, 2])
+def test_pow_matches_repeated_naive_mul(p, r, n):
+    # ** folds the exponent and raises table entries; check it against
+    # repeated term-list products, past the fold at k = q
+    field = make_field(p, r)
+    ref = naive_of(field)
+    q = field.q
+    rng = np.random.default_rng(p * 10 + r + n)
+    wanted = {0, 1, q - 1, q, q + 1, 3 * q}
+    for _ in range(2):
+        f = random_poly(rng, field, n)
+        f_terms = f.terms()
+        acc = [((0,) * n, 1)]
+        for k in range(3 * q + 1):
+            if k in wanted:
+                assert (f**k).terms() == acc, k
+            acc = naive_poly_mul(ref, n, acc, f_terms)
+
+
 def test_cross_field_and_arity_errors():
     f5, f7 = make_field(5), make_field(7)
     a = variable(f5, 1, 0)
@@ -228,6 +248,53 @@ def test_extend_offsets_variables():
     g = extend(f, 3, 1)                                     # embeds as x2
     assert g.n == 3
     assert g.terms() == [((0, 2, 0), 2)]
+
+
+@pytest.mark.parametrize("p,r", SMALL)
+def test_substitute_and_extend_match_naive_eval(p, r):
+    # the results' coefficients, read back through the oracle, must give
+    # the substituted or embedded function
+    field = make_field(p, r)
+    ref = naive_of(field)
+    rng = np.random.default_rng(31 + field.q)
+    f = random_poly(rng, field, 2)
+    u = random_poly(rng, field, 1, density=0.6)
+    f_at = {pt: naive_eval(ref, 2, f.terms(), pt) for pt in points(field, 2)}
+    u_at = [naive_eval(ref, 1, u.terms(), (a,)) for a in field.elements()]
+    for i in range(2):
+        for c in field.elements():
+            g_terms = f.substitute(i, c).terms()
+            for a in field.elements():
+                pt = (c, a) if i == 0 else (a, c)
+                assert naive_eval(ref, 1, g_terms, (a,)) == f_at[pt]
+        g_terms = f.substitute(i, u).terms()
+        for pt in points(field, 2):
+            inner = list(pt)
+            inner[i] = u_at[pt[i]]
+            assert naive_eval(ref, 2, g_terms, pt) == f_at[tuple(inner)]
+    for offset in (0, 1):
+        g_terms = extend(f, 3, offset).terms()
+        for pt in points(field, 3):
+            assert naive_eval(ref, 3, g_terms, pt) == \
+                f_at[pt[offset:offset + 2]]
+
+
+def test_table_paths_do_no_transform(monkeypatch):
+    # interpolate wraps its table, to_table hands it back, and ring
+    # operations on table-held polynomials stay in the table domain
+    from ffperm import _kernels
+
+    def no_transform(*args):
+        raise AssertionError("unexpected transform")
+
+    field = make_field(3, 2)
+    vals = np.random.default_rng(5).integers(0, field.q, size=field.q**2)
+    monkeypatch.setattr(_kernels, "mat_apply", no_transform)
+    g = interpolate(FuncTable(field, 2, vals))
+    assert np.array_equal(to_table(g).values, vals)
+    v = int(vals[4 * 9 + 2])                        # g at the point (4, 2)
+    h = (g * g + g).substitute(0, 4)
+    assert h.evaluate([2]) == field.add(field.mul(v, v), v)
 
 
 def test_compose_univariate_is_formal_sum():

@@ -155,6 +155,10 @@ def test_scan_cap():
         scan_pp_degree_bound(F5, 2)         # 623e9 tables >> default cap
     with pytest.raises(CapExceeded):
         scan_pp_degree_bound(F3, 2, table_cap=100)
+    with pytest.raises(CapExceeded):
+        scan_pp_degree_bound(F3, 10**12)    # refused before 3^n is built
+    with pytest.raises(ValueError):
+        scan_pp_degree_bound(F3, 0)
 
 
 # -- degree criterion ----------------------------------------------------------------
@@ -233,6 +237,8 @@ def test_conjecture_label_and_result():
         conjecture_fn(F3, 2)
     with pytest.raises(CapExceeded):
         conjecture_fn(F5, 9)
+    with pytest.raises(CapExceeded):
+        conjecture_fn(F5, 10**12)           # refused before 5^n is built
 
 
 # -- caps --------------------------------------------------------------------------------
