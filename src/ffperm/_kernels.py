@@ -5,20 +5,37 @@ All kernels operate on int64 rank arrays plus the field lookup tables.
 
 import numpy as np
 
+# Values gathered per numpy call in mat_apply: a block of output rows spans
+# about this many entries, which bounds the kernel's temporaries.
+_BLOCK = 1 << 16
+
 
 def mat_apply(M, A, add_t, mul_t):
-    """out[e, r] = sum_a M[e, a] * A[a, r] in the field (tables add_t/mul_t)."""
+    """out[e, r] = sum_a M[e, a] * A[a, r] in the field (tables add_t/mul_t).
+
+    All-zero rows of A are skipped: they add nothing, since mul_t[m, 0] == 0
+    and add_t[x, 0] == x.  Each nonzero row updates a block of
+    max(1, _BLOCK // R) output rows per gather, so a small R costs few numpy
+    calls, and the temporaries hold at most 2 * max(R, _BLOCK) values.  The
+    gathers index the flattened tables at x * q + y: a 1-D take is cheaper
+    than a 2-D fancy index.  The last take reads indices that are in range
+    by construction, so mode="clip" changes no value; it spares the copy of
+    out that mode="raise" buffers.
+    """
     q = M.shape[0]
     R = A.shape[1]
     out = np.zeros((q, R), dtype=np.int64)
-    for e in range(q):
-        acc = out[e]
-        for a in range(q):
-            m = M[e, a]
-            if m == 0:
-                continue
-            acc = add_t[acc, mul_t[m, A[a]]]
-        out[e] = acc
+    add_f = add_t.ravel()
+    mul_f = mul_t.ravel()
+    step = max(1, _BLOCK // max(R, 1))
+    for a in np.flatnonzero(A.any(axis=1)):
+        row = A[a]
+        for s in range(0, q, step):
+            blk = out[s:s + step]
+            prod = mul_f.take(q * M[s:s + step, a, None] + row)
+            blk *= q
+            prod += blk
+            add_f.take(prod, out=blk, mode="clip")
     return out
 
 

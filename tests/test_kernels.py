@@ -1,8 +1,69 @@
-"""The numpy kernels on hand-made inputs."""
+"""The numpy kernels on hand-made inputs and against the naive oracle."""
+
+import tracemalloc
 
 import numpy as np
+import pytest
 
-from ffperm import _kernels
+from ffperm import _kernels, make_field
+from oracle import NaiveField
+
+ORACLE_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (2, 3)]
+
+
+def naive_mat_apply(nf, M, A):
+    q, R = len(M), len(A[0])
+    out = [[0] * R for _ in range(q)]
+    for e in range(q):
+        for r in range(R):
+            acc = 0
+            for a in range(q):
+                acc = nf.add(acc, nf.mul(int(M[e][a]), int(A[a][r])))
+            out[e][r] = acc
+    return out
+
+
+def shaped_inputs(rng, q):
+    """A inputs: all zero, one and two nonzero rows, dense, R = 0 and 1."""
+    def rows(nz, R):
+        A = np.zeros((q, R), dtype=np.int64)
+        picked = rng.choice(q, size=nz, replace=False)
+        A[picked] = rng.integers(1, q, size=(nz, R))
+        return A
+    return [rows(0, 5), rows(1, 5), rows(2, 3), rows(q, 11),
+            rows(q, 0), rows(q, 1), rows(1, 1)]
+
+
+@pytest.mark.parametrize("p,r", ORACLE_FIELDS)
+@pytest.mark.parametrize("block", [8, 1 << 16])
+def test_mat_apply_matches_oracle(monkeypatch, p, r, block):
+    # block 8 gives step 1 for R >= 5, and step 2 (R = 3) or 8 (R = 1) leaves
+    # a short last block on the odd q
+    monkeypatch.setattr(_kernels, "_BLOCK", block)
+    F = make_field(p, r)
+    nf = NaiveField(p, None if F.modulus is None else tuple(F.modulus))
+    rng = np.random.default_rng(100 * p + r)
+    rand_m = rng.integers(0, F.q, size=(F.q, F.q))
+    for M in (F.pow_t, F.lagr_t, rand_m):
+        for A in shaped_inputs(rng, F.q):
+            got = _kernels.mat_apply(M, A, F.add_t, F.mul_t)
+            assert got.shape == A.shape and got.dtype == np.int64
+            assert got.tolist() == naive_mat_apply(nf, M.tolist(), A.tolist())
+
+
+@pytest.mark.parametrize("p,r,R", [(2, 4, 65536), (2, 6, 4096)])
+def test_mat_apply_temporaries_are_bounded(p, r, R):
+    F = make_field(p, r)
+    A = np.random.default_rng(R).integers(0, F.q, size=(F.q, R))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        out = _kernels.mat_apply(F.lagr_t, A, F.add_t, F.mul_t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a full q x R int64 temporary alone is 32 * 65536 bytes at q=64
+    assert peak <= out.nbytes + 32 * max(R, _kernels._BLOCK)
 
 
 def test_lpp_scan_reports_lowest_witness():

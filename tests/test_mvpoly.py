@@ -189,6 +189,24 @@ def test_interpolate_univariate_matches_naive():
         assert dense == naive_interp_univariate(ref, vals)
 
 
+@pytest.mark.parametrize("p,r", [(3, 6), (2, 10)])
+def test_large_field_univariate_roundtrips(p, r):
+    field = make_field(p, r)
+    q = field.q
+    for e in (1, q - 2, q - 1):
+        tbl = to_table(monomial(field, 1, (e,)))
+        assert np.array_equal(tbl.values, field.pow_t[:, e])
+        assert interpolate(tbl).terms() == [((e,), 1)]
+
+
+def test_large_field_dense_roundtrip():
+    field = make_field(3, 6)
+    vals = np.random.default_rng(field.q).integers(0, field.q, size=field.q)
+    coeffs = interpolate(FuncTable(field, 1, vals)).coeffs
+    back = to_table(MultiPoly(field, 1, coeffs))
+    assert np.array_equal(back.values, vals)
+
+
 def test_table_cap():
     field = make_field(5)
     f = variable(field, 3, 0)
