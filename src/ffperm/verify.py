@@ -50,10 +50,16 @@ def preimage_counts(f: MultiPoly, cap: int | None = None) -> dict[int, int]:
     return {int(a): int(c) for a, c in enumerate(counts)}
 
 
+def _need_a_variable(n: int) -> None:
+    if n < 1:
+        raise ValueError("need at least one variable")
+
+
 def is_pp(f: MultiPoly, cap: int | None = None) -> VerifyReport:
     """Pass iff every value has exactly q^(n-1) preimages."""
     t0 = time.perf_counter()
     q, n = f.field.q, f.n
+    _need_a_variable(n)
     vals = to_table(f, cap).values
     counts = np.bincount(vals, minlength=q)
     want = q ** (n - 1)
@@ -83,6 +89,7 @@ def is_lpp(f: MultiPoly, cap: int | None = None) -> VerifyReport:
     """
     t0 = time.perf_counter()
     q, n = f.field.q, f.n
+    _need_a_variable(n)
     tbl = to_table(f, cap).values
     axis, lo, hi = _kernels.lpp_scan(tbl, n, q)
     if axis < 0:
@@ -108,11 +115,18 @@ def is_lpp(f: MultiPoly, cap: int | None = None) -> VerifyReport:
 
 def assert_degree(f: MultiPoly, expected: int) -> VerifyReport:
     """Compare the total degree against expected; always reports the leading
-    terms so coefficient claims can be read off."""
+    terms so coefficient claims can be read off.
+
+    One ``f.leading_terms(expected)`` call gives both.  When f has a term
+    of degree >= expected it reads only the top corner of the coefficient
+    tensor that holds such terms (2^n coefficients at the PP bound
+    n(q-1)-1); otherwise it reads the full tensor.  The report is the same
+    either way.  The zero polynomial measures -1."""
     t0 = time.perf_counter()
-    total = f.total_degree
+    lead = f.leading_terms(expected)
+    total = sum(lead[0][0]) if lead else -1
     leading = [{"exps": list(e), "coeff": f.field.coeffs_of(c)}
-               for e, c in f.leading_terms()]
+               for e, c in lead]
     detail = {"measured": total, "expected": int(expected),
               "leading_terms": leading}
     ok = total == expected
@@ -150,8 +164,7 @@ def scan_pp_degree_bound(field: Field, n: int, cap: int | None = None,
     """
     t0 = time.perf_counter()
     from math import factorial
-    if n < 1:
-        raise ValueError("need at least one variable")
+    _need_a_variable(n)
     q = field.q
     size = _check_points(field, n, cap)
     total = factorial(size) // factorial(size // q) ** q

@@ -112,6 +112,37 @@ def test_verify_wrong_degree_exit_1():
     assert res.returncode == 1
 
 
+ZERO_DOC = {"field": {"p": 5, "r": 1}, "n": 2, "terms": []}
+
+
+@pytest.mark.parametrize("degree", ["-1", str(10**30), "0"])
+def test_verify_degree_extremes_give_a_report(degree):
+    built = run("construct", "--family", "pp_hn", "--p", "5", "--n", "2")
+    for text in (built.stdout, json.dumps(ZERO_DOC)):
+        res = run("verify", "--input", "-", "--degree", degree, input=text)
+        assert res.returncode in (0, 1), res.stderr
+        assert "Traceback" not in res.stderr
+        doc = json.loads(res.stdout)
+        assert doc["detail"]["expected"] == int(degree)
+        measured = doc["detail"]["measured"]
+        assert measured == (7 if text == built.stdout else -1)
+        assert res.returncode == (0 if measured == int(degree) else 1)
+
+
+def test_verify_zero_variables():
+    doc = {"field": {"p": 5, "r": 1}, "n": 0,
+           "terms": [{"exps": [], "coeff": 3}]}
+    res = run("verify", "--input", "-", "--degree", "0",
+              input=json.dumps(doc))
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["detail"]["measured"] == 0
+    for flag in ("--pp", "--lpp"):
+        res = run("verify", "--input", "-", flag, input=json.dumps(doc))
+        assert res.returncode == 2 and res.stdout == ""
+        assert "Traceback" not in res.stderr
+        assert "need at least one variable" in res.stderr
+
+
 def test_verify_flag_validation():
     built = run("construct", "--family", "pp_hn", "--p", "3", "--n", "2")
     res = run("verify", "--input", "-", input=built.stdout)

@@ -12,9 +12,9 @@ ORACLE_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (2, 3)]
 
 
 def naive_mat_apply(nf, M, A):
-    q, R = len(M), len(A[0])
-    out = [[0] * R for _ in range(q)]
-    for e in range(q):
+    rows, q, R = len(M), len(A), len(A[0])
+    out = [[0] * R for _ in range(rows)]
+    for e in range(rows):
         for r in range(R):
             acc = 0
             for a in range(q):
@@ -43,11 +43,17 @@ def test_mat_apply_matches_oracle(monkeypatch, p, r, block):
     F = make_field(p, r)
     nf = NaiveField(p, None if F.modulus is None else tuple(F.modulus))
     rng = np.random.default_rng(100 * p + r)
-    rand_m = rng.integers(0, F.q, size=(F.q, F.q))
-    for M in (F.pow_t, F.lagr_t, rand_m):
-        for A in shaped_inputs(rng, F.q):
+    q = F.q
+    rand_m = rng.integers(0, q, size=(q, q))
+    # (k+1) x q matrices: the rows of lagr_t that give the top k+1
+    # coefficients, and a random one
+    corners = [F.lagr_t[q - 1 - k:] for k in sorted({0, 1, q - 2})]
+    corners.append(rng.integers(0, q, size=(min(2, q - 1), q)))
+    for M in [F.pow_t, F.lagr_t, rand_m] + corners:
+        for A in shaped_inputs(rng, q):
             got = _kernels.mat_apply(M, A, F.add_t, F.mul_t)
-            assert got.shape == A.shape and got.dtype == np.int64
+            assert got.shape == (M.shape[0], A.shape[1])
+            assert got.dtype == np.int64
             assert got.tolist() == naive_mat_apply(nf, M.tolist(), A.tolist())
 
 

@@ -238,6 +238,56 @@ def test_leading_terms_all_of_max_degree():
     assert f.leading_terms() == [((1, 2), 2), ((2, 1), 1)]
 
 
+def both_domains(f):
+    """f again, once holding only its value table, once only coefficients."""
+    return (interpolate(FuncTable(f.field, f.n, to_table(f).values)),
+            MultiPoly(f.field, f.n, f.coeffs))
+
+
+def test_corner_is_the_top_slice_of_coeffs(family_polys):
+    # for every k, the (k+1)^n corner read from the table (last k+1 rows of
+    # lagr_t per axis) or from cached coefficients is coeffs[q-1-k:, ...]
+    for label, f in family_polys:
+        q, n = f.field.q, f.n
+        for k in range(q):
+            low = q - 1 - k
+            want = f.coeffs[(slice(low, None),) * n]
+            from_table, from_coeffs = both_domains(f)
+            assert np.array_equal(from_table._corner(low), want), (label, k)
+            assert np.array_equal(from_coeffs._corner(low), want), (label, k)
+            # a corner is never cached as the coefficient tensor
+            assert (from_table._coeffs is None) == (low > 0), (label, k)
+
+
+# over F_5 with a guess of 6, the corner of exponents >= 2 holds x1^2*x2^2
+# (degree 4) but not the leading term 2*x1^4*x2 (degree 5)
+CORNER_MISSES = ("corner misses",
+                 poly_build(make_field(5), 2, [((2, 2), 1), ((4, 1), 2)]))
+
+
+def test_leading_terms_do_not_depend_on_the_guess(family_polys):
+    for label, f in family_polys + [CORNER_MISSES]:
+        q, n = f.field.q, f.n
+        total = f.total_degree
+        want = [(e, c) for e, c in f.terms() if sum(e) == total]
+        guesses = [n * (q - 1) - k for k in range(q)] + [-1, n * (q - 1) + 5]
+        for at_least in guesses:
+            for g in both_domains(f):
+                assert g.leading_terms(at_least) == want, (label, at_least)
+
+
+def test_zero_variable_readout():
+    field = make_field(5)
+    c = poly_build(field, 0, [((), 3)])
+    z = poly_build(field, 0, [])
+    assert c.terms() == [((), 3)] and z.terms() == []
+    assert c.degrees() == (0, ()) and z.degrees() == (-1, ())
+    assert c.total_degree == 0 and z.total_degree == -1
+    for at_least in (-1, 0, 7):
+        assert c.leading_terms(at_least) == [((), 3)]
+        assert z.leading_terms(at_least) == []
+
+
 # -- substitution, extension, composition --------------------------------------
 
 def test_substitute_constant_drops_variable():

@@ -4,10 +4,10 @@ the exhaustive PP scan, the degree criterion, and the identity checks."""
 import numpy as np
 import pytest
 
-from ffperm import (CapExceeded, UnsupportedField, assert_degree,
+from ffperm import (CapExceeded, MultiPoly, UnsupportedField, assert_degree,
                     check_identities, check_lemma_deg, conjecture_fn, is_lpp,
-                    is_pp, lpp_beta, make_field, poly_build, points,
-                    preimage_counts, scan_pp_degree_bound, t_poly)
+                    is_pp, lpp_beta, make_field, poly_build, points, pp_hn,
+                    preimage_counts, scan_pp_degree_bound, t_poly, to_table)
 from ffperm.mvpoly import constant, interpolate, monomial, variable, FuncTable
 from oracle import NaiveField, naive_eval, naive_interp_univariate, naive_degree
 
@@ -117,6 +117,67 @@ def test_assert_degree_detail():
     assert rep.detail["leading_terms"] == [{"exps": [3, 3, 3], "coeff": [1]}]
     bad = assert_degree(f, 8)
     assert not bad.ok and bad.witness["measured"] == 9
+
+
+def test_assert_degree_equals_full_readout(family_polys):
+    # the corner readout must give the report the whole coefficient tensor
+    # gives, also when the expected degree is wrong and the corner misses
+    # the leading terms (at D = 6 for the hand-made one)
+    misses = poly_build(F5, 2, [((2, 2), 1), ((4, 1), 2)])
+    for label, f in family_polys + [("corner misses", misses)]:
+        field, q, n = f.field, f.field.q, f.n
+        total = f.total_degree
+        lead = [{"exps": list(e), "coeff": field.coeffs_of(c)}
+                for e, c in f.terms() if sum(e) == total]
+        for D in (total, total + 1, n * (q - 1) + 5, -1):
+            ok = total == D
+            want = {"kind": "DEGREE", "verdict": "pass" if ok else "fail",
+                    "witness": None if ok else {"measured": total,
+                                                "expected": D},
+                    "stats": {"points": 0}, "label": "theorem",
+                    "detail": {"measured": total, "expected": D,
+                               "leading_terms": lead}}
+            for g in (interpolate(FuncTable(field, n, to_table(f).values)),
+                      MultiPoly(field, n, f.coeffs)):
+                doc = assert_degree(g, D).to_json()
+                del doc["stats"]["ms"]
+                assert doc == want, (label, D)
+
+
+def test_assert_degree_reads_only_the_pp_corner(monkeypatch):
+    # at the PP bound n(q-1)-1 only the last two rows of lagr_t are applied,
+    # and the full coefficient tensor is never built
+    from ffperm import _kernels
+    polys = [interpolate(to_table(pp_hn(field, n)))
+             for field in (F3, F4, F5, F9) for n in (1, 2, 3)]
+    shapes = []
+    real = _kernels.mat_apply
+
+    def recording(M, A, add_t, mul_t):
+        shapes.append(M.shape)
+        return real(M, A, add_t, mul_t)
+
+    monkeypatch.setattr(_kernels, "mat_apply", recording)
+    for f in polys:
+        q = f.field.q
+        shapes.clear()
+        assert assert_degree(f, f.n * (q - 1) - 1).ok
+        assert shapes and set(shapes) == {(2, q)}
+        assert f._coeffs is None
+
+
+def test_zero_variables():
+    c = poly_build(F5, 0, [((), 3)])
+    z = poly_build(F5, 0, [])
+    rep = assert_degree(c, 0)
+    assert rep.ok and rep.detail["leading_terms"] == [{"exps": [],
+                                                       "coeff": [3]}]
+    assert assert_degree(z, -1).ok
+    assert assert_degree(z, 0).witness == {"measured": -1, "expected": 0}
+    for check in (is_pp, is_lpp):
+        for g in (c, z):
+            with pytest.raises(ValueError, match="need at least one variable"):
+                check(g)
 
 
 # -- scan ------------------------------------------------------------------------------
