@@ -13,7 +13,7 @@ Whichever is missing is computed on first use (one q x q field matrix per
 axis, see _transform) and cached.  Ring operations, substitution,
 extension and composition act pointwise on value tables and return
 table-only polynomials, and evaluate reads the table; poly_build, terms,
-degrees and JSON work on coefficients; leading_terms reads only the top
+degrees and JSON work on coefficients; leading_terms scans only the top
 corner of the coefficient tensor that can hold its answer.  Exponents
 e >= q fold to ((e - 1) mod (q - 1)) + 1, which keeps x^0 and x^{q-1}
 distinct and makes the correspondence one-to-one.
@@ -40,6 +40,12 @@ def _exponents(nz: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if not shape:  # a constant in 0 variables; unravel_index refuses ()
         return np.zeros((nz.size, 0), dtype=np.int64)
     return np.stack(np.unravel_index(nz, shape), axis=1)
+
+
+def lead_degree(lead: list[tuple[tuple[int, ...], int]]) -> int:
+    """Total degree of a leading_terms list; -1 (the zero polynomial) when
+    it is empty."""
+    return sum(lead[0][0]) if lead else -1
 
 
 def _check_points(field: Field, n: int, cap: int | None = None) -> int:
@@ -121,43 +127,32 @@ class MultiPoly:
         degree); it changes the cost, never the result.  A term of total
         degree >= n(q-1) - k has every exponent >= q-1-k, so with
         k = min(q-1, max(0, n(q-1) - at_least)) those terms all lie in the
-        (k+1)^n top corner of the coefficient tensor: the rows q-1-k .. q-1
-        of every axis, which the last k+1 rows of lagr_t produce from the
-        value table.  The corner is sliced from cached coefficients or
-        transformed from the table, and is never cached.  When it holds no
-        term of degree >= n(q-1) - k, the leading terms may lie outside it
-        and the full tensor (``coeffs``) is read.
+        (k+1)^n top corner coeffs[q-1-k:, ..., q-1-k:], and only that corner
+        is scanned.  When it holds no term of degree >= n(q-1) - k, the
+        leading terms may lie outside it and the whole tensor is scanned.
+        A table-only polynomial interpolates (and caches) its full
+        coefficient tensor first; use lead_degree for the total degree.
         """
         q, n = self.field.q, self.n
         k = min(q - 1, max(0, n * (q - 1) - at_least))
-        degree, lead = self._corner_leads(q - 1 - k)
-        if k < q - 1 and degree < n * (q - 1) - k:
-            return self._corner_leads(0)[1]
+        lead = self._corner_leads(q - 1 - k)
+        if k < q - 1 and lead_degree(lead) < n * (q - 1) - k:
+            return self._corner_leads(0)
         return lead
 
-    def _corner(self, low: int) -> np.ndarray:
-        """The coefficients whose every exponent is >= low, as the tensor
-        coeffs[low:, ..., low:]; only low == 0 fills the coeffs cache."""
-        field, n = self.field, self.n
-        if low == 0 or self._coeffs is not None:
-            return self.coeffs[(slice(low, None),) * n]
-        vals = self._table.values.reshape((field.q,) * n)
-        return _transform(field, vals, field.lagr_t[low:], n)
-
-    def _corner_leads(self, low: int):
-        """(degree, terms) of the highest-degree terms among those whose
-        every exponent is >= low; (-1, []) when there are none."""
-        corner = self._corner(low)
+    def _corner_leads(self, low: int) -> list[tuple[tuple[int, ...], int]]:
+        """The highest-degree terms among those whose every exponent is
+        >= low, in ascending term rank; [] when there are none."""
+        corner = self.coeffs[(slice(low, None),) * self.n]
         flat = corner.reshape(-1)
         nz = np.flatnonzero(flat)
         if nz.size == 0:
-            return -1, []
+            return []
         exps = _exponents(nz, corner.shape) + low
         degs = exps.sum(axis=1)
-        degree = int(degs.max())
-        top = degs == degree
-        return degree, list(zip(map(tuple, exps[top].tolist()),
-                                flat[nz[top]].tolist()))
+        top = degs == degs.max()
+        return list(zip(map(tuple, exps[top].tolist()),
+                        flat[nz[top]].tolist()))
 
     def is_zero(self) -> bool:
         return not self.coeffs.any()

@@ -14,7 +14,7 @@ from . import constructions as cons
 from . import verify as vf
 from .errors import CapExceeded, UnsupportedField
 from .gf import Field, make_field
-from .mvpoly import to_table
+from .mvpoly import lead_degree, to_table
 
 SUITE_NAMES = ("prop3.1", "thm3.2", "remark3", "thm4.1", "thm4.3", "thm4.4",
                "lemma2.2", "lemma4.5", "thm5.2", "thm5.3", "thm5.4",
@@ -61,7 +61,9 @@ def _family_row(suite: str, family: str, builder, field: Field, n: int,
                 expected_deg: int, gate_pp: bool = False,
                 gate_lpp: bool = False, gate_deg: bool = True,
                 extra_check=None, label: str = "theorem") -> Row:
-    """Build one family cell, measure, and verify the gated claims."""
+    """Build one family cell, measure, and verify the gated claims.
+    extra_check, if given, gets the leading terms and returns an error
+    message or None."""
     row = Row(suite, family, field.q, n, expected_deg, label=label)
     try:
         f = builder()
@@ -72,7 +74,7 @@ def _family_row(suite: str, family: str, builder, field: Field, n: int,
         return row
     # the expected degree keeps the readout to the corner that holds it
     lead = f.leading_terms(expected_deg or 0)
-    row.measured_deg = sum(lead[0][0]) if lead else -1
+    row.measured_deg = lead_degree(lead)
     pp_rep = vf.is_pp(f)
     row.pp = _verdict(pp_rep)
     lpp_rep = vf.is_lpp(f)
@@ -85,7 +87,7 @@ def _family_row(suite: str, family: str, builder, field: Field, n: int,
     if gate_lpp and not lpp_rep.ok:
         failures.append("not an LPP")
     if extra_check is not None:
-        err = extra_check(f)
+        err = extra_check(lead)
         if err:
             failures.append(err)
     if failures:
@@ -204,8 +206,7 @@ def suite_thm43(override=None) -> list[Row]:
         nvars = b**k
         lead_coeff = pow(factorial(b) % q, (b**k - 1) // (b - 1), q)
 
-        def check_lead(f, want=lead_coeff, e=(q - 2,) * nvars):
-            leads = f.leading_terms()
+        def check_lead(leads, want=lead_coeff, e=(q - 2,) * nvars):
             if [(e, want)] != leads:
                 return f"leading terms {leads} != [({e}, {want})]"
             return None
@@ -314,9 +315,8 @@ def suite_thm53(override=None) -> list[Row]:
         field = make_field(p, r)
         q = field.q
 
-        def check_lead(f, fld=field, qq=q):
+        def check_lead(got, fld=field, qq=q):
             want = [((qq - 2,) * 3, fld.from_int(-4))]
-            got = f.leading_terms()
             if got != want:
                 return f"leading terms {got} != {want}"
             return None

@@ -12,7 +12,8 @@ from .caps import scan_cap
 from .errors import CapExceeded
 from .gf import Field
 from .mvpoly import (FuncTable, MultiPoly, _check_points, _transform,
-                     compose_univariate, interpolate, monomial, to_table)
+                     compose_univariate, interpolate, lead_degree, monomial,
+                     to_table)
 from .univ import h_polys, t_poly, transposition
 
 
@@ -118,13 +119,13 @@ def assert_degree(f: MultiPoly, expected: int) -> VerifyReport:
     terms so coefficient claims can be read off.
 
     One ``f.leading_terms(expected)`` call gives both.  When f has a term
-    of degree >= expected it reads only the top corner of the coefficient
+    of degree >= expected it scans only the top corner of the coefficient
     tensor that holds such terms (2^n coefficients at the PP bound
-    n(q-1)-1); otherwise it reads the full tensor.  The report is the same
+    n(q-1)-1); otherwise it scans the full tensor.  The report is the same
     either way.  The zero polynomial measures -1."""
     t0 = time.perf_counter()
     lead = f.leading_terms(expected)
-    total = sum(lead[0][0]) if lead else -1
+    total = lead_degree(lead)
     leading = [{"exps": list(e), "coeff": f.field.coeffs_of(c)}
                for e, c in lead]
     detail = {"measured": total, "expected": int(expected),

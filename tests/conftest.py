@@ -2,9 +2,7 @@ import pytest
 
 from ffperm import FFPermError, build_family, make_field, suites
 from ffperm.constructions import FAMILY_TAGS
-
-# the small fields of tests/test_mvpoly.py
-SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)]
+from oracle import SMALL_FIELDS
 
 
 @pytest.fixture(scope="session")

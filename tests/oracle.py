@@ -8,6 +8,9 @@ numpy, no shared code paths with the package under test.
 
 import itertools
 
+# (p, r) of the small fields the cross-checks sweep
+SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)]
+
 
 class NaiveField:
     """F_p[z]/(m(z)) on integer ranks, all arithmetic by schoolbook algebra.

@@ -9,9 +9,7 @@ from ffperm import (CapExceeded, FieldMismatch, MultiPoly, VariableCountMismatch
                     poly_build, poly_from_json, poly_to_json, to_table)
 from ffperm.mvpoly import (FuncTable, constant, extend, fold_exp, monomial,
                            variable, zero)
-from oracle import NaiveField, naive_eval, naive_poly_mul
-
-SMALL = [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)]
+from oracle import SMALL_FIELDS, NaiveField, naive_eval, naive_poly_mul
 
 
 def naive_of(field):
@@ -61,7 +59,7 @@ def test_poly_build_validates():
 
 # -- ring arithmetic vs oracle ------------------------------------------------
 
-@pytest.mark.parametrize("p,r", SMALL)
+@pytest.mark.parametrize("p,r", SMALL_FIELDS)
 @pytest.mark.parametrize("n", [1, 2])
 def test_mul_matches_naive(p, r, n):
     field = make_field(p, r)
@@ -101,7 +99,7 @@ def test_pow_is_repeated_mul():
     assert f**0 == constant(field, 2, 1)
 
 
-@pytest.mark.parametrize("p,r", SMALL)
+@pytest.mark.parametrize("p,r", SMALL_FIELDS)
 @pytest.mark.parametrize("n", [1, 2])
 def test_pow_matches_repeated_naive_mul(p, r, n):
     # ** folds the exponent and raises table entries; check it against
@@ -134,7 +132,7 @@ def test_cross_field_and_arity_errors():
 
 # -- evaluation and tables ----------------------------------------------------
 
-@pytest.mark.parametrize("p,r", SMALL)
+@pytest.mark.parametrize("p,r", SMALL_FIELDS)
 def test_evaluate_matches_naive(p, r):
     field = make_field(p, r)
     ref = naive_of(field)
@@ -161,7 +159,7 @@ def test_to_table_is_evaluation_in_rank_order():
         assert int(tbl.values[rank]) == f.evaluate(pt)
 
 
-@pytest.mark.parametrize("p,r", SMALL)
+@pytest.mark.parametrize("p,r", SMALL_FIELDS)
 def test_interpolate_roundtrip(p, r):
     field = make_field(p, r)
     q = field.q
@@ -244,19 +242,15 @@ def both_domains(f):
             MultiPoly(f.field, f.n, f.coeffs))
 
 
-def test_corner_is_the_top_slice_of_coeffs(family_polys):
-    # for every k, the (k+1)^n corner read from the table (last k+1 rows of
-    # lagr_t per axis) or from cached coefficients is coeffs[q-1-k:, ...]
+def test_leading_terms_cache_the_full_tensor(family_polys):
+    # a table-only polynomial reads its corner off the full coefficient
+    # tensor, which it caches; a corner is never cached in its place
     for label, f in family_polys:
         q, n = f.field.q, f.n
         for k in range(q):
-            low = q - 1 - k
-            want = f.coeffs[(slice(low, None),) * n]
-            from_table, from_coeffs = both_domains(f)
-            assert np.array_equal(from_table._corner(low), want), (label, k)
-            assert np.array_equal(from_coeffs._corner(low), want), (label, k)
-            # a corner is never cached as the coefficient tensor
-            assert (from_table._coeffs is None) == (low > 0), (label, k)
+            from_table = both_domains(f)[0]
+            from_table.leading_terms(n * (q - 1) - k)
+            assert np.array_equal(from_table._coeffs, f.coeffs), (label, k)
 
 
 # over F_5 with a guess of 6, the corner of exponents >= 2 holds x1^2*x2^2
@@ -318,7 +312,7 @@ def test_extend_offsets_variables():
     assert g.terms() == [((0, 2, 0), 2)]
 
 
-@pytest.mark.parametrize("p,r", SMALL)
+@pytest.mark.parametrize("p,r", SMALL_FIELDS)
 def test_substitute_and_extend_match_naive_eval(p, r):
     # the results' coefficients, read back through the oracle, must give
     # the substituted or embedded function

@@ -144,9 +144,9 @@ def test_assert_degree_equals_full_readout(family_polys):
                 assert doc == want, (label, D)
 
 
-def test_assert_degree_reads_only_the_pp_corner(monkeypatch):
-    # at the PP bound n(q-1)-1 only the last two rows of lagr_t are applied,
-    # and the full coefficient tensor is never built
+def test_assert_degree_leaves_coefficients_cached(monkeypatch):
+    # a table-only polynomial is interpolated once, with the full q x q
+    # lagr_t, so reading coeffs after the check applies no transform
     from ffperm import _kernels
     polys = [interpolate(to_table(pp_hn(field, n)))
              for field in (F3, F4, F5, F9) for n in (1, 2, 3)]
@@ -162,8 +162,9 @@ def test_assert_degree_reads_only_the_pp_corner(monkeypatch):
         q = f.field.q
         shapes.clear()
         assert assert_degree(f, f.n * (q - 1) - 1).ok
-        assert shapes and set(shapes) == {(2, q)}
-        assert f._coeffs is None
+        assert shapes == [(q, q)] * f.n
+        f.coeffs
+        assert shapes == [(q, q)] * f.n
 
 
 def test_zero_variables():
