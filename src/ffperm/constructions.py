@@ -16,7 +16,8 @@ from . import _kernels
 from .errors import BadDegree, NoNonResidue, NotMaxLpp, NoValidB, UnsupportedField
 from .gf import Field
 from .mvpoly import (FuncTable, MultiPoly, compose_univariate, extend,
-                     interpolate, monomial, poly_build, to_table, variable)
+                     interpolate, lead_degree, monomial, poly_build, to_table,
+                     variable)
 from .univ import is_univariate_pp, t_poly, transposition
 
 
@@ -226,15 +227,15 @@ def lpp_restrict(f: MultiPoly) -> MultiPoly:
     field, n, q = f.field, f.n, f.field.q
     if n < 2:
         raise NotMaxLpp("need at least two variables to restrict")
-    if f.total_degree != n * (q - 2):
-        raise NotMaxLpp(
-            f"degree {f.total_degree} is not the maximum {n * (q - 2)}")
+    degree = lead_degree(f.leading_terms(n * (q - 2)))
+    if degree != n * (q - 2):
+        raise NotMaxLpp(f"degree {degree} is not the maximum {n * (q - 2)}")
     if not _is_lpp_quick(f):
         raise NotMaxLpp("input is not a local permutation polynomial")
     target = (n - 1) * (q - 2)
     for alpha in field.elements():
         g = f.substitute(0, alpha)
-        if g.total_degree == target:
+        if lead_degree(g.leading_terms(target)) == target:
             return g
     raise NotMaxLpp("no restriction achieves the maximum degree")
 

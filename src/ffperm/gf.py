@@ -8,11 +8,18 @@ coefficient vectors are ordered by that same base-p rank, so a given (p, r)
 always yields the same field, the same element order and the same tables.
 
 Fields carry dense q x q lookup tables (add, mul, pow, interpolation) used
-by the array kernels, built eagerly; make_field refuses q > TABLE_CAP.
+by the array kernels, built eagerly from discrete logs: the generator is
+the smallest-rank primitive element, found by walking the powers of each
+candidate with its multiply-by-g row, and the walk gives exp and log.  Then
+mul is exp[log a + log b], pow is exp[e log a], add is XOR for p = 2 and
+digit-wise addition otherwise, and the interpolation table uses Lucas'
+C(q-1, e) = (-1)^(digit sum of e) mod p.  The q x q tables are filled in
+blocks of rows, so the build's temporaries stay near 2^16 entries.
+make_field refuses q > TABLE_CAP.
 """
 
 from functools import lru_cache
-from math import comb, isqrt
+from math import isqrt
 
 import numpy as np
 
@@ -33,20 +40,6 @@ def _is_prime(m: int) -> bool:
         if m % d == 0:
             return False
     return True
-
-
-def _prime_factors(m: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            out.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        out.append(m)
-    return out
 
 
 # --- F_p[z] helpers on coefficient lists, constant term first ---------------
@@ -111,7 +104,7 @@ class Field:
         self.q = p**r
         self.modulus = modulus
         self.p_pows = np.array([p**i for i in range(r)], dtype=np.int64)
-        # digit vectors of z^r .. z^{2r-2} reduced mod m, used by _build_tables
+        # digit vectors of z^r .. z^{2r-2} reduced mod m, used by _times_row
         if r >= 2:
             red = np.zeros((r - 1, r), dtype=np.int64)
             cur = [(-modulus[i]) % p for i in range(r)]
@@ -124,55 +117,87 @@ class Field:
         else:
             self._red = np.zeros((0, 1), dtype=np.int64)
         self._build_tables()
-        self.generator = self._find_generator()
         for name in ("p_pows", "_red"):
             getattr(self, name).setflags(write=False)
 
     # -- table construction ---------------------------------------------
 
+    def _times_row(self, D: np.ndarray, g: int) -> np.ndarray:
+        """Ranks of g * a for every rank a (D holds the digit rows of all
+        ranks): one digit convolution reduced modulo the modulus."""
+        p, r = self.p, self.r
+        conv = np.zeros((self.q, 2 * r - 1), dtype=np.int64)
+        for i in range(r):
+            if D[g, i]:
+                conv[:, i:i + r] += D[g, i] * D
+        conv %= p
+        return ((conv[:, :r] + conv[:, r:] @ self._red) % p) @ self.p_pows
+
+    def _exp_log(self, D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Set the smallest-rank primitive element as the generator and
+        return exp (exp[i] = g^i, i < q-1) and log (log[exp[i]] = i; log[0]
+        is 0 and callers overwrite what it reaches)."""
+        q = self.q
+        for g in range(1, q):
+            row = self._times_row(D, g).tolist()
+            exp = [1]
+            x = row[1]
+            while x != 1 and len(exp) < q:  # bounded if m is reducible
+                exp.append(x)
+                x = row[x]
+            if x == 1 and len(exp) == q - 1:
+                self.generator = g
+                exp = np.array(exp, dtype=np.int64)
+                log = np.zeros(q, dtype=np.int64)
+                log[exp] = np.arange(q - 1, dtype=np.int64)
+                return exp, log
+        raise NoIrreducibleFound("multiplicative group has no generator")
+
     def _build_tables(self) -> None:
+        """Every table from one exp/log pair, q x q tables in blocks of
+        rows so that no temporary outgrows about 2^16 entries."""
         p, r, q = self.p, self.r, self.q
         ar = np.arange(q, dtype=np.int64)
-        if r == 1:
-            add_t = (ar[:, None] + ar[None, :]) % p
-            mul_t = (ar[:, None] * ar[None, :]) % p
-            neg_t = (p - ar) % p
-        else:
-            D = (ar[:, None] // self.p_pows[None, :]) % p
-            add_t = np.empty((q, q), dtype=np.int64)
-            mul_t = np.empty((q, q), dtype=np.int64)
-            for a in range(q):
-                add_t[a] = ((D[a] + D) % p) @ self.p_pows
-            red = self._red
-            for a in range(q):
-                conv = np.zeros((q, 2 * r - 1), dtype=np.int64)
-                for i in range(r):
-                    if D[a, i]:
-                        conv[:, i:i + r] += D[a, i] * D
-                conv %= p
-                dig = (conv[:, :r] + conv[:, r:] @ red) % p
-                mul_t[a] = dig @ self.p_pows
-            neg_t = ((p - D) % p) @ self.p_pows
+        D = (ar[:, None] // self.p_pows[None, :]) % p
+        exp, log = self._exp_log(D)
+        exp2 = np.concatenate([exp, exp])
+        block = max(1, 2**16 // q)
+        add_t = np.empty((q, q), dtype=np.int64)
+        mul_t = np.empty((q, q), dtype=np.int64)
         pow_t = np.empty((q, q), dtype=np.int64)
+        for lo in range(0, q, block):
+            hi = min(q, lo + block)
+            la = log[lo:hi, None]
+            mul_t[lo:hi] = exp2[la + log]
+            pow_t[lo:hi] = exp[la * ar % (q - 1)]
+            if p == 2:
+                add_t[lo:hi] = ar[lo:hi, None] ^ ar
+            else:
+                acc = add_t[lo:hi]
+                acc[:] = 0
+                for i in range(r):
+                    acc += (D[lo:hi, i, None] + D[:, i]) % p * self.p_pows[i]
+        mul_t[0] = 0
+        mul_t[:, 0] = 0
+        pow_t[0] = 0
         pow_t[:, 0] = 1
-        col = np.ones(q, dtype=np.int64)
-        for e in range(1, q):
-            col = mul_t[col, ar]
-            pow_t[:, e] = col
+        neg_t = ((p - D) % p) @ self.p_pows
         if q > 2:
             inv_t = pow_t[:, q - 2].copy()
         else:
             inv_t = ar.copy()
         inv_t[0] = 0
         # coefficient e of the basis poly 1 - (x - c)^{q-1} vanishing off c:
-        # lagr_t[e, c] = delta_{e,0} - C(q-1, e) * (-c)^{q-1-e}
-        binom = np.array([comb(q - 1, e) % p for e in range(q)], dtype=np.int64)
-        delta = np.zeros(q, dtype=np.int64)
-        delta[0] = 1
+        # lagr_t[e, c] = delta_{e,0} - C(q-1, e) * (-c)^{q-1-e}.  By Lucas
+        # C(q-1, e) = (-1)^s mod p, s the digit sum of e, so the product
+        # is (-c)^{q-1-e} itself for odd s and its negative for even s
+        odd = D.sum(axis=1) % 2 == 1
         lagr_t = np.empty((q, q), dtype=np.int64)
-        for c in range(q):
-            w = mul_t[binom, pow_t[neg_t[c]][::-1]]
-            lagr_t[:, c] = add_t[delta, neg_t[w]]
+        for lo in range(0, q, block):
+            hi = min(q, lo + block)
+            x = pow_t[neg_t[lo:hi, None], ar[::-1]]
+            lagr_t[:, lo:hi] = np.where(odd, x, neg_t[x]).T
+        lagr_t[0] = add_t[1, lagr_t[0]]
         assert np.array_equal(mul_t[1], ar) and np.array_equal(add_t[0], ar)
         assert np.all(mul_t[ar[1:], inv_t[1:]] == 1)
         self.add_t = add_t
@@ -183,13 +208,6 @@ class Field:
         self.lagr_t = lagr_t
         for name in ("add_t", "mul_t", "neg_t", "inv_t", "pow_t", "lagr_t"):
             getattr(self, name).setflags(write=False)
-
-    def _find_generator(self) -> int:
-        cofactors = [(self.q - 1) // f for f in _prime_factors(self.q - 1)]
-        for g in range(1, self.q):
-            if all(self.pow(g, c) != 1 for c in cofactors):
-                return g
-        raise NoIrreducibleFound("multiplicative group has no generator")
 
     # -- scalar arithmetic on ranks ---------------------------------------
 

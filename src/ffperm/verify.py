@@ -272,8 +272,8 @@ def conjecture_fn(field: Field, n: int, cap: int | None = None) -> VerifyReport:
         raise UnsupportedField("the conjecture concerns odd q > 3")
     _check_points(field, n, cap)
     f = lpp_chain(field, n)
-    measured = f.total_degree
     expected = n * (q - 2)
+    measured = lead_degree(f.leading_terms(expected))
     detail = {"measured": measured, "expected": expected}
     witness = None if measured == expected else detail.copy()
     return _finish(VerifyReport("CONJECTURE", measured == expected, witness,

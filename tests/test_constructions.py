@@ -261,6 +261,34 @@ def test_lpp_restrict_rejects_non_max():
         lpp_restrict(lpp_power(F5, 3).substitute(0, 0).substitute(0, 0))
 
 
+def test_known_degrees_are_read_without_a_full_scan(monkeypatch):
+    # where the expected degree is known, the checks read it from the
+    # leading terms; MultiPoly.degrees (and total_degree) must not be called
+    from ffperm import conjecture_fn
+    from ffperm.mvpoly import MultiPoly
+    from ffperm.suites import run_suite
+    f = lpp_power(F5, 3)              # built first: lpp_power reads degrees()
+
+    def results():
+        rep = conjecture_fn(F7, 4).to_json()
+        del rep["stats"]["ms"]
+        g = lpp_restrict(f)
+        rows = [(r.family, r.q, r.n, r.measured_deg, r.status)
+                for r in run_suite("thm4.4")]
+        return rep, g.n, g.terms(), rows
+
+    want = results()
+    assert want[0]["verdict"] == "pass" and want[1] == 2
+
+    def full_scan(self):
+        raise AssertionError("full degree scan")
+
+    monkeypatch.setattr(MultiPoly, "degrees", full_scan)
+    assert results() == want
+    with pytest.raises(NotMaxLpp, match="degree 1 is not the maximum 2"):
+        lpp_restrict(lpp_linear(F3, 2))
+
+
 # -- indicator route ---------------------------------------------------------------
 
 def test_indicator_poly_f9():

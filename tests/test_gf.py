@@ -1,6 +1,11 @@
 """Field construction, canonical moduli, generators, and arithmetic tables,
 cross-checked against an independent pure-Python oracle."""
 
+import hashlib
+import tracemalloc
+from math import comb
+
+import numpy as np
 import pytest
 
 from ffperm import (CapExceeded, Field, FieldMismatch, NotPrime,
@@ -21,10 +26,116 @@ EXPECTED_MODULI = {
 EXPECTED_GENERATORS = {
     (2, 1): 1, (3, 1): 2, (5, 1): 2, (7, 1): 3, (11, 1): 2, (13, 1): 2,
     (2, 2): 2, (2, 3): 2, (2, 4): 2, (3, 2): 4, (3, 3): 3, (5, 2): 6,
+    (7, 2): 9, (2, 6): 2, (3, 4): 3, (5, 3): 9,
 }
 
 ALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
-              (11, 1), (2, 4), (5, 2), (3, 3)]
+              (11, 1), (2, 4), (5, 2), (3, 3), (7, 2), (2, 6), (3, 4),
+              (5, 3)]
+
+TABLES = ("add_t", "mul_t", "neg_t", "inv_t", "pow_t", "lagr_t")
+
+# sha256 of each table as C-order int64 bytes, with the generator and the
+# modulus; recorded from the convolution-built tables that the discrete-log
+# build replaced, so any change to a table shows here
+PINNED = {
+    (3, 3): {
+        "generator": 3,
+        "modulus": [1, 2, 0, 1],
+        "add_t": "8a032eac974c725cbf23aacc99f03c33"
+                 "2755dea9bc057d60e3d354e91c1d4011",
+        "mul_t": "a1a7d8805ba20f94455139e4ce0c8eae"
+                 "5129d81e53dc63ad07519f93f453e8d5",
+        "neg_t": "87cc86f3a55d8ee984e71f77dee35a97"
+                 "7b3c276dfd27c5bc51a22cd7b4da6ae2",
+        "inv_t": "ce2c2f61ad9e2e4fd259257fd3b441b9"
+                 "172f04d740dfe3e34d88c286cbb31902",
+        "pow_t": "de14e1db59d1dfa4774a2d168a41c796"
+                 "655eec3b31cdc01a6767865a50840b7b",
+        "lagr_t": "571bc0dac201f6414414d45f5c831de8"
+                  "915c3dbd1aeb1d7550b816eee18e0088",
+    },
+    (2, 6): {
+        "generator": 2,
+        "modulus": [1, 1, 0, 0, 0, 0, 1],
+        "add_t": "779fcd7c371f9badc62ec28c6b7e8058"
+                 "ef9af8b70316813a8982a39b9da0522c",
+        "mul_t": "9acd8acc8ab7fd85c547e23b9434dd56"
+                 "ad81d7f96083dffa48ae285f9825df49",
+        "neg_t": "7a4644928f3a08db905254fd7e5e53ef"
+                 "19a46d932a2ecd372b45462413a82619",
+        "inv_t": "35d1f64f82a5901dada36b1082616ef1"
+                 "5801451a2e6daaed8f63a39924a2d0f0",
+        "pow_t": "cf4ec0b63d70f32b175ed6d620070104"
+                 "792c4139b85428620493dbc9babab87b",
+        "lagr_t": "a51d710291d53ff6cca00d7515b2ee09"
+                  "7794a5e7d7e63e32efc15c0ff326b3b8",
+    },
+    (3, 6): {
+        "generator": 3,
+        "modulus": [2, 1, 0, 0, 0, 0, 1],
+        "add_t": "37476f93020cec95486604c686a58566"
+                 "d24d979585b3af8d2748156c50e1b095",
+        "mul_t": "bf1ad6cb8543f8c1941832ea7f98c2f1"
+                 "db2508cea33e4a16fc3a6f8768dc41a1",
+        "neg_t": "1785af5159a766da19199a14473fff53"
+                 "390551bb14c00b4f51e43b1bfd6111f0",
+        "inv_t": "3900f0184f47300ac2de7115630684c9"
+                 "a5aca83c2f822d7ea10e18c0bc7c45e2",
+        "pow_t": "4bbe9228632d779351d4f6bf2a401ece"
+                 "01f24faa296d1c1a67e2e4d643e72815",
+        "lagr_t": "ec7b59c4623302340cec650c5b615c4d"
+                  "02128f525843389ab81250e29b9e09c8",
+    },
+    (31, 2): {
+        "generator": 35,
+        "modulus": [1, 0, 1],
+        "add_t": "2702be5177b0cabfeb0ab2f46d496a00"
+                 "ab306c7a814a8d601d0155679b79b6d5",
+        "mul_t": "15ac8cc1cf359df582467a1b00a78bd5"
+                 "661f63189cc66edd30a42973410a11e2",
+        "neg_t": "5a536c6d59602d5ec1a7272cb3afa5ec"
+                 "b6096582c34e3bbe7ee3967b213c13f8",
+        "inv_t": "653b492dec54fb4615264d3183a81c94"
+                 "cf142a3f61c04543fbf113aa4cc92b06",
+        "pow_t": "24788a26ae616732632eff66e8f63d60"
+                 "9566b042abf33133af724ea54045b334",
+        "lagr_t": "6715a0f0ddadf84934cb32894792e08c"
+                  "c9c87277afb8b66de2dc7f2602e6853c",
+    },
+    (1021, 1): {
+        "generator": 10,
+        "modulus": None,
+        "add_t": "3d016868991f5c76f464471aede77ad1"
+                 "61b874af0617084a87f06bc9ee6a0801",
+        "mul_t": "c1ace3c9f82bdcb4de42e88089870d86"
+                 "1c467e6fcd585463f89043a7be1941fe",
+        "neg_t": "aae0865457fb6fd1902cc1ca09ea7194"
+                 "02341d5fed1d1729f69bbd5181e24755",
+        "inv_t": "1df3c0d375d1375ea7e82dd9d6450dee"
+                 "7a83e88ac5aeb0e0651159f3759d9a26",
+        "pow_t": "29765ba68732abc3cbfa672d156519a4"
+                 "cea0ac4a36fbe2d7c1831efbc2fe20cc",
+        "lagr_t": "e4103421b20caf7b1ffaf05831e34dcd"
+                  "0072234bfa3dd724333d6410e793da48",
+    },
+    (2, 10): {
+        "generator": 2,
+        "modulus": [1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1],
+        "add_t": "4168ff5767cc31d3199a3484dcb43acf"
+                 "a07f2e2e3f6a6b7fff5dcdaa649ce7bc",
+        "mul_t": "dc97460a3aa57ea4bb905930bf8dbcff"
+                 "b2088e4fdbcc421668cb8ded3b03ab5f",
+        "neg_t": "2f88e9ce00d238e7e011a7b140b413dc"
+                 "ad818f1da41a721f914f1af604d0e217",
+        "inv_t": "b84a6ceb1677ea7b0ae11ecdef0e2b84"
+                 "aa94e6f1846b814027799fc16a01167e",
+        "pow_t": "19e25a84cd17b47651e3ff09da623d0e"
+                 "d679c77e7d9787c509afccbe222306f8",
+        "lagr_t": "000a0d26bd3c9755a94dff8e22ac0d9b"
+                  "6d82732899e232ab3a3aaf044a3cac6b",
+    },
+}
 
 
 def naive_of(field: Field) -> NaiveField:
@@ -39,15 +150,20 @@ def test_canonical_modulus(p, r):
 
 @pytest.mark.parametrize("p,r", sorted(EXPECTED_GENERATORS))
 def test_generator_rank(p, r):
+    # the generator is the smallest-rank element of order q-1, by the oracle
     field = make_field(p, r)
+    ref = naive_of(field)
     g = field.generator
     assert g == EXPECTED_GENERATORS[(p, r)]
-    seen = set()
-    x = 1
-    for _ in range(field.q - 1):
-        seen.add(x)
-        x = field.mul(x, g)
-    assert seen == set(range(1, field.q))
+
+    def order(a):
+        x, k = a, 1
+        while x != 1:
+            x, k = ref.mul(x, a), k + 1
+        return k
+
+    assert order(g) == field.q - 1
+    assert all(order(a) < field.q - 1 for a in range(1, g))
 
 
 def test_modulus_irreducible_by_exhaustion():
@@ -87,6 +203,45 @@ def test_tables_match_oracle(p, r):
             assert field.add(a, b) == ref.add(a, b)
             assert field.sub(a, b) == ref.sub(a, b)
             assert field.mul(a, b) == ref.mul(a, b)
+    # pow_t[a, e] = a^e with 0^0 = 1; lagr_t[e, c] = delta_{e,0} -
+    # C(q-1, e) (-c)^{q-1-e}, the binomial taken from math.comb
+    for a in range(q):
+        x = 1
+        pw = []
+        for e in range(q):
+            assert field.pow_t[a, e] == x, (a, e)
+            pw.append(x)
+            x = ref.mul(x, a)
+        c = ref.neg(a)           # pw lists the powers of -c
+        for e in range(q):
+            term = ref.mul(comb(q - 1, e) % p, pw[q - 1 - e])
+            assert field.lagr_t[e, c] == ref.sub(int(e == 0), term), (e, c)
+
+
+@pytest.mark.parametrize("p,r", sorted(PINNED))
+def test_tables_are_pinned(p, r):
+    field = make_field(p, r)
+    want = PINNED[(p, r)]
+    assert field.generator == want["generator"]
+    assert (None if field.modulus is None else list(field.modulus)) \
+        == want["modulus"]
+    for name in TABLES:
+        table = np.ascontiguousarray(getattr(field, name), dtype=np.int64)
+        assert hashlib.sha256(table.tobytes()).hexdigest() == want[name], name
+
+
+def test_field_build_temporaries_are_bounded():
+    # the q x q tables are filled in blocks of rows, so the build allocates
+    # little beyond the tables it returns
+    for p, r in [(2, 10), (3, 6)]:
+        tracemalloc.start()
+        try:
+            field = make_field.__wrapped__(p, r)    # past the cache
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tables = sum(getattr(field, name).nbytes for name in TABLES)
+        assert peak <= tables + 4 * 2**20, (p, r, peak - tables)
 
 
 @pytest.mark.parametrize("p,r", [(3, 1), (2, 2), (5, 1), (3, 2), (2, 3)])
