@@ -177,6 +177,7 @@ class Field:
                 acc[:] = 0
                 for i in range(r):
                     acc += (D[lo:hi, i, None] + D[:, i]) % p * self.p_pows[i]
+        # zero has no log: 0 * b = 0, 0^e = 0 for e >= 1, and a^0 = 1
         mul_t[0] = 0
         mul_t[:, 0] = 0
         pow_t[0] = 0
@@ -189,15 +190,15 @@ class Field:
         inv_t[0] = 0
         # coefficient e of the basis poly 1 - (x - c)^{q-1} vanishing off c:
         # lagr_t[e, c] = delta_{e,0} - C(q-1, e) * (-c)^{q-1-e}.  By Lucas
-        # C(q-1, e) = (-1)^s mod p, s the digit sum of e, so the product
-        # is (-c)^{q-1-e} itself for odd s and its negative for even s
+        # C(q-1, e) = (-1)^s mod p, s the digit sum of e, so the second
+        # term is (-c)^{q-1-e} itself for odd s and its negative for even s
         odd = D.sum(axis=1) % 2 == 1
         lagr_t = np.empty((q, q), dtype=np.int64)
         for lo in range(0, q, block):
             hi = min(q, lo + block)
             x = pow_t[neg_t[lo:hi, None], ar[::-1]]
             lagr_t[:, lo:hi] = np.where(odd, x, neg_t[x]).T
-        lagr_t[0] = add_t[1, lagr_t[0]]
+        lagr_t[0] = add_t[1, lagr_t[0]]  # delta_{e,0}
         assert np.array_equal(mul_t[1], ar) and np.array_equal(add_t[0], ar)
         assert np.all(mul_t[ar[1:], inv_t[1:]] == 1)
         self.add_t = add_t
