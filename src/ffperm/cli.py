@@ -104,13 +104,19 @@ def cmd_verify(args) -> int:
 
 def cmd_check(args) -> int:
     if args.all:
+        if (args.p, args.r, args.n) != (None, None, None):
+            raise FFPermError("check --all runs every default cell; "
+                              "--p, --r and --n need --suite")
         rows = suites.run_all()
     else:
         if args.suite is None:
             raise FFPermError("check needs --suite NAME or --all")
+        if args.p is None and (args.r, args.n) != (None, None):
+            raise FFPermError("--r and --n pick cells on one field and "
+                              "need --p")
         override = None
         if args.p is not None:
-            override = (args.p, args.r, args.n)
+            override = (args.p, 1 if args.r is None else args.r, args.n)
         rows = suites.run_suite(args.suite, override)
     for row in rows:
         print(row.line())
@@ -201,8 +207,10 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--all", action="store_true", help="run every suite")
     k.add_argument("--p", type=int, default=None,
                    help="restrict the suite to one field")
-    k.add_argument("--r", type=int, default=1)
-    k.add_argument("--n", type=int, default=None)
+    k.add_argument("--r", type=int, default=None,
+                   help="extension degree with --p (default 1)")
+    k.add_argument("--n", type=int, default=None,
+                   help="with --p, only cells with this n")
     k.set_defaults(func=cmd_check)
 
     f = sub.add_parser("field", help="print field structure")

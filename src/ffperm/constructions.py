@@ -131,7 +131,8 @@ def pp_product(field: Field, n: int, variant: str,
     if fy is None:
         fy = t_poly(field)
     else:
-        if fy.n != 1 or fy.total_degree != q - 2 or not is_univariate_pp(fy):
+        if (fy.n != 1 or lead_degree(fy.leading_terms(q - 2)) != q - 2
+                or not is_univariate_pp(fy)):
             raise BadDegree("f(y) must be a univariate PP of degree q-2")
 
     if variant == "MERSENNE":
@@ -146,8 +147,9 @@ def pp_product(field: Field, n: int, variant: str,
         else:
             if g.n != n:
                 raise BadDegree(f"g must have {n} variables")
-            if g.total_degree != n * (q - 1) // d:
-                raise BadDegree(f"g must have total degree {n * (q - 1) // d}")
+            want = n * (q - 1) // d
+            if lead_degree(g.leading_terms(want)) != want:
+                raise BadDegree(f"g must have total degree {want}")
         a = (_smallest_non_power(field, d) if a_or_alpha is None
              else field._check(a_or_alpha))
         if a in {field.pow(w, d) for w in field.elements()}:

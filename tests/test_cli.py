@@ -11,10 +11,14 @@ from pathlib import Path
 import pytest
 
 CLI = [sys.executable, "-m", "ffperm"]
+# child processes import the sources under test, with or without PYTHONPATH
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [SRC, os.environ.get("PYTHONPATH")])))
 
 
 def run(*args, input=None, env_extra=None):
-    env = dict(os.environ)
+    env = dict(ENV)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(CLI + list(args), input=input, env=env,
@@ -235,6 +239,54 @@ def test_check_all_deterministic():
     assert a.returncode == b.returncode == 1      # the q=4 row above
 
 
+def check_main(capsys, *args):
+    """`ffperm check ARGS` in process: (exit code, stdout, stderr)."""
+    from ffperm import cli
+    rc = cli.main(["check", *args])
+    out = capsys.readouterr()
+    return rc, out.out, out.err
+
+
+@pytest.mark.parametrize("args", [("thm5.4", "--p", "2"),
+                                  ("thm4.3", "--p", "13"),
+                                  ("thm4.1", "--p", "3", "--n", "2")])
+def test_check_override_without_a_row_exit_2(capsys, args):
+    # no family of the suite builds on the field: an error, not rows=0
+    rc, out, err = check_main(capsys, "--suite", *args)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_check_override_stays_on_its_field(capsys):
+    rc, out, _ = check_main(capsys, "--suite", "thm4.3", "--p", "5",
+                            "--r", "2")
+    rows = out.splitlines()[:-1]
+    assert " q=5 " not in out
+    assert rc == 2 or (rows and all(" q=25 " in l for l in rows))
+
+
+def test_check_override_gives_each_family_a_cell(capsys):
+    rc, out, _ = check_main(capsys, "--suite", "remark3", "--p", "11")
+    assert rc == 0
+    lines = out.splitlines()
+    assert [l.split(" expected_deg")[0] for l in lines[:-1]] == [
+        "suite=remark3 family=pp_monomial q=11 n=2",
+        "suite=remark3 family=pp_qnr q=11 n=1"]
+    assert all("theorem: pass" in l for l in lines[:-1])
+    assert lines[-1] == "rows=2 failed=0 skipped=0"
+
+
+@pytest.mark.parametrize("args", [("--all", "--p", "5"),
+                                  ("--all", "--r", "2"),
+                                  ("--all", "--n", "2"),
+                                  ("--suite", "thm4.1", "--n", "2"),
+                                  ("--suite", "thm4.1", "--r", "3")])
+def test_check_refuses_flags_it_would_ignore(capsys, args):
+    rc, out, err = check_main(capsys, *args)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and "need" in err
+
+
 # -- field / scan ------------------------------------------------------------------
 
 def test_field_text():
@@ -316,6 +368,6 @@ def test_declared_entry_point_runs():
     script = f"import sys; from {module} import {attr}; sys.exit({attr}())"
     res = subprocess.run([sys.executable, "-c", script,
                           "check", "--suite", "lemma2.2"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=ENV)
     assert res.returncode == 0
     assert res.stdout.count("theorem: pass") == 8

@@ -268,6 +268,8 @@ def test_known_degrees_are_read_without_a_full_scan(monkeypatch):
     from ffperm.mvpoly import MultiPoly
     from ffperm.suites import run_suite
     f = lpp_power(F5, 3)              # built first: lpp_power reads degrees()
+    g2 = poly_build(F5, 2, [((2, 2), 1), ((3, 0), 2), ((0, 1), 1)])
+    t = t_poly(F5)
 
     def results():
         rep = conjecture_fn(F7, 4).to_json()
@@ -275,10 +277,12 @@ def test_known_degrees_are_read_without_a_full_scan(monkeypatch):
         g = lpp_restrict(f)
         rows = [(r.family, r.q, r.n, r.measured_deg, r.status)
                 for r in run_suite("thm4.4")]
-        return rep, g.n, g.terms(), rows
+        prod = pp_product(F5, 2, "QNR", g=g2, fy=t)
+        return rep, g.n, g.terms(), rows, prod.terms()
 
     want = results()
     assert want[0]["verdict"] == "pass" and want[1] == 2
+    assert want[4]
 
     def full_scan(self):
         raise AssertionError("full degree scan")
@@ -287,6 +291,10 @@ def test_known_degrees_are_read_without_a_full_scan(monkeypatch):
     assert results() == want
     with pytest.raises(NotMaxLpp, match="degree 1 is not the maximum 2"):
         lpp_restrict(lpp_linear(F3, 2))
+    with pytest.raises(BadDegree, match="g must have total degree 4"):
+        pp_product(F5, 2, "QNR", g=monomial(F5, 2, (2, 1)), fy=t)
+    with pytest.raises(BadDegree, match="f\\(y\\) must be a univariate PP"):
+        pp_product(F5, 2, "QNR", g=g2, fy=monomial(F5, 1, (2,)))
 
 
 # -- indicator route ---------------------------------------------------------------

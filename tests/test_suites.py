@@ -1,7 +1,11 @@
-"""Suite rows gate the claims they check."""
+"""Suite rows gate the claims they check, and their output is pinned."""
 
+import hashlib
+
+import pytest
+
+from ffperm import cli, suites
 from ffperm import constructions as cons
-from ffperm import suites
 from ffperm.mvpoly import monomial
 
 
@@ -12,7 +16,7 @@ def test_thm54_gates_variant_c_on_lpp(monkeypatch):
 
     def spoiled(field, variant):
         f = real(field, variant)
-        if variant == "C" and field.q == 16:
+        if variant.upper() == "C" and field.q == 16:
             f = f + monomial(field, 3, (1, 1, 0))
         return f
 
@@ -23,3 +27,159 @@ def test_thm54_gates_variant_c_on_lpp(monkeypatch):
     assert "theorem: fail" in row.line()
     assert "not an LPP" in row.reason
     assert row.gates
+
+
+# -- pinned output ------------------------------------------------------------
+# Values recorded from the suites before they became data; the table-driven
+# runner must reproduce them exactly.
+
+CHECK_ALL_SHA256 = (
+    "516118c836847bc6dcc9abceade5ea31da6e9f6db69f828d3f436291e9334cd4")
+
+# every run_all() row with a non-empty extra; all other rows have {}
+PINNED_EXTRAS = {
+    ("prop3.1", "scan", 2, 2):
+        {"tables": 6, "pp_count": 6, "max_degree": 1, "bound": 1,
+         "degree_histogram": {1: 6}},
+    ("prop3.1", "scan", 2, 3):
+        {"tables": 70, "pp_count": 70, "max_degree": 2, "bound": 2,
+         "degree_histogram": {1: 14, 2: 56}},
+    ("prop3.1", "scan", 3, 2):
+        {"tables": 1680, "pp_count": 1680, "max_degree": 3, "bound": 3,
+         "degree_histogram": {1: 24, 2: 144, 3: 1512}},
+    ("thm4.3", "lpp_power", 5, 3):
+        {"b": 3, "k": 1, "leading_coeff": 1},
+    ("thm4.3", "lpp_power", 7, 5):
+        {"b": 5, "k": 1, "leading_coeff": 1},
+    ("thm4.3", "lpp_power", 11, 3):
+        {"b": 3, "k": 1, "leading_coeff": 6},
+    ("thm4.4", "indicator_p", 9, 1):
+        {"sum_alpha": 0, "sum_a_alpha": 4, "criterion": True},
+    ("thm4.4", "indicator_p", 25, 1):
+        {"sum_alpha": 0, "sum_a_alpha": 6, "criterion": True},
+    ("thm4.4", "indicator_p", 27, 1):
+        {"sum_alpha": 0, "sum_a_alpha": 4, "criterion": True},
+    ("lemma4.5", "degree_criterion", 3, 1):
+        {"checked": 27, "degree_q_minus_2": 6, "mode": "exhaustive"},
+    ("lemma4.5", "degree_criterion", 4, 1):
+        {"checked": 256, "degree_q_minus_2": 48, "mode": "exhaustive"},
+    ("lemma4.5", "degree_criterion", 5, 1):
+        {"checked": 3125, "degree_q_minus_2": 500, "mode": "exhaustive"},
+    ("lemma4.5", "degree_criterion", 7, 1):
+        {"checked": 10000, "degree_q_minus_2": 1269, "mode": "random",
+         "trials": 10000, "seed": 0},
+    ("lemma4.5", "degree_criterion", 8, 1):
+        {"checked": 10000, "degree_q_minus_2": 1146, "mode": "random",
+         "trials": 10000, "seed": 0},
+    ("lemma4.5", "degree_criterion", 9, 1):
+        {"checked": 10000, "degree_q_minus_2": 1010, "mode": "random",
+         "trials": 10000, "seed": 0},
+}
+
+# `ffperm check --suite ...` overrides: (exit code, stdout lines)
+PINNED_OVERRIDES = {
+    "thm4.1 --p 2 --r 3 --n 2": (0, [
+        "suite=thm4.1 family=lpp_beta q=8 n=2 expected_deg=12 measured_deg=12 pp=pass lpp=pass theorem: pass",
+        "rows=1 failed=0 skipped=0",
+    ]),
+    "thm3.2 --p 11 --n 2": (0, [
+        "suite=thm3.2 family=pp_hn q=11 n=2 expected_deg=19 measured_deg=19 pp=pass lpp=fail theorem: pass",
+        "rows=1 failed=0 skipped=0",
+    ]),
+    "remark3 --p 5": (0, [
+        "suite=remark3 family=pp_monomial q=5 n=2 expected_deg=7 measured_deg=7 pp=pass lpp=fail theorem: pass",
+        "suite=remark3 family=pp_monomial q=5 n=3 expected_deg=11 measured_deg=11 pp=pass lpp=fail theorem: pass",
+        "suite=remark3 family=pp_qnr q=5 n=1 expected_deg=7 measured_deg=7 pp=pass lpp=fail theorem: pass",
+        "suite=remark3 family=pp_qnr q=5 n=2 expected_deg=11 measured_deg=11 pp=pass lpp=fail theorem: pass",
+        "rows=4 failed=0 skipped=0",
+    ]),
+    "remark3 --p 5 --n 2": (0, [
+        "suite=remark3 family=pp_monomial q=5 n=2 expected_deg=7 measured_deg=7 pp=pass lpp=fail theorem: pass",
+        "suite=remark3 family=pp_qnr q=5 n=2 expected_deg=11 measured_deg=11 pp=pass lpp=fail theorem: pass",
+        "rows=2 failed=0 skipped=0",
+    ]),
+    "thm4.3 --p 7": (0, [
+        "suite=thm4.3 family=lpp_power q=7 n=5 expected_deg=25 measured_deg=25 pp=pass lpp=pass theorem: pass",
+        "suite=thm4.3 family=lpp_restrict q=7 n=4 expected_deg=20 measured_deg=20 pp=pass lpp=pass theorem: pass",
+        "rows=2 failed=0 skipped=0",
+    ]),
+    "thm4.4 --p 3 --r 2": (0, [
+        "suite=thm4.4 family=lpp_indicator q=9 n=2 expected_deg=14 measured_deg=14 pp=pass lpp=pass theorem: pass",
+        "suite=thm4.4 family=lpp_indicator q=9 n=3 expected_deg=21 measured_deg=21 pp=pass lpp=pass theorem: pass",
+        "suite=thm4.4 family=indicator_p q=9 n=1 expected_deg=7 measured_deg=7 pp=- lpp=- theorem: pass",
+        "rows=3 failed=0 skipped=0",
+    ]),
+    "thm4.4 --p 5 --r 2 --n 3": (0, [
+        "suite=thm4.4 family=lpp_indicator q=25 n=3 expected_deg=69 measured_deg=69 pp=pass lpp=pass theorem: pass",
+        "suite=thm4.4 family=indicator_p q=25 n=1 expected_deg=23 measured_deg=23 pp=- lpp=- theorem: pass",
+        "rows=2 failed=0 skipped=0",
+    ]),
+    "thm4.4 --p 7": (0, [
+        "suite=thm4.4 family=lpp_indicator q=7 n=2 expected_deg=10 measured_deg=10 pp=pass lpp=pass theorem: pass",
+        "rows=1 failed=0 skipped=0",
+    ]),
+    "thm5.2 --p 13": (0, [
+        "suite=thm5.2 family=lpp_chain q=13 n=2 expected_deg=22 measured_deg=22 pp=pass lpp=pass theorem: pass",
+        "rows=1 failed=0 skipped=0",
+    ]),
+    "thm5.3 --p 5": (0, [
+        "suite=thm5.3 family=lpp_chain q=5 n=3 expected_deg=9 measured_deg=9 pp=pass lpp=pass theorem: pass",
+        "suite=thm5.3 family=lpp_chain q=5 n=4 expected_deg=12 measured_deg=12 pp=pass lpp=pass theorem: pass",
+        "rows=2 failed=0 skipped=0",
+    ]),
+    "thm5.3 --p 11": (0, [
+        "suite=thm5.3 family=lpp_chain q=11 n=3 expected_deg=27 measured_deg=27 pp=pass lpp=pass theorem: pass",
+        "rows=1 failed=0 skipped=0",
+    ]),
+    "thm5.4 --p 11": (0, [
+        "suite=thm5.4 family=lpp_3var_a q=11 n=3 expected_deg=27 measured_deg=27 pp=pass lpp=pass theorem: pass",
+        "rows=1 failed=0 skipped=0",
+    ]),
+    "thm5.4 --p 3 --r 2": (0, [
+        "suite=thm5.4 family=lpp_3var_b q=9 n=3 expected_deg=21 measured_deg=21 pp=pass lpp=pass theorem: pass",
+        "rows=1 failed=0 skipped=0",
+    ]),
+    "lemma2.2 --p 13 --n 5": (0, [
+        "suite=lemma2.2 family=identities q=13 n=1 expected_deg=- measured_deg=- pp=- lpp=- theorem: pass",
+        "rows=1 failed=0 skipped=0",
+    ]),
+    "lemma4.5 --p 13": (0, [
+        "suite=lemma4.5 family=degree_criterion q=13 n=1 expected_deg=- measured_deg=- pp=- lpp=- theorem: pass",
+        "rows=1 failed=0 skipped=0",
+    ]),
+    "conjecture --p 11": (0, [
+        "suite=conjecture family=lpp_chain q=11 n=5 expected_deg=45 measured_deg=45 pp=- lpp=- conjecture evidence: pass",
+        "rows=1 failed=0 skipped=0",
+    ]),
+    "prop3.1 --p 5": (0, [
+        "suite=prop3.1 family=scan q=5 n=2 expected_deg=7 measured_deg=- pp=- lpp=- theorem: skipped (cap: 623360743125120 balanced tables exceed the scan cap)",
+        "rows=1 failed=0 skipped=1",
+    ]),
+}
+
+
+def _check(capsys, argv):
+    rc = cli.main(["check", *argv])
+    out = capsys.readouterr()
+    return rc, out.out, out.err
+
+
+def test_check_all_stdout_is_pinned(capsys):
+    rc, out, _ = _check(capsys, ["--all"])
+    assert hashlib.sha256(out.encode()).hexdigest() == CHECK_ALL_SHA256
+    assert rc == 1                        # the thm5.4 q=4 row
+
+
+def test_run_all_rows_are_pinned(capsys):
+    rows = suites.run_all()
+    _, out, _ = _check(capsys, ["--all"])
+    assert [r.line() for r in rows] == out.splitlines()[:-1]
+    extras = {(r.suite, r.family, r.q, r.n): r.extra for r in rows if r.extra}
+    assert extras == PINNED_EXTRAS
+    assert len(rows) == 95
+
+
+@pytest.mark.parametrize("args", list(PINNED_OVERRIDES))
+def test_override_output_is_pinned(capsys, args):
+    rc, out, _ = _check(capsys, ["--suite", *args.split()])
+    assert (rc, out.splitlines()) == PINNED_OVERRIDES[args]
