@@ -104,9 +104,9 @@ def cmd_verify(args) -> int:
 
 def cmd_check(args) -> int:
     if args.all:
-        if (args.p, args.r, args.n) != (None, None, None):
-            raise FFPermError("check --all runs every default cell; "
-                              "--p, --r and --n need --suite")
+        if (args.suite, args.p, args.r, args.n) != (None,) * 4:
+            raise FFPermError("check --all runs every suite's default cells "
+                              "and takes no --suite, --p, --r or --n")
         rows = suites.run_all()
     else:
         if args.suite is None:

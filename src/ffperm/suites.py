@@ -70,10 +70,10 @@ class Row:
 class Spec:
     """One family of a suite.  gate names the verdict ("pp" or "lpp") a
     family row must also pass; lead(field, row, params) gives the
-    coefficient of the row's only leading term x_1^(q-2)..x_n^(q-2); then,
-    if set, runs on the polynomial of a passing row.  report(field, n)
-    makes this a report row: it returns (ok, measured degree, extra,
-    reason if not ok)."""
+    coefficient of the row's only leading term x_1^(q-2)..x_n^(q-2), or
+    None where the theorem states none; then, if set, runs on the
+    polynomial of a passing row.  report(field, n) makes this a report
+    row: it returns (ok, measured degree, extra, reason if not ok)."""
     family: str
     cells: tuple
     gate: str | None = None
@@ -130,8 +130,9 @@ def _fill(row: Row, spec: Spec, field: Field, prev: MultiPoly | None):
         failures.append("not a PP")
     if spec.gate == "lpp" and not lpp_rep.ok:
         failures.append("not an LPP")
-    if spec.lead is not None:
-        want = [((field.q - 2,) * row.n, spec.lead(field, row, params))]
+    coeff = None if spec.lead is None else spec.lead(field, row, params)
+    if coeff is not None:
+        want = [((field.q - 2,) * row.n, coeff)]
         if lead != want:
             failures.append(f"leading terms {lead} != {want}")
     if failures:
@@ -150,14 +151,16 @@ def _power_lead(field: Field, row: Row, params: dict) -> int:
     return c
 
 
-def _chain_lead(field: Field, row: Row, params: dict) -> int:
-    """Theorem 5.3: f_3 leads with -4 x_1^(q-2) x_2^(q-2) x_3^(q-2)."""
-    return field.from_int(-4)
+def _chain_lead(field: Field, row: Row, params: dict) -> int | None:
+    """Theorem 5.3: f_3 leads with -4 x_1^(q-2) x_2^(q-2) x_3^(q-2); it
+    states no coefficient for other n."""
+    return field.from_int(-4) if row.n == 3 else None
 
 
 def _scan(field: Field, n: int):
     rep = vf.scan_pp_degree_bound(field, n)
-    return rep.ok, rep.detail["max_degree"], rep.detail, "degree bound violated"
+    return (rep.ok, rep.detail["max_degree"], rep.detail,
+            "degree bound violated")
 
 
 def _identities(field: Field, n: int):

@@ -29,9 +29,27 @@ def test_thm54_gates_variant_c_on_lpp(monkeypatch):
     assert row.gates
 
 
+def test_thm53_checks_the_leading_coefficient_of_f3_only(monkeypatch):
+    # Theorem 5.3 states the coefficient -4 for f_3 alone: a doubled chain
+    # fails the n=3 row, and rows at other n check only the degree
+    real = cons.lpp_chain
+
+    def doubled(field, n):
+        f = real(field, n)
+        return f + f
+
+    [row] = suites.run_suite("thm5.3", (7, 1, 5))
+    assert row.status == "pass"
+    monkeypatch.setattr(cons, "lpp_chain", doubled)
+    rows = suites.run_suite("thm5.3", (5, 1, None))
+    assert [(r.n, r.status) for r in rows] == [(3, "fail"), (4, "pass")]
+    assert rows[0].reason.startswith("leading terms")
+    assert rows[0].gates
+
+
 # -- pinned output ------------------------------------------------------------
-# Values recorded from the suites before they became data; the table-driven
-# runner must reproduce them exactly.
+# `ffperm check` output recorded before the suites became one table of
+# specs; a change to any of it is a change of behaviour.
 
 CHECK_ALL_SHA256 = (
     "516118c836847bc6dcc9abceade5ea31da6e9f6db69f828d3f436291e9334cd4")
