@@ -7,7 +7,6 @@ polynomial.  Applicability predicates raise UnsupportedField (or the more
 specific error named in the docstring) instead of returning wrong output.
 """
 
-import itertools
 from math import gcd
 
 import numpy as np
@@ -15,9 +14,9 @@ import numpy as np
 from . import _kernels
 from .errors import BadDegree, NoNonResidue, NotMaxLpp, NoValidB, UnsupportedField
 from .gf import Field
-from .mvpoly import (FuncTable, MultiPoly, compose_univariate, extend,
-                     interpolate, lead_degree, monomial, poly_build, to_table,
-                     variable)
+from .mvpoly import (FuncTable, MultiPoly, _sum_terms, _term_space,
+                     compose_univariate, extend, interpolate, lead_degree,
+                     monomial, poly_build, to_table, variable)
 from .univ import is_univariate_pp, t_poly, transposition
 
 
@@ -83,11 +82,11 @@ def pp_alpha4(field: Field, n: int) -> MultiPoly:
         raise UnsupportedField("this family lives over F_4")
     if n < 1:
         raise ValueError("need at least one variable")
-    bound = 3 * n - 1
-    terms = [(exps, 1) for exps in itertools.product(range(4), repeat=n)
-             if sum(exps) <= bound]
-    terms.append(((1,) + (0,) * (n - 1), 1))
-    return poly_build(field, n, terms)
+    _term_space(field, n)  # before the grid is built
+    grid = np.indices((4,) * n).reshape(n, -1).T
+    exps = np.concatenate([grid[grid.sum(axis=1) <= 3 * n - 1],
+                           np.eye(1, n, dtype=np.int64)])
+    return _sum_terms(field, n, exps, np.ones(len(exps), dtype=np.int64))
 
 
 def _smallest_non_power(field: Field, d: int) -> int:
@@ -169,13 +168,10 @@ def lpp_beta(field: Field, n: int) -> MultiPoly:
         raise UnsupportedField("this family needs q = 2^r > 2")
     if n < 1:
         raise ValueError("need at least one variable")
-    terms = [(exps, 1) for exps in
-             itertools.product(range(1, q - 1), repeat=n)]
-    for i in range(n):
-        e = [0] * n
-        e[i] = 1
-        terms.append((tuple(e), 1))
-    return poly_build(field, n, terms)
+    _term_space(field, n)  # before the grid is built
+    grid = np.indices((q - 2,) * n).reshape(n, -1).T + 1
+    exps = np.concatenate([grid, np.eye(n, dtype=np.int64)])
+    return _sum_terms(field, n, exps, np.ones(len(exps), dtype=np.int64))
 
 
 def _sub_inverse_powers(f: MultiPoly) -> MultiPoly:

@@ -17,9 +17,14 @@ degrees and JSON work on coefficients; leading_terms scans only the top
 corner of the coefficient tensor that can hold its answer.  Exponents
 e >= q fold to ((e - 1) mod (q - 1)) + 1, which keeps x^0 and x^{q-1}
 distinct and makes the correspondence one-to-one.
+
+Raw terms (poly_build, poly_from_json, the dense families) are read into
+an exponent array and a coefficient rank array, with no Python object per
+term, and one array routine (_sum_terms) checks, folds and sums them.
 """
 
 import itertools
+from operator import itemgetter
 
 import numpy as np
 
@@ -46,6 +51,10 @@ def lead_degree(lead: list[tuple[tuple[int, ...], int]]) -> int:
     """Total degree of a leading_terms list; -1 (the zero polynomial) when
     it is empty."""
     return sum(lead[0][0]) if lead else -1
+
+
+# int64 holds exactly the integers in [-_WIDE, _WIDE)
+_WIDE = 1 << 63
 
 
 def _check_points(field: Field, n: int, cap: int | None = None) -> int:
@@ -246,28 +255,123 @@ class MultiPoly:
 # ---------------------------------------------------------------------------
 # constructors
 
+def _term_space(field: Field, n: int) -> int:
+    """q^n for a valid variable count n; raises before anything of that
+    size is allocated."""
+    if n < 0:
+        raise ValueError("variable count must be nonnegative")
+    return _check_points(field, n)
+
+
+def _sum_terms(field: Field, n: int, exps: np.ndarray,
+               ranks: np.ndarray) -> MultiPoly:
+    """Sum the terms given as an (N, n) int64 exponent array and an (N,)
+    coefficient rank array into reduced form; exps is folded in place.
+
+    Terms whose slots are all distinct are written as they are.  Otherwise
+    the distinct slots are numbered in the result tensor itself, so no other
+    q^n-sized array is made, and like terms add as digit vectors: digit j of
+    every term goes through one weighted bincount over the slot numbers,
+    exact since N * (p - 1) < 2^53, and the sums are taken mod p and
+    recombined with p_pows.
+    """
+    size = _term_space(field, n)
+    q, p = field.q, field.p
+    if exps.shape[1] != n:
+        raise VariableCountMismatch(
+            f"term has {exps.shape[1]} exponents, expected {n}")
+    # as unsigned a negative value is huge, so one comparison finds both
+    # the exponents to fold and the negative ones
+    high = exps.view(np.uint64) >= q
+    if high.any():
+        if exps.min() < 0:
+            raise ValueError("exponents must be nonnegative")
+        exps[high] = (exps[high] - 1) % (q - 1) + 1
+    bad = ranks.view(np.uint64) >= q
+    if bad.any():
+        raise ValueError(f"rank {ranks[bad.argmax()]} outside field of "
+                         f"order {q}")
+    # the C-order slot of each term; a matrix product also serves n = 0
+    slots = exps @ q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    del exps, high
+    out = np.zeros(size, dtype=np.int64)
+    out[slots] = 1
+    used = out.nonzero()[0]
+    if used.size == slots.size:
+        out[slots] = ranks
+        return MultiPoly(field, n, out)
+    out[used] = np.arange(used.size)
+    slots = out[slots]
+    acc = np.zeros(used.size)
+    for pj in field.p_pows.tolist():
+        digit = ranks // pj
+        digit %= p
+        sums = np.bincount(slots, weights=digit, minlength=used.size)
+        np.fmod(sums, p, out=sums)
+        sums *= pj
+        acc += sums
+    out[used] = acc
+    return MultiPoly(field, n, out)
+
+
+def _int64s(values, count: int, wide) -> np.ndarray:
+    """The count integers of the iterable values() as an int64 array.
+
+    values is called again when one of them does not fit in int64: the
+    second pass maps every value through wide, which returns an int64 of
+    the same meaning or raises ValueError, so huge input stays a usage
+    error instead of an OverflowError.
+    """
+    try:
+        return np.fromiter(values(), np.int64, count)
+    except OverflowError:
+        return np.fromiter(map(wide, values()), np.int64, count)
+
+
+def _exponent_array(field: Field, n: int, rows: list) -> np.ndarray:
+    """The exponent sequences rows as an (N, n) int64 array; an exponent
+    beyond int64 is folded first (or made -1 when negative).  n is checked
+    first, so a huge n is refused and never shapes an array."""
+    _term_space(field, n)
+    if not set(map(len, rows)) <= {n}:
+        bad = next(k for k in map(len, rows) if k != n)
+        raise VariableCountMismatch(
+            f"term has {bad} exponents, expected {n}")
+
+    def wide(e):
+        e = int(e)
+        if -_WIDE <= e < _WIDE:
+            return e
+        return fold_exp(e, field.q) if e > 0 else -1
+
+    return _int64s(lambda: itertools.chain.from_iterable(rows),
+                   len(rows) * n, wide).reshape(len(rows), n)
+
+
+def _rank_array(field: Field, values, count: int) -> np.ndarray:
+    """count coefficient ranks read from the iterable values() as int64."""
+    def wide(c):
+        c = int(c)
+        if -_WIDE <= c < _WIDE:
+            return c
+        raise ValueError(f"rank {c} outside field of order {field.q}")
+
+    return _int64s(values, count, wide)
+
+
 def poly_build(field: Field, n: int, terms) -> MultiPoly:
     """Sum raw (exponents, coefficient rank) terms into reduced form.
 
     Exponents may be arbitrarily large nonnegative integers; like terms
-    combine in the field.
+    combine in the field.  terms may be any iterable; its exponents and
+    ranks are read as int() reads them into two int64 arrays, and
+    _sum_terms checks, folds and sums those.
     """
-    if n < 0:
-        raise ValueError("variable count must be nonnegative")
-    _check_points(field, n)
-    q = field.q
-    arr = np.zeros((q,) * n, dtype=np.int64)
-    for exps, c in terms:
-        exps = tuple(int(e) for e in exps)
-        if len(exps) != n:
-            raise VariableCountMismatch(
-                f"term has {len(exps)} exponents, expected {n}")
-        if any(e < 0 for e in exps):
-            raise ValueError("exponents must be nonnegative")
-        c = field._check(c)
-        idx = tuple(fold_exp(e, q) for e in exps)
-        arr[idx] = field.add(int(arr[idx]), c)
-    return MultiPoly(field, n, arr)
+    terms = list(terms)
+    exps = _exponent_array(field, n,
+                           list(map(tuple, map(itemgetter(0), terms))))
+    ranks = _rank_array(field, lambda: map(itemgetter(1), terms), len(terms))
+    return _sum_terms(field, n, exps, ranks)
 
 
 def zero(field: Field, n: int) -> MultiPoly:
@@ -381,20 +485,49 @@ def compose_univariate(g: MultiPoly, f: MultiPoly) -> MultiPoly:
 def poly_to_json(f: MultiPoly) -> dict:
     """Canonical JSON: terms sorted by rank, coefficients as digit vectors."""
     field = f.field
+    flat = f.coeffs.reshape(-1)
+    nz = np.flatnonzero(flat)
+    exps = _exponents(nz, f.coeffs.shape).tolist()
+    digits = (flat[nz, None] // field.p_pows % field.p).tolist()
     return {
         "field": field.to_json(),
         "n": f.n,
-        "terms": [{"exps": list(e), "coeff": field.coeffs_of(c)}
-                  for e, c in f.terms()],
+        "terms": [{"exps": e, "coeff": d} for e, d in zip(exps, digits)],
     }
 
 
+_INTS = (int, np.integer)
+
+
 def _is_int(x) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+    return isinstance(x, _INTS) and not isinstance(x, bool)
 
 
 def _is_int_list(x) -> bool:
     return isinstance(x, list) and all(_is_int(v) for v in x)
+
+
+def _all_types(values, kinds) -> bool:
+    """Whether every value is an instance of kinds but not a bool, checked
+    once per distinct type."""
+    return all(issubclass(t, kinds) and not issubclass(t, bool)
+               for t in set(map(type, values)))
+
+
+_TERM_SHAPE = ('each term must be {"exps": [int, ...], '
+               '"coeff": int or [int, ...]}')
+
+
+def _at(terms: list, key: str):
+    """The value of every term dict at key, None where it is missing."""
+    return map(dict.get, terms, itertools.repeat(key))
+
+
+def _vectors(terms: list):
+    """The coefficients of the terms that are digit vectors (lists)."""
+    return itertools.compress(
+        _at(terms, "coeff"),
+        map(isinstance, _at(terms, "coeff"), itertools.repeat(list)))
 
 
 def _check_poly_json(data) -> None:
@@ -414,24 +547,58 @@ def _check_poly_json(data) -> None:
     terms = data.get("terms")
     if not isinstance(terms, list):
         raise ValueError('"terms" must be a list')
-    for t in terms:
-        if not (isinstance(t, dict) and _is_int_list(t.get("exps"))
-                and (_is_int(t.get("coeff")) or _is_int_list(t.get("coeff")))):
-            raise ValueError('each term must be {"exps": [int, ...], '
-                             '"coeff": int or [int, ...]}')
+    chain = itertools.chain.from_iterable
+    if not (_all_types(terms, dict)
+            and _all_types(_at(terms, "exps"), list)
+            and _all_types(chain(_at(terms, "exps")), _INTS)
+            and _all_types(_at(terms, "coeff"), _INTS + (list,))
+            and _all_types(chain(_vectors(terms)), _INTS)):
+        raise ValueError(_TERM_SHAPE)
+
+
+def _json_ranks(field: Field, terms: list) -> np.ndarray:
+    """Coefficient ranks of checked JSON terms: an int coefficient is a
+    rank, a list holds the r digits of one, constant first."""
+    p, r = field.p, field.r
+    if not set(map(len, _vectors(terms))) <= {r}:
+        raise ValueError(f"coefficient vector must have length {r}")
+    is_vec = np.fromiter(map(isinstance, _at(terms, "coeff"),
+                             itertools.repeat(list)), bool, len(terms))
+    n_vec = int(is_vec.sum())
+
+    def wide(d):
+        if -_WIDE <= d < _WIDE:
+            return d
+        raise ValueError(f"coefficient {d} outside [0, {p})")
+
+    digits = _int64s(lambda: itertools.chain.from_iterable(_vectors(terms)),
+                     n_vec * r, wide)
+    bad = digits.view(np.uint64) >= p
+    if bad.any():
+        raise ValueError(f"coefficient {digits[bad.argmax()]} outside "
+                         f"[0, {p})")
+    del bad
+    ranks = np.empty(len(terms), dtype=np.int64)
+    ranks[is_vec] = digits.reshape(n_vec, r) @ field.p_pows
+    del digits
+    ranks[~is_vec] = _rank_array(
+        field, lambda: itertools.compress(_at(terms, "coeff"), ~is_vec),
+        len(terms) - n_vec)
+    return ranks
 
 
 def poly_from_json(data: dict) -> MultiPoly:
     """Accepts unreduced exponents and unsorted terms; extra keys ignored.
 
-    Raises ValueError when the document has the wrong shape."""
+    Raises ValueError when the document has the wrong shape.  Exponents and
+    coefficient digits stream from the document into arrays, with no
+    object per term, and _sum_terms adds them up."""
     from .gf import field_from_json
     _check_poly_json(data)
     field = field_from_json(data["field"])
     n = int(data["n"])
-    terms = []
-    for t in data["terms"]:
-        coeff = t["coeff"]
-        rank = field.rank_of(coeff) if isinstance(coeff, list) else coeff
-        terms.append((t["exps"], rank))
-    return poly_build(field, n, terms)
+    terms = data["terms"]
+    ranks = _json_ranks(field, terms)
+    return _sum_terms(field, n,
+                      _exponent_array(field, n, list(_at(terms, "exps"))),
+                      ranks)

@@ -135,6 +135,22 @@ def naive_poly_mul(field: NaiveField, n: int, terms_a, terms_b):
     return sorted((e, c) for e, c in acc.items() if c != 0)
 
 
+def naive_fold(e: int, q: int) -> int:
+    """x^e as a function on F_q equals x^fold(e): x^q = x, x^0 stays 1."""
+    return e if e < q else ((e - 1) % (q - 1)) + 1
+
+
+def naive_poly_build(field: NaiveField, n: int, terms):
+    """Sum raw (exponents, coefficient rank) terms one at a time: fold every
+    exponent, add like terms in the field; returns sorted nonzero terms."""
+    acc: dict[tuple[int, ...], int] = {}
+    for exps, c in terms:
+        assert len(exps) == n
+        e = tuple(naive_fold(x, field.q) for x in exps)
+        acc[e] = field.add(acc.get(e, 0), c)
+    return sorted((e, c) for e, c in acc.items() if c != 0)
+
+
 def naive_interp_univariate(field: NaiveField, values) -> list[int]:
     """Lagrange interpolation, dense coefficient list c_0..c_{q-1}.
 

@@ -172,6 +172,25 @@ def test_verify_bad_json_exit_2():
     assert res.returncode == 2 and "Traceback" not in res.stderr
 
 
+def test_verify_huge_values():
+    """Integers beyond int64 are read exactly: a huge exponent folds, and a
+    huge negative exponent, rank or digit is a usage error, not a traceback."""
+    field = {"p": 5, "r": 1}
+    for e in (10**30 + 3, 2**63 + 1):       # fold to x^3 and x, both PPs
+        doc = {"field": field, "n": 1, "terms": [{"exps": [e], "coeff": 1}]}
+        res = run("verify", "--input", "-", "--pp", input=json.dumps(doc))
+        assert res.returncode == 0, e
+        assert json.loads(res.stdout)["verdict"] == "pass"
+    for term in ({"exps": [-10**30], "coeff": 1},
+                 {"exps": [1], "coeff": 10**30},
+                 {"exps": [1], "coeff": [10**30]}):
+        doc = {"field": field, "n": 1, "terms": [term]}
+        res = run("verify", "--input", "-", "--pp", input=json.dumps(doc))
+        assert res.returncode == 2, term
+        assert res.stderr.startswith("error:")
+        assert "Traceback" not in res.stderr
+
+
 def test_verify_point_cap_exit_2():
     built = run("construct", "--family", "pp_hn", "--p", "5", "--n", "2")
     res = run("verify", "--input", "-", "--pp", "--point-cap", "3",

@@ -21,20 +21,29 @@ json_value = st.recursive(
     max_leaves=10)
 
 
+# integers anywhere in +-10**30, beyond int64 either way
+huge = st.integers(-10**30, 10**30)
+
+
 @st.composite
 def shaped(draw):
     """A document of the right shape with values mostly in range: p may be
-    4, which is not prime, and exponents may exceed q."""
+    4, which is not prime, exponents may exceed q, any value may be huge or
+    negative, and up to 40 terms repeat one another."""
     p = draw(st.sampled_from([2, 3, 4, 5, 7]))
     r = draw(st.integers(1, 2))
     n = draw(st.integers(0, 3))
-    coeff = (st.integers(0, p - 1)
-             | st.lists(st.integers(0, p - 1), min_size=r, max_size=r))
+    digit = st.integers(0, p - 1)
+    exp = st.integers(0, 12)
+    if draw(st.booleans()):
+        digit, exp = digit | huge, exp | huge
+    coeff = digit | st.lists(digit, min_size=r, max_size=r)
     term = st.fixed_dictionaries(
-        {"exps": st.lists(st.integers(0, 12), min_size=n, max_size=n),
-         "coeff": coeff})
+        {"exps": st.lists(exp, min_size=n, max_size=n), "coeff": coeff})
+    terms = draw(st.lists(term, min_size=1, max_size=20))
     return {"field": {"p": p, "r": r}, "n": n,
-            "terms": draw(st.lists(term, min_size=1, max_size=5))}
+            "terms": terms + draw(st.lists(st.sampled_from(terms),
+                                           max_size=20))}
 
 
 SPOTS = [("field",), ("field", "p"), ("field", "r"), ("field", "modulus"),

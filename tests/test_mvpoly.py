@@ -1,15 +1,20 @@
 """Reduced multivariate ring: arithmetic vs a naive oracle, evaluation,
 interpolation round trips, substitution, composition, JSON."""
 
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ffperm import (CapExceeded, FieldMismatch, MultiPoly, VariableCountMismatch,
                     compose_univariate, interpolate, make_field, points,
                     poly_build, poly_from_json, poly_to_json, to_table)
+from ffperm.constructions import lpp_beta
 from ffperm.mvpoly import (FuncTable, constant, extend, fold_exp, monomial,
                            variable, zero)
-from oracle import SMALL_FIELDS, NaiveField, naive_eval, naive_poly_mul
+from oracle import (SMALL_FIELDS, NaiveField, naive_eval, naive_poly_build,
+                    naive_poly_mul)
 
 
 def naive_of(field):
@@ -55,6 +60,129 @@ def test_poly_build_validates():
         poly_build(f5, 1, [((1, 2), 1)])            # wrong arity
     with pytest.raises(Exception):
         poly_build(f5, 1, [((-1,), 1)])             # negative exponent
+
+
+def test_huge_exponents_fold_like_fold_exp():
+    f9 = make_field(3, 2)
+    for e in (10**30, 2**63, 2**63 - 1, 2**64 + 5, 3**50):
+        want = ((fold_exp(e, 9), 1), 1)
+        # a huge exponent next to small ones, and alone
+        for terms in ([((e, 1), 1)], [((2, 3), 4), ((e, 1), 1), ((2, 3), 5)]):
+            f = poly_build(f9, 2, terms)
+            assert want in f.terms()
+            doc = {"field": f9.to_json(), "n": 2,
+                   "terms": [{"exps": list(x), "coeff": c} for x, c in terms]}
+            assert poly_from_json(doc) == f
+    assert poly_build(f9, 1, [((np.uint64(2**63),), 1)]).terms() == \
+        [((fold_exp(2**63, 9),), 1)]
+
+
+# Single-fault inputs given to poly_build (terms) and to poly_from_json (a
+# document over F_9), with the outcome recorded before terms were read into
+# arrays: (exception type, message), or ("accepts", terms it equals).
+# poly_build reads values as int() does; JSON takes only integers.
+INT_OF_LIST = ("int() argument must be a string, a bytes-like object or a "
+               "real number, not 'list'")
+SHAPE = 'each term must be {"exps": [int, ...], "coeff": int or [int, ...]}'
+FAULTS = [
+    ("wrong arity", 2, [((1,), 1)], [{"exps": [1], "coeff": [1, 0]}],
+     (VariableCountMismatch, "term has 1 exponents, expected 2"), None),
+    ("negative exponent", 2, [((1, -1), 1)],
+     [{"exps": [1, -1], "coeff": [1, 0]}],
+     (ValueError, "exponents must be nonnegative"), None),
+    ("rank >= q", 2, [((1, 1), 9)], [{"exps": [1, 1], "coeff": 9}],
+     (ValueError, "rank 9 outside field of order 9"), None),
+    ("digit >= p", 2, [((1, 1), [3, 0])], [{"exps": [1, 1], "coeff": [3, 0]}],
+     (TypeError, INT_OF_LIST), (ValueError, "coefficient 3 outside [0, 3)")),
+    ("digit vector length", 2, [((1, 1), [1])],
+     [{"exps": [1, 1], "coeff": [1]}], (TypeError, INT_OF_LIST),
+     (ValueError, "coefficient vector must have length 2")),
+    ("bool exponent", 2, [((True, 1), 1)],
+     [{"exps": [True, 1], "coeff": [1, 0]}], ("accepts", [((1, 1), 1)]),
+     (ValueError, SHAPE)),
+    ("float coefficient", 2, [((1, 1), 1.5)], [{"exps": [1, 1], "coeff": 1.5}],
+     ("accepts", [((1, 1), 1)]), (ValueError, SHAPE)),
+    ("n over the point cap", 13, [((1,) * 13, 1)],
+     [{"exps": [1] * 13, "coeff": [1, 0]}],
+     (CapExceeded, "9^13 points exceed the point cap"), None),
+    ("negative n", -1, [], [], (ValueError, "variable count must be "
+                                "nonnegative"), None),
+    ("exponent -10**30", 2, [((-10**30, 1), 1)],
+     [{"exps": [-10**30, 1], "coeff": [1, 0]}],
+     (ValueError, "exponents must be nonnegative"), None),
+    ("rank 10**30", 2, [((1, 1), 10**30)], [{"exps": [1, 1], "coeff": 10**30}],
+     (ValueError, f"rank {10**30} outside field of order 9"), None),
+    ("digit 10**30", 2, [((1, 1), [10**30, 0])],
+     [{"exps": [1, 1], "coeff": [10**30, 0]}], (TypeError, INT_OF_LIST),
+     (ValueError, f"coefficient {10**30} outside [0, 3)")),
+]
+
+
+@pytest.mark.parametrize("label,n,terms,doc_terms,want,doc_want", FAULTS,
+                         ids=[case[0] for case in FAULTS])
+def test_single_faults_are_pinned(label, n, terms, doc_terms, want, doc_want):
+    f9 = make_field(3, 2)
+    doc = {"field": f9.to_json(), "n": n, "terms": doc_terms}
+    for call, (kind, detail) in (
+            (lambda: poly_build(f9, n, terms), want),
+            (lambda: poly_from_json(doc), doc_want or want)):
+        if kind == "accepts":
+            assert call() == poly_build(f9, n, detail)
+            continue
+        with pytest.raises(kind) as err:
+            call()
+        assert str(err.value) == detail
+
+
+# q <= 13, then two fields at the table cap's end
+BUILD_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
+                (11, 1), (13, 1), (3, 6), (2, 10)]
+
+
+@pytest.mark.parametrize("p,r", BUILD_FIELDS)
+def test_term_sums_match_naive(p, r):
+    """poly_build and poly_from_json against the per-term oracle: duplicate
+    terms, exponents up to 3q, zero coefficients, no terms, n = 0, a
+    generator for terms, and int and digit-vector JSON coefficients."""
+    field = make_field(p, r)
+    nf = naive_of(field)
+    q = field.q
+    rng = np.random.default_rng(q)
+    for n in range(4):
+        if q**n > 1 << 16:
+            break
+        pool = [tuple(rng.integers(0, 3 * q, size=n).tolist())
+                for _ in range(6)]
+        for count in (0, 1, 6, 40):
+            terms = [(pool[int(rng.integers(6))],
+                      int(rng.integers(q)) if rng.random() < 0.8 else 0)
+                     for _ in range(count)]
+            want = naive_poly_build(nf, n, terms)
+            assert poly_build(field, n, terms).terms() == want
+            assert poly_build(field, n, (t for t in terms)).terms() == want
+            doc = {"field": field.to_json(), "n": n,
+                   "terms": [{"exps": list(e),
+                              "coeff": nf.digits(c) if k % 2 else c}
+                             for k, (e, c) in enumerate(terms)]}
+            assert poly_from_json(doc).terms() == want
+
+
+def test_json_ingest_memory_is_bounded():
+    """The lpp_beta q=16 n=4 document (38,420 terms) is read in at most
+    3 MiB on top of the document: no per-term objects, one (N, n) array at
+    a time."""
+    field = make_field(2, 4)
+    doc = json.loads(json.dumps(poly_to_json(lpp_beta(field, 4))))
+    assert len(doc["terms"]) == 38420
+    want = poly_from_json(doc)
+    tracemalloc.start()
+    try:
+        got = poly_from_json(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak <= 3 << 20, peak
 
 
 # -- ring arithmetic vs oracle ------------------------------------------------
@@ -393,6 +521,14 @@ def test_poly_json_accepts_int_coeffs_for_prime_fields():
     doc = {"field": {"p": 5, "r": 1}, "n": 1,
            "terms": [{"exps": [2], "coeff": 3}]}
     assert poly_from_json(doc) == poly_build(f5, 1, [((2,), 3)])
+
+
+def test_poly_json_lists_digit_vectors(family_polys):
+    for label, f in family_polys:
+        field = f.field
+        assert poly_to_json(f)["terms"] == [
+            {"exps": list(e), "coeff": field.coeffs_of(c)}
+            for e, c in f.terms()], label
 
 
 def test_poly_json_term_order_is_rank_sorted():
