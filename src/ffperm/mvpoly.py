@@ -293,7 +293,7 @@ def _sum_terms(field: Field, n: int, exps: np.ndarray,
                          f"order {q}")
     # the C-order slot of each term; a matrix product also serves n = 0
     slots = exps @ q ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    del exps, high
+    del exps, high  # a caller that kept no reference frees them here
     out = np.zeros(size, dtype=np.int64)
     out[slots] = 1
     used = out.nonzero()[0]
@@ -577,10 +577,8 @@ def _json_ranks(field: Field, terms: list) -> np.ndarray:
     if bad.any():
         raise ValueError(f"coefficient {digits[bad.argmax()]} outside "
                          f"[0, {p})")
-    del bad
     ranks = np.empty(len(terms), dtype=np.int64)
     ranks[is_vec] = digits.reshape(n_vec, r) @ field.p_pows
-    del digits
     ranks[~is_vec] = _rank_array(
         field, lambda: itertools.compress(_at(terms, "coeff"), ~is_vec),
         len(terms) - n_vec)
