@@ -232,10 +232,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FFPermError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as e:
+    except (FFPermError, ValueError, KeyError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -11,20 +11,54 @@ from math import gcd
 
 import numpy as np
 
-from . import _kernels
 from .errors import BadDegree, NoNonResidue, NotMaxLpp, NoValidB, UnsupportedField
 from .gf import Field
-from .mvpoly import (FuncTable, MultiPoly, _sum_terms, _term_space,
-                     compose_univariate, extend, interpolate, lead_degree,
-                     monomial, poly_build, to_table, variable)
+from .mvpoly import (FuncTable, MultiPoly, _check_points, compose_univariate,
+                     extend, interpolate, lead_degree, monomial)
 from .univ import is_univariate_pp, t_poly, transposition
+from .verify import is_lpp
 
 
-def _is_lpp_quick(f: MultiPoly) -> bool:
-    """Internal LPP test via the coordinate-scan kernel (no report)."""
-    tbl = to_table(f)
-    axis, _, _ = _kernels.lpp_scan(tbl.values, f.n, f.field.q)
-    return axis < 0
+def _guard(field: Field, n: int, extra: int = 0) -> None:
+    """Refuse n < 1, then q^n and q^(n+extra) points over the point cap,
+    before anything of size n is built."""
+    if n < 1:
+        raise ValueError("need at least one variable")
+    _check_points(field, n)
+    if extra:
+        _check_points(field, n + extra)
+
+
+def _univariate(field: Field, exps, c: int = 1) -> MultiPoly:
+    """c * sum of x^e over the distinct exponents e < q in exps, written
+    straight into the coefficient vector."""
+    vec = np.zeros(field.q, dtype=np.int64)
+    vec[list(exps)] = c
+    return MultiPoly(field, 1, vec)
+
+
+def _head_tail(field: Field, n: int, a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    """x_1^{q-1}..x_{n-1}^{q-1} a(x_n) + b(x_n) for univariate a and b: a's
+    coefficients fill the x_n row at x_1 = .. = x_{n-1} = q-1, and b's are
+    added to the x_n row at the origin (the same row when n = 1)."""
+    q = field.q
+    out = np.zeros((q,) * n, dtype=np.int64)
+    out[(q - 1,) * (n - 1)] = a.coeffs
+    tail = (0,) * (n - 1)
+    out[tail] = field.add_t[out[tail], b.coeffs]
+    return MultiPoly(field, n, out)
+
+
+def _prod_sum(field: Field, n: int, a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    """prod_i a(x_i) + sum_i b(x_i) for univariate a and b: the outer
+    product of a's coefficients, with b's added along each axis."""
+    out = np.array(a.coeffs)
+    for _ in range(1, n):
+        out = field.mul_t[out[..., None], a.coeffs]
+    for i in range(n):
+        axis = (0,) * i + (slice(None),) + (0,) * (n - 1 - i)
+        out[axis] = field.add_t[out[axis], b.coeffs]
+    return MultiPoly(field, n, out)
 
 
 # ---------------------------------------------------------------------------
@@ -33,27 +67,19 @@ def _is_lpp_quick(f: MultiPoly) -> bool:
 def pp_hn(field: Field, n: int) -> MultiPoly:
     """x_1^{q-1}..x_{n-1}^{q-1}(t(x_n) - x_n) + x_n: a PP for every q whose
     degree is n(q-1)-1 whenever q > 2."""
-    q = field.q
-    if n < 1:
-        raise ValueError("need at least one variable")
-    head = (q - 1,) * (n - 1)
-    tail = (0,) * (n - 1)
-    # t(x) - x has coefficient 1 at every exponent 0..q-2
-    terms = [(head + (k,), 1) for k in range(q - 1)]
-    terms.append((tail + (1,), 1))
-    return poly_build(field, n, terms)
+    _guard(field, n)
+    # t(x) - x = 1 + x + .. + x^{q-2}
+    below_top = _univariate(field, range(field.q - 1))
+    return _head_tail(field, n, below_top, _univariate(field, [1]))
 
 
 def pp_monomial(field: Field, n: int) -> MultiPoly:
     """x_1^{q-1}..x_{n-1}^{q-1}x_n^{q-2} + x_n^{q-2}, a PP for odd p."""
     if field.p == 2:
         raise UnsupportedField("this family needs odd characteristic")
-    if n < 1:
-        raise ValueError("need at least one variable")
-    q = field.q
-    terms = [((q - 1,) * (n - 1) + (q - 2,), 1),
-             ((0,) * (n - 1) + (q - 2,), 1)]
-    return poly_build(field, n, terms)
+    _guard(field, n)
+    inv_mono = _univariate(field, [field.q - 2])
+    return _head_tail(field, n, inv_mono, inv_mono)
 
 
 def pp_dickson(field: Field, n: int) -> MultiPoly:
@@ -64,15 +90,9 @@ def pp_dickson(field: Field, n: int) -> MultiPoly:
     q = field.q
     if field.p != 2 or field.r % 2 or q <= 4:
         raise UnsupportedField("this family needs q = 4^s > 4")
-    if n < 1:
-        raise ValueError("need at least one variable")
-    g = dickson(field, q - 2, 1)
-    m = g - monomial(field, 1, (q - 2,)) - monomial(field, 1, (2,))
-    inner = monomial(field, 1, (q - 2,)) + m
-    head = (q - 1,) * (n - 1)
-    terms = [(head + (e,), c) for (e,), c in inner.terms()]
-    terms.append(((0,) * (n - 1) + (2,), 1))
-    return poly_build(field, n, terms)
+    _guard(field, n)
+    square = _univariate(field, [2])
+    return _head_tail(field, n, dickson(field, q - 2, 1) - square, square)
 
 
 def pp_alpha4(field: Field, n: int) -> MultiPoly:
@@ -80,13 +100,11 @@ def pp_alpha4(field: Field, n: int) -> MultiPoly:
     total degree <= 3n-1, plus x_1.  A PP of degree 3n-1."""
     if field.q != 4:
         raise UnsupportedField("this family lives over F_4")
-    if n < 1:
-        raise ValueError("need at least one variable")
-    _term_space(field, n)  # before the grid is built
-    grid = np.indices((4,) * n).reshape(n, -1).T
-    exps = np.concatenate([grid[grid.sum(axis=1) <= 3 * n - 1],
-                           np.eye(1, n, dtype=np.int64)])
-    return _sum_terms(field, n, exps, np.ones(len(exps), dtype=np.int64))
+    _guard(field, n)
+    out = np.ones((4,) * n, dtype=np.int64)
+    out[(3,) * n] = 0  # the one monomial of degree 3n
+    out[(1,) + (0,) * (n - 1)] = 0  # x_1 + x_1 = 0 in characteristic 2
+    return MultiPoly(field, n, out)
 
 
 def _smallest_non_power(field: Field, d: int) -> int:
@@ -110,8 +128,6 @@ def pp_product(field: Field, n: int, variant: str,
     """
     q = field.q
     variant = variant.upper()
-    if n < 1:
-        raise ValueError("need at least one variable besides y")
     if variant == "QNR":
         if field.p == 2:
             raise UnsupportedField("QNR variant needs odd q")
@@ -138,12 +154,11 @@ def pp_product(field: Field, n: int, variant: str,
         alpha = 2 if a_or_alpha is None else field._check(a_or_alpha)
         if alpha in (0, 1):
             raise ValueError("alpha must avoid 0 and 1")
-        factor = poly_build(field, n, [((q - 1,) * n, 1), ((0,) * n, alpha)])
-        params = alpha
+        _guard(field, n, 1)
+        factor = _head_tail(field, n, _univariate(field, [q - 1]),
+                            _univariate(field, [0], alpha))
     else:
-        if g is None:
-            g = monomial(field, n, ((q - 1) // d,) * n)
-        else:
+        if g is not None:
             if g.n != n:
                 raise BadDegree(f"g must have {n} variables")
             want = n * (q - 1) // d
@@ -153,7 +168,10 @@ def pp_product(field: Field, n: int, variant: str,
              else field._check(a_or_alpha))
         if a in {field.pow(w, d) for w in field.elements()}:
             raise ValueError(f"{a} is a {d}-th power, not usable here")
-        factor = g**d - poly_build(field, n, [((0,) * n, a)])
+        _guard(field, n, 1)
+        if g is None:
+            g = monomial(field, n, ((q - 1) // d,) * n)
+        factor = g**d - monomial(field, n, (0,) * n, a)
     return extend(factor, n + 1, 0) * extend(fy, n + 1, n)
 
 
@@ -166,12 +184,9 @@ def lpp_beta(field: Field, n: int) -> MultiPoly:
     q = field.q
     if field.p != 2 or q <= 2:
         raise UnsupportedField("this family needs q = 2^r > 2")
-    if n < 1:
-        raise ValueError("need at least one variable")
-    _term_space(field, n)  # before the grid is built
-    grid = np.indices((q - 2,) * n).reshape(n, -1).T + 1
-    exps = np.concatenate([grid, np.eye(n, dtype=np.int64)])
-    return _sum_terms(field, n, exps, np.ones(len(exps), dtype=np.int64))
+    _guard(field, n)
+    return _prod_sum(field, n, _univariate(field, range(1, q - 1)),
+                     _univariate(field, [1]))
 
 
 def _sub_inverse_powers(f: MultiPoly) -> MultiPoly:
@@ -206,9 +221,9 @@ def lpp_power(field: Field, b: int, k: int = 1) -> MultiPoly:
         raise NoValidB(f"gcd({b}, {q - 1}) != 1")
     if not (isinstance(k, int) and k >= 1):
         raise ValueError("k must be a positive integer")
-    f = poly_build(field, b, [(tuple(int(i == j) for j in range(b)), 1)
-                              for i in range(b)])
-    f = f**b
+    _guard(field, b)
+    f = _prod_sum(field, b, _univariate(field, []),
+                  _univariate(field, [1]))**b
     for level in range(1, k):
         m = b**level
         nv = b * m
@@ -228,7 +243,7 @@ def lpp_restrict(f: MultiPoly) -> MultiPoly:
     degree = lead_degree(f.leading_terms(n * (q - 2)))
     if degree != n * (q - 2):
         raise NotMaxLpp(f"degree {degree} is not the maximum {n * (q - 2)}")
-    if not _is_lpp_quick(f):
+    if not is_lpp(f).ok:
         raise NotMaxLpp("input is not a local permutation polynomial")
     target = (n - 1) * (q - 2)
     for alpha in field.elements():
@@ -258,8 +273,7 @@ def lpp_indicator(field: Field, n: int) -> MultiPoly:
     p, q = field.p, field.q
     if p == 2 or q <= 3:
         raise UnsupportedField("needs odd p and q > 3")
-    if n < 1:
-        raise ValueError("need at least one variable")
+    _guard(field, n)
     if field.r == 1:
         b = p - 2
         k = 1
@@ -270,14 +284,8 @@ def lpp_indicator(field: Field, n: int) -> MultiPoly:
             f = lpp_restrict(f)
         return f
     beta = p  # smallest rank outside the prime subfield
-    ind = indicator_poly(field)
-    tb = transposition(field, beta, p - 1)
-    f = extend(ind, n, 0)
-    for i in range(1, n):
-        f = f * extend(ind, n, i)
-    for i in range(n):
-        f = f + extend(tb, n, i)
-    return f
+    return _prod_sum(field, n, indicator_poly(field),
+                     transposition(field, beta, p - 1))
 
 
 def lpp_chain(field: Field, n: int) -> MultiPoly:
@@ -286,15 +294,12 @@ def lpp_chain(field: Field, n: int) -> MultiPoly:
     q = field.q
     if q <= 3:
         raise UnsupportedField("the recurrence needs q > 3")
-    if n < 1:
-        raise ValueError("need at least one variable")
+    _guard(field, n)
     t = t_poly(field)
-    inv_mono = monomial(field, 1, (q - 2,))
-    f = variable(field, n, 0)
+    inv_mono = _univariate(field, [q - 2])
+    f = extend(_univariate(field, [1]), n, 0)
     for i in range(1, n):
-        e = [0] * n
-        e[i] = q - 2
-        g = compose_univariate(inv_mono, f) + monomial(field, n, tuple(e))
+        g = compose_univariate(inv_mono, f) + extend(inv_mono, n, i)
         f = compose_univariate(t, g)
     return f
 
@@ -340,12 +345,9 @@ def lpp_linear(field: Field, n: int) -> MultiPoly:
     canonical maximal one."""
     if field.q not in (2, 3):
         raise UnsupportedField("reserved for q in {2, 3}")
-    if n < 1:
-        raise ValueError("need at least one variable")
-    f = variable(field, n, 0)
-    for i in range(1, n):
-        f = f + variable(field, n, i)
-    return f
+    _guard(field, n)
+    return _prod_sum(field, n, _univariate(field, []),
+                     _univariate(field, [1]))
 
 
 def lpp_max(field: Field, n: int) -> MultiPoly:

@@ -18,9 +18,9 @@ corner of the coefficient tensor that can hold its answer.  Exponents
 e >= q fold to ((e - 1) mod (q - 1)) + 1, which keeps x^0 and x^{q-1}
 distinct and makes the correspondence one-to-one.
 
-Raw terms (poly_build, poly_from_json, the dense families) are read into
-an exponent array and a coefficient rank array, with no Python object per
-term, and one array routine (_sum_terms) checks, folds and sums them.
+Raw terms (poly_build, poly_from_json) are read into an exponent array and
+a coefficient rank array, with no Python object per term, and one array
+routine (_sum_terms) checks, folds and sums them.
 """
 
 import itertools
@@ -58,6 +58,10 @@ _WIDE = 1 << 63
 
 
 def _check_points(field: Field, n: int, cap: int | None = None) -> int:
+    """q^n for a variable count n whose q^n points fit under the point cap;
+    raises before anything of that size is allocated."""
+    if n < 0:
+        raise ValueError("variable count must be nonnegative")
     limit = point_cap(cap)
     # q >= 2, so n >= bit_length(limit) puts q^n over the cap without
     # building a huge q^n first
@@ -255,18 +259,11 @@ class MultiPoly:
 # ---------------------------------------------------------------------------
 # constructors
 
-def _term_space(field: Field, n: int) -> int:
-    """q^n for a valid variable count n; raises before anything of that
-    size is allocated."""
-    if n < 0:
-        raise ValueError("variable count must be nonnegative")
-    return _check_points(field, n)
-
-
 def _sum_terms(field: Field, n: int, exps: np.ndarray,
                ranks: np.ndarray) -> MultiPoly:
     """Sum the terms given as an (N, n) int64 exponent array and an (N,)
     coefficient rank array into reduced form; exps is folded in place.
+    The caller has checked n and the arity with _exponent_array.
 
     Terms whose slots are all distinct are written as they are.  Otherwise
     the distinct slots are numbered in the result tensor itself, so no other
@@ -275,11 +272,7 @@ def _sum_terms(field: Field, n: int, exps: np.ndarray,
     exact since N * (p - 1) < 2^53, and the sums are taken mod p and
     recombined with p_pows.
     """
-    size = _term_space(field, n)
     q, p = field.q, field.p
-    if exps.shape[1] != n:
-        raise VariableCountMismatch(
-            f"term has {exps.shape[1]} exponents, expected {n}")
     # as unsigned a negative value is huge, so one comparison finds both
     # the exponents to fold and the negative ones
     high = exps.view(np.uint64) >= q
@@ -294,7 +287,7 @@ def _sum_terms(field: Field, n: int, exps: np.ndarray,
     # the C-order slot of each term; a matrix product also serves n = 0
     slots = exps @ q ** np.arange(n - 1, -1, -1, dtype=np.int64)
     del exps, high  # a caller that kept no reference frees them here
-    out = np.zeros(size, dtype=np.int64)
+    out = np.zeros(q**n, dtype=np.int64)
     out[slots] = 1
     used = out.nonzero()[0]
     if used.size == slots.size:
@@ -332,7 +325,7 @@ def _exponent_array(field: Field, n: int, rows: list) -> np.ndarray:
     """The exponent sequences rows as an (N, n) int64 array; an exponent
     beyond int64 is folded first (or made -1 when negative).  n is checked
     first, so a huge n is refused and never shapes an array."""
-    _term_space(field, n)
+    _check_points(field, n)
     if not set(map(len, rows)) <= {n}:
         bad = next(k for k in map(len, rows) if k != n)
         raise VariableCountMismatch(

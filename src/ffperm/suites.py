@@ -118,7 +118,6 @@ def _fill(row: Row, spec: Spec, field: Field, prev: MultiPoly | None):
             row.status, row.reason = "fail", reason
         return None
     f, params = _build(spec, field, row.n, prev)
-    to_table(f)  # caps the row before it is measured; every check reuses it
     lead = f.leading_terms(row.expected_deg)
     row.measured_deg = lead_degree(lead)
     pp_rep, lpp_rep = vf.is_pp(f), vf.is_lpp(f)

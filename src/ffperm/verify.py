@@ -261,16 +261,16 @@ def check_identities(field: Field) -> VerifyReport:
                    3 * q, t0)
 
 
-def conjecture_fn(field: Field, n: int, cap: int | None = None) -> VerifyReport:
+def conjecture_fn(field: Field, n: int) -> VerifyReport:
     """Build the chain recurrence f_n and compare its degree to n(q-2).
-    Evidence only: the result is labeled accordingly and never asserted."""
+    Evidence only: the result is labeled accordingly and never asserted;
+    lpp_chain refuses an n over the point cap before it builds anything."""
     from .constructions import lpp_chain
     from .errors import UnsupportedField
     t0 = time.perf_counter()
     q = field.q
     if field.p == 2 or q <= 3:
         raise UnsupportedField("the conjecture concerns odd q > 3")
-    _check_points(field, n, cap)
     f = lpp_chain(field, n)
     expected = n * (q - 2)
     measured = lead_degree(f.leading_terms(expected))

@@ -73,6 +73,32 @@ def test_construct_usage_error_exit_2():
     assert res.returncode == 2          # argparse rejects unknown choice
 
 
+# every family whose size comes from --n, on a field it builds on
+SIZED_BY_N = [("pp_hn", "5", "1"), ("pp_monomial", "5", "1"),
+              ("pp_dickson", "2", "4"), ("pp_alpha4", "2", "2"),
+              ("pp_qnr", "5", "1"), ("pp_noncube", "2", "2"),
+              ("pp_mersenne", "2", "3"), ("lpp_beta", "2", "2"),
+              ("lpp_indicator", "5", "1"), ("lpp_indicator", "3", "2"),
+              ("lpp_chain", "5", "1"), ("lpp_linear", "3", "1")]
+
+
+def test_sized_families_are_all_listed():
+    from ffperm import FAMILY_TAGS
+    fixed = {"lpp_power", "lpp_3var_a", "lpp_3var_b", "lpp_3var_c"}
+    assert {t for t, _, _ in SIZED_BY_N} == set(FAMILY_TAGS) - fixed
+
+
+@pytest.mark.parametrize("tag,p,r", SIZED_BY_N)
+def test_construct_huge_n_is_a_cap_error(capsys, tag, p, r):
+    # refused before anything n long is built: exit 2, never a MemoryError
+    from ffperm import cli
+    rc = cli.main(["construct", "--family", tag, "--p", p, "--r", r,
+                   "--n", str(10**12)])
+    out = capsys.readouterr()
+    assert rc == 2 and out.out == ""
+    assert "points exceed the point cap" in out.err
+
+
 # -- verify ----------------------------------------------------------------------
 
 def test_construct_verify_pipeline_unmodified():
@@ -249,6 +275,15 @@ def test_check_cap_skips_are_not_failures():
     assert "skipped (cap" in res.stdout
     last = res.stdout.strip().split("\n")[-1]
     assert "failed=0" in last and "skipped=" in last
+
+
+def test_check_huge_n_is_a_skipped_row(capsys):
+    rc, out, _ = check_main(capsys, "--suite", "thm3.2", "--p", "5",
+                            "--n", str(10**12))
+    row, last = out.splitlines()
+    assert rc == 0
+    assert "theorem: skipped (cap: 5^1000000000000 points exceed" in row
+    assert last == "rows=1 failed=0 skipped=1"
 
 
 def test_check_all_deterministic():

@@ -2,6 +2,9 @@
 permutation properties cross-checked against the naive oracle, and the
 predicate errors for unusable fields."""
 
+import itertools
+from math import comb
+
 import pytest
 
 from ffperm import (BadDegree, NoValidB, NotMaxLpp, UnsupportedField,
@@ -11,7 +14,9 @@ from ffperm import (BadDegree, NoValidB, NotMaxLpp, UnsupportedField,
                     pp_alpha4, pp_dickson, pp_hn, pp_monomial, pp_product,
                     t_poly, to_table)
 from ffperm.mvpoly import monomial, points
-from oracle import NaiveField, naive_is_lpp, naive_is_pp
+from oracle import (SMALL_FIELDS, NaiveField, all_points,
+                    naive_interp_univariate, naive_is_lpp, naive_is_pp,
+                    naive_poly_build, naive_poly_mul)
 
 F3 = make_field(3)
 F4 = make_field(2, 2)
@@ -28,6 +33,31 @@ def naive_of(field):
     return NaiveField(field.p, mod)
 
 
+def oracle_terms(field, n, terms):
+    """The oracle's reduced form of a raw term list: folded, like terms
+    added one at a time, zeros dropped, sorted."""
+    return naive_poly_build(naive_of(field), n, terms)
+
+
+def t_terms(q):
+    """t(x) = x + sum_{k=0}^{q-2} x^k, as raw terms."""
+    return [((k,), 1) for k in range(q - 1)] + [((1,), 1)]
+
+
+def placed(terms, n, i):
+    """Univariate raw terms moved onto x_{i+1} of n variables."""
+    return [((0,) * i + e + (0,) * (n - 1 - i), c) for e, c in terms]
+
+
+def product_terms(field, n, terms):
+    """prod_i u(x_i) for the univariate raw terms u, by the oracle."""
+    ref = naive_of(field)
+    out = [((0,) * n, 1)]
+    for i in range(n):
+        out = naive_poly_mul(ref, n, out, placed(terms, n, i))
+    return out
+
+
 # -- pp_hn ---------------------------------------------------------------------
 
 def test_pp_hn_f3_exact():
@@ -41,12 +71,21 @@ def test_pp_hn_is_pp_naive(field, n):
     assert f.total_degree == n * (field.q - 1) - 1
 
 
+def hn_terms(q, n):
+    """x_1^{q-1}..x_{n-1}^{q-1}(t(x_n) - x_n) + x_n, where t(x) - x holds
+    every x^k with k <= q-2."""
+    head = (q - 1,) * (n - 1)
+    return ([(head + (k,), 1) for k in range(q - 1)]
+            + [((0,) * (n - 1) + (1,), 1)])
+
+
 def test_pp_hn_degree_grid():
     for field in (F3, F4, F5, F7, F8, F9):
         for n in (1, 2, 3):
             f = pp_hn(field, n)
             assert f.total_degree == n * (field.q - 1) - 1
             assert is_pp(f).ok
+            assert f.terms() == oracle_terms(field, n, hn_terms(field.q, n))
 
 
 # -- pp_monomial -----------------------------------------------------------------
@@ -98,6 +137,10 @@ def test_pp_alpha4_grid():
         f = pp_alpha4(F4, n)
         assert f.total_degree == 3 * n - 1
         assert is_pp(f).ok
+        terms = [(e, 1) for e in itertools.product(range(4), repeat=n)
+                 if sum(e) <= 3 * n - 1]
+        terms.append(((1,) + (0,) * (n - 1), 1))
+        assert f.terms() == oracle_terms(F4, n, terms)
     assert naive_is_pp(naive_of(F4), 2, pp_alpha4(F4, 2).terms())
     with pytest.raises(UnsupportedField):
         pp_alpha4(F5, 1)
@@ -136,9 +179,14 @@ def test_pp_product_grid():
         assert is_pp(f).ok
     f = pp_product(F16, 1, "NONCUBE")
     assert f.total_degree == 29 and is_pp(f).ok
-    for n in (1, 2):
+    for n in (1, 2, 3):
         f = pp_product(F8, n, "MERSENNE")
         assert f.total_degree == (n + 1) * 7 - 1 and is_pp(f).ok
+        # (x_1^7..x_n^7 + alpha) t(y), alpha = 2 by default
+        factor = [((7,) * n + (0,), 1), ((0,) * (n + 1), 2)]
+        want = naive_poly_mul(naive_of(F8), n + 1, factor,
+                              placed(t_terms(8), n + 1, n))
+        assert f.terms() == oracle_terms(F8, n + 1, want)
 
 
 def test_pp_product_default_a_is_smallest_non_power():
@@ -188,6 +236,11 @@ def test_lpp_beta_grid():
             f = lpp_beta(field, n)
             assert f.total_degree == n * (field.q - 2)
             assert is_lpp(f).ok
+            terms = [(e, 1) for e in itertools.product(range(1, field.q - 1),
+                                                       repeat=n)]
+            for i in range(n):
+                terms += placed([((1,), 1)], n, i)
+            assert f.terms() == oracle_terms(field, n, terms)
     with pytest.raises(UnsupportedField):
         lpp_beta(F5, 1)
 
@@ -311,11 +364,22 @@ def test_indicator_poly_f9():
 
 
 def test_lpp_indicator_grid():
+    # prod_i p(x_i) + sum_i t_beta(x_i): p is 1 on {0, .., p-2, z}, t_beta
+    # swaps beta = z (rank p) and p-1
+    ref = naive_of(F9)
+    ind = naive_interp_univariate(ref, [1, 1, 0, 1, 0, 0, 0, 0, 0])
+    swap = naive_interp_univariate(ref, [0, 1, 3, 2, 4, 5, 6, 7, 8])
+    ind_terms = [((e,), c) for e, c in enumerate(ind)]
+    swap_terms = [((e,), c) for e, c in enumerate(swap)]
     degrees = {}
     for field, n in [(F9, 2), (F9, 3), (F9, 1)]:
         f = lpp_indicator(field, n)
         degrees[(field.q, n)] = f.total_degree
         assert is_lpp(f).ok
+        terms = product_terms(F9, n, ind_terms)
+        for i in range(n):
+            terms += placed(swap_terms, n, i)
+        assert f.terms() == oracle_terms(F9, n, terms)
     assert degrees == {(9, 2): 14, (9, 3): 21, (9, 1): 7}
 
 
@@ -411,6 +475,87 @@ def test_lpp_max_dispatch():
         f = lpp_max(field, 2)
         assert f.total_degree == 2 * (field.q - 2)
         assert is_lpp(f).ok
+
+
+# -- every family against the oracle ------------------------------------------------
+
+def dickson_terms(field, k):
+    """g_k(x, 1) = sum_j k/(k-j) C(k-j, j) (-1)^j x^{k-2j}, integer weights
+    taken mod p."""
+    return [((k - 2 * j,), (-1) ** j * k * comb(k - j, j) // (k - j)
+             % field.p) for j in range(k // 2 + 1)]
+
+
+def chain_value(ref, pt):
+    """f_n(pt) of the recurrence f_1 = x_1, f_i = t(f_{i-1}^{q-2} +
+    x_i^{q-2}), evaluated in the oracle's field."""
+    q = ref.q
+    v = pt[0]
+    for x in pt[1:]:
+        w = ref.add(ref.pow(v, q - 2), ref.pow(x, q - 2))
+        v = {0: 1, 1: 0}.get(w, w)
+    return v
+
+
+def docstring_terms(tag, field, n):
+    """The raw terms a family's docstring states, or None where the family
+    does not build on field."""
+    q, p, r = field.q, field.p, field.r
+    head, tail = (q - 1,) * (n - 1), (0,) * (n - 1)
+    if tag == "pp_hn":
+        return hn_terms(q, n)
+    if tag == "pp_monomial" and p > 2:
+        return [(head + (q - 2,), 1), (tail + (q - 2,), 1)]
+    if tag == "pp_dickson" and p == 2 and r % 2 == 0 and q > 4:
+        # x^{q-2} + m(x) = g_{q-2}(x, 1) - x^2
+        inner = dickson_terms(field, q - 2) + [((2,), 1)]
+        return [(head + e, c) for e, c in inner] + [(tail + (2,), 1)]
+    if tag == "lpp_linear" and q in (2, 3):
+        return [t for i in range(n) for t in placed([((1,), 1)], n, i)]
+    if tag == "lpp_power" and n == 3 and q == 5:
+        # (y_1 + y_2 + y_3)^3, then y_i := x_i^{q-2}
+        seed = [t for i in range(3) for t in placed([((1,), 1)], 3, i)]
+        cube = [((0,) * 3, 1)]
+        for _ in range(3):
+            cube = naive_poly_mul(naive_of(field), 3, cube, seed)
+        return [(tuple(e * (q - 2) for e in exps), c) for exps, c in cube]
+    return None
+
+
+DOC_CELLS = [(tag, p, r, n)
+             for tag in ("pp_hn", "pp_monomial", "pp_dickson", "lpp_linear",
+                         "lpp_power")
+             for p, r in SMALL_FIELDS + [(2, 4)] for n in (1, 2, 3)
+             if docstring_terms(tag, make_field(p, r), n) is not None]
+
+
+@pytest.mark.parametrize("tag,p,r,n", DOC_CELLS)
+def test_family_matches_its_docstring_terms(tag, p, r, n):
+    # pp_alpha4, lpp_beta, lpp_indicator and the MERSENNE factor are
+    # checked the same way in their grid tests
+    field = make_field(p, r)
+    if tag == "lpp_power":
+        f, _ = build_family(tag, field, b=n)
+    else:
+        f, _ = build_family(tag, field, n=n)
+    assert f.terms() == oracle_terms(field, n,
+                                     docstring_terms(tag, field, n))
+
+
+@pytest.mark.parametrize("p,r", [(2, 2), (5, 1), (3, 2)])
+def test_lpp_chain_matches_the_naive_recurrence(p, r):
+    field = make_field(p, r)
+    ref = naive_of(field)
+    for n in (1, 2, 3):
+        values = to_table(lpp_chain(field, n)).values.tolist()
+        assert values == [chain_value(ref, pt)
+                          for pt in all_points(ref, n)]
+
+
+def test_families_refuse_a_huge_n_before_building():
+    from ffperm import CapExceeded
+    with pytest.raises(CapExceeded, match="points exceed the point cap"):
+        pp_hn(F5, 10**12)
 
 
 # -- build_family dispatch ------------------------------------------------------------
