@@ -63,8 +63,7 @@ def _field_arg(args):
 def cmd_construct(args) -> int:
     field = _field_arg(args)
     f, params = cons.build_family(args.family, field, n=args.n, b=args.b,
-                                  k=args.k, variant=args.variant,
-                                  alpha_rank=args.alpha_rank)
+                                  k=args.k, alpha_rank=args.alpha_rank)
     if args.format == "text":
         print(format_poly(f))
     else:
@@ -182,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field_args(c)
     c.add_argument("--b", type=int, default=None, help="power-family exponent")
     c.add_argument("--k", type=int, default=None, help="power-family level")
-    c.add_argument("--variant", default=None, help="family variant letter")
     c.add_argument("--alpha-rank", type=int, default=None,
                    help="element rank for families with a free constant")
     c.add_argument("--format", choices=("json", "text"), default="json")

@@ -381,11 +381,11 @@ def build_family(tag: str, field: Field, n: int | None = None,
     tag = tag.lower()
     if tag == "pp_product":
         if variant is None:
-            raise ValueError("pp_product needs --variant qnr|noncube|mersenne")
+            raise ValueError("pp_product needs variant qnr|noncube|mersenne")
         tag = "pp_" + variant.lower()
     if tag == "lpp_three":
         if variant is None:
-            raise ValueError("lpp_three needs --variant a|b|c")
+            raise ValueError("lpp_three needs variant a|b|c")
         tag = "lpp_3var_" + variant.lower()
     if tag not in FAMILY_TAGS:
         raise ValueError(f"unknown family {tag!r}")

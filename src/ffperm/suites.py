@@ -18,9 +18,10 @@ about a field alone (lemma2.2, lemma4.5, the thm4.4 indicator) keep n = 1.
 Under an override a family the field does not admit gives no row, and an
 override that leaves no row is an error.
 
-Rows labeled "theorem" gate the exit code; rows labeled "conjecture
-evidence" never do.  Cells whose workload exceeds a cap are reported as
-skipped, not failed.
+Rows labeled "theorem" gate the exit code; rows at a cell no theorem
+covers (the conjecture, and lpp_chain beyond thm5.2's n = 2 and thm5.3's
+n = 3 and q=5 n=4) are labeled "conjecture evidence" and never do.  Cells
+whose workload exceeds a cap are reported as skipped, not failed.
 """
 
 from collections.abc import Callable
@@ -73,14 +74,16 @@ class Spec:
     coefficient of the row's only leading term x_1^(q-2)..x_n^(q-2), or
     None where the theorem states none; then, if set, runs on the
     polynomial of a passing row.  report(field, n) makes this a report
-    row: it returns (ok, measured degree, extra, reason if not ok)."""
+    row: it returns (ok, measured degree, extra, reason if not ok).
+    proved(q, n), if set, is False at the cells the theorem does not
+    cover; their rows are labeled "conjecture evidence"."""
     family: str
     cells: tuple
     gate: str | None = None
     lead: Callable | None = None
     then: "Spec | None" = None
     report: Callable | None = None
-    label: str = "theorem"
+    proved: Callable | None = None
 
 
 _PRODUCTS = ("pp_qnr", "pp_noncube", "pp_mersenne")
@@ -168,7 +171,7 @@ def _identities(field: Field, n: int):
 
 
 def _degree_criterion(field: Field, n: int):
-    rep = vf.check_lemma_deg(field, trials=10_000, seed=0)
+    rep = vf.check_lemma_deg(field)
     return rep.ok, None, rep.detail, str(rep.witness)
 
 
@@ -178,11 +181,8 @@ def _indicator(field: Field, n: int):
     q = field.q
     ind = cons.indicator_poly(field)
     measured = lead_degree(ind.leading_terms(q - 2))
-    vals = to_table(ind).values
-    s_alpha, s_a_alpha = 0, 0
-    for a in field.elements():
-        s_alpha = field.add(s_alpha, int(vals[a]))
-        s_a_alpha = field.add(s_a_alpha, field.mul(a, int(vals[a])))
+    vals = to_table(ind).values[None]
+    s_alpha, s_a_alpha = vf.lemma_sums(field, vals)[:, 0].tolist()
     crit = s_alpha == 0 and s_a_alpha != 0
     extra = {"sum_alpha": s_alpha, "sum_a_alpha": s_a_alpha,
              "criterion": crit}
@@ -235,11 +235,12 @@ SUITES = {
     "lemma4.5": [Spec("degree_criterion", _cells(_SMALL, (1,)),
                       report=_degree_criterion)],
     "thm5.2": [Spec("lpp_chain", _cells(((5, 1), (7, 1), (3, 2), (11, 1)),
-                                        (2,)))],
+                                        (2,)),
+                    proved=lambda q, n: n == 2)],
     "thm5.3": [
         Spec("lpp_chain", _cells(((5, 1), (7, 1), (3, 2)), (3,)),
-             gate="lpp", lead=_chain_lead),
-        Spec("lpp_chain", ((5, 1, 4),)),
+             gate="lpp", lead=_chain_lead, proved=lambda q, n: n == 3),
+        Spec("lpp_chain", ((5, 1, 4),), proved=lambda q, n: (q, n) == (5, 4)),
     ],
     "thm5.4": [
         Spec("lpp_3var_a", _cells(((5, 1), (7, 1)), (3,)), gate="lpp"),
@@ -248,7 +249,7 @@ SUITES = {
              gate="lpp"),
     ],
     "conjecture": [Spec("lpp_chain", ((5, 1, 5), (7, 1, 4)),
-                        report=_conjecture, label="conjecture evidence")],
+                        report=_conjecture, proved=lambda q, n: False)],
 }
 
 SUITE_NAMES = tuple(SUITES)
@@ -283,8 +284,10 @@ def run_suite(name: str, override=None) -> list[Row]:
         field = make_field(p, r)
         f = None
         while spec is not None:
+            proved = spec.proved is None or spec.proved(field.q, n)
             row = Row(name, spec.family, field.q, n,
-                      _expected(spec.family, field.q, n), label=spec.label)
+                      _expected(spec.family, field.q, n),
+                      label="theorem" if proved else "conjecture evidence")
             try:
                 f = _fill(row, spec, field, f)
             except CapExceeded as e:

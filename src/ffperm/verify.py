@@ -156,6 +156,24 @@ def _balanced_tables(q: int, n: int):
     yield from fill(tuple(range(size)), 0)
 
 
+def _balanced_count(size: int, part: int, cap: int) -> int:
+    """The number size! / (part!)^(size/part) of balanced tables, or
+    CapExceeded over cap.  It is the product of C(m, part) over m = size,
+    size - part, ..., 2*part, each built as C(m, i+1) = C(m, i)(m-i)/(i+1).
+    As i < part <= m/2 the product never falls, so it stops once past
+    max(cap, 10^30) and names the exact count only when complete."""
+    limit, total = max(cap, 10**30), 1
+    for m in range(size, part, -part):
+        for i in range(part):
+            total = total * (m - i) // (i + 1)
+            if total > limit:
+                raise CapExceeded(f"more than {limit} balanced tables "
+                                  "exceed the scan cap")
+    if total > cap:
+        raise CapExceeded(f"{total} balanced tables exceed the scan cap")
+    return total
+
+
 def scan_pp_degree_bound(field: Field, n: int, cap: int | None = None,
                          table_cap: int | None = None) -> VerifyReport:
     """Interpolate every balanced table of F_q^n and confirm the degree
@@ -164,13 +182,10 @@ def scan_pp_degree_bound(field: Field, n: int, cap: int | None = None,
     ``cap`` overrides the point cap, ``table_cap`` the balanced-table cap.
     """
     t0 = time.perf_counter()
-    from math import factorial
     _need_a_variable(n)
     q = field.q
     size = _check_points(field, n, cap)
-    total = factorial(size) // factorial(size // q) ** q
-    if total > scan_cap(table_cap):
-        raise CapExceeded(f"{total} balanced tables exceed the scan cap")
+    total = _balanced_count(size, size // q, scan_cap(table_cap))
     bound = n * (q - 1) - 1
     tables = np.stack([t.copy() for t in _balanced_tables(q, n)])
     # interpolate all tables at once: shape (q,)*n + (count,)
@@ -195,49 +210,60 @@ def scan_pp_degree_bound(field: Field, n: int, cap: int | None = None,
                    total * size, t0)
 
 
-def check_lemma_deg(field: Field, trials: int = 10_000,
-                    seed: int = 0) -> VerifyReport:
-    """Degree-(q-2) criterion for univariate interpolants: with values
-    alpha_i at the rank-ordered points a_i, the degree equals q-2 exactly
-    when sum(alpha_i) = 0 and sum(a_i * alpha_i) != 0.
+def lemma_sums(field: Field, tables: np.ndarray) -> np.ndarray:
+    """The (2, count) array of sum(alpha_a) and sum(a * alpha_a) for each
+    row alpha of ``tables`` (count, q); ranks add digit by digit mod p."""
+    p, place = field.p, field.p_pows
+    pair = np.stack([tables, field.mul_t[np.arange(field.q), tables]])
+    return (pair[..., None] // place % p).sum(axis=2) % p @ place
 
-    Exhaustive over all q^q tables when q <= 5, otherwise `trials` seeded
-    random tables.
+
+def check_lemma_deg(field: Field) -> VerifyReport:
+    """Lemma 4.5, exactly at every q: the interpolant of the values alpha_a
+    at the points a has degree q-2 iff sum(alpha_a) = 0 and
+    sum(a * alpha_a) != 0.
+
+    Interpolation is linear, so coefficient e of alpha's interpolant is
+    sum_a lagr_t[e, a] * alpha_a.  When row q-1 of ``lagr_t`` is all -1 and
+    row q-2 is -a, c_(q-1) = -sum(alpha_a) and c_(q-2) = -sum(a * alpha_a)
+    for all q^q tables, and the lemma follows.  For q >= 3 the check reads
+    these 2q entries (detail {"mode": "exact"}); a failure names the first
+    (row, rank) that differs.  At q = 2 the delta_(e,0) term makes row 0
+    read 1 + a, so q = 2 rests on the enumeration of all q^q tables, which
+    runs as a cross-check for q <= 5 (detail {"mode": "exhaustive"}).
     """
     t0 = time.perf_counter()
     q = field.q
-    if q <= 5:
+    detail, witness, points = {"mode": "exact"}, None, 2 * q
+    got = field.lagr_t[q - 2:]
+    want = np.stack([field.neg_t, np.full(q, field.neg_t[1])])
+    bad = np.argwhere(got != want) if q >= 3 else ()
+    if len(bad):
+        i, a = bad[0].tolist()
+        witness = {"row": q - 2 + i, "rank": a, "entry": int(got[i, a]),
+                   "expected": int(want[i, a])}
+    elif q <= 5:
         tables = np.array(list(itertools.product(range(q), repeat=q)),
                           dtype=np.int64)
-        mode = {"mode": "exhaustive"}
-    else:
-        rng = np.random.default_rng(seed)
-        tables = rng.integers(0, q, size=(trials, q), dtype=np.int64)
-        mode = {"mode": "random", "trials": int(trials), "seed": int(seed)}
-    count = tables.shape[0]
-    coeffs = _kernels.mat_apply(field.lagr_t, np.ascontiguousarray(tables.T),
-                                field.add_t, field.mul_t)
-    # degree == q-2 iff the x^{q-1} coefficient vanishes and x^{q-2}'s does not
-    is_deg = (coeffs[q - 1] == 0) & (coeffs[q - 2] != 0)
-    sum_alpha = np.zeros(count, dtype=np.int64)
-    sum_a_alpha = np.zeros(count, dtype=np.int64)
-    for a in range(q):
-        col = tables[:, a]
-        sum_alpha = field.add_t[sum_alpha, col]
-        sum_a_alpha = field.add_t[sum_a_alpha, field.mul_t[a, col]]
-    criterion = (sum_alpha == 0) & (sum_a_alpha != 0)
-    agree = is_deg == criterion
-    detail = {"checked": int(count),
-              "degree_q_minus_2": int(np.count_nonzero(is_deg)), **mode}
-    if bool(agree.all()):
-        return _finish(VerifyReport("IDENTITY", True, detail=detail),
-                       count * q, t0)
-    i = int(np.argmin(agree))
-    witness = {"table": [int(v) for v in tables[i]],
-               "degree_is_q_minus_2": bool(is_deg[i]),
-               "criterion_holds": bool(criterion[i])}
-    return _finish(VerifyReport("IDENTITY", False, witness, detail=detail),
-                   count * q, t0)
+        coeffs = _kernels.mat_apply(field.lagr_t,
+                                    np.ascontiguousarray(tables.T),
+                                    field.add_t, field.mul_t)
+        # degree q-2 iff the x^{q-1} coefficient vanishes and x^{q-2}'s not
+        is_deg = (coeffs[q - 1] == 0) & (coeffs[q - 2] != 0)
+        sum_alpha, sum_a_alpha = lemma_sums(field, tables)
+        criterion = (sum_alpha == 0) & (sum_a_alpha != 0)
+        agree = is_deg == criterion
+        detail = {"checked": len(tables),
+                  "degree_q_minus_2": int(np.count_nonzero(is_deg)),
+                  "mode": "exhaustive"}
+        points = len(tables) * q
+        if not agree.all():
+            i = int(np.argmin(agree))
+            witness = {"table": [int(v) for v in tables[i]],
+                       "degree_is_q_minus_2": bool(is_deg[i]),
+                       "criterion_holds": bool(criterion[i])}
+    return _finish(VerifyReport("IDENTITY", witness is None, witness,
+                                detail=detail), points, t0)
 
 
 def check_identities(field: Field) -> VerifyReport:

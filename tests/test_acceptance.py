@@ -196,11 +196,9 @@ def test_criterion_10_degree_criterion(suite_rows, announce):
     by_q = {r.q: r for r in rows}
     ok = (rows_ok(rows)
           and all(by_q[q].extra["mode"] == "exhaustive" for q in (3, 4, 5))
-          and all(by_q[q].extra["mode"] == "random"
-                  and by_q[q].extra["trials"] == 10_000
-                  and by_q[q].extra["seed"] == 0 for q in (7, 8, 9)))
-    assert announce(10, "degree-(q-2) criterion: exhaustive for q <= 5, "
-                        "10^4 seeded trials for q in {7, 8, 9}", ok)
+          and all(by_q[q].extra == {"mode": "exact"} for q in (7, 8, 9)))
+    assert announce(10, "degree-(q-2) criterion: exact at every q >= 3, "
+                        "exhaustive for q <= 5", ok)
 
 
 # -- 11 --------------------------------------------------------------------------

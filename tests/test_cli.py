@@ -71,6 +71,11 @@ def test_construct_predicate_error_exit_2():
 def test_construct_usage_error_exit_2():
     res = run("construct", "--family", "no_such_family", "--p", "5", "--n", "1")
     assert res.returncode == 2          # argparse rejects unknown choice
+    # every variant has its own family tag, so there is no --variant flag
+    res = run("construct", "--family", "pp_hn", "--p", "5", "--n", "2",
+              "--variant", "zzz")
+    assert res.returncode == 2
+    assert "unrecognized arguments: --variant zzz" in res.stderr
 
 
 # every family whose size comes from --n, on a field it builds on
@@ -385,6 +390,11 @@ def test_scan_cap_exit_2():
     assert res.returncode == 2
     res = run("scan", "--p", "3", "--n", "2", "--scan-cap", "10")
     assert res.returncode == 2
+    # 2^20 points: the table count stops at 10^30 and stays readable
+    res = run("scan", "--p", "2", "--n", "20")
+    assert res.returncode == 2
+    assert res.stderr == ("error: more than 1000000000000000000000000000000 "
+                          "balanced tables exceed the scan cap\n")
 
 
 @pytest.mark.parametrize("n", ["0", "-1"])

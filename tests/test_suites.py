@@ -47,6 +47,19 @@ def test_thm53_checks_the_leading_coefficient_of_f3_only(monkeypatch):
     assert rows[0].gates
 
 
+def test_chain_rows_the_theorems_do_not_state_never_gate(monkeypatch, capsys):
+    # Theorems 5.2 and 5.3 state f_2, f_3 and f_4 over F_5 only: a degree
+    # miss elsewhere is a failed conjecture-evidence row, exit 0
+    monkeypatch.setattr(cons, "lpp_chain",
+                        lambda field, n: monomial(field, n, (1,) * n))
+    for args, rc in [("thm5.2 --p 5 --n 5", 0), ("thm5.2 --p 5 --n 2", 1),
+                     ("thm5.3 --p 7 --n 4", 0), ("thm5.3 --p 5 --n 4", 1),
+                     ("thm5.3 --p 7 --n 3", 1)]:
+        got, out, _ = _check(capsys, ["--suite", *args.split()])
+        label = "theorem" if rc else "conjecture evidence"
+        assert got == rc and f"{label}: fail (degree" in out, args
+
+
 # -- pinned output ------------------------------------------------------------
 # `ffperm check` output recorded before the suites became one table of
 # specs; a change to any of it is a change of behaviour.
@@ -83,15 +96,9 @@ PINNED_EXTRAS = {
         {"checked": 256, "degree_q_minus_2": 48, "mode": "exhaustive"},
     ("lemma4.5", "degree_criterion", 5, 1):
         {"checked": 3125, "degree_q_minus_2": 500, "mode": "exhaustive"},
-    ("lemma4.5", "degree_criterion", 7, 1):
-        {"checked": 10000, "degree_q_minus_2": 1269, "mode": "random",
-         "trials": 10000, "seed": 0},
-    ("lemma4.5", "degree_criterion", 8, 1):
-        {"checked": 10000, "degree_q_minus_2": 1146, "mode": "random",
-         "trials": 10000, "seed": 0},
-    ("lemma4.5", "degree_criterion", 9, 1):
-        {"checked": 10000, "degree_q_minus_2": 1010, "mode": "random",
-         "trials": 10000, "seed": 0},
+    ("lemma4.5", "degree_criterion", 7, 1): {"mode": "exact"},
+    ("lemma4.5", "degree_criterion", 8, 1): {"mode": "exact"},
+    ("lemma4.5", "degree_criterion", 9, 1): {"mode": "exact"},
 }
 
 # `ffperm check --suite ...` overrides: (exit code, stdout lines)
@@ -172,6 +179,22 @@ PINNED_OVERRIDES = {
     "prop3.1 --p 5": (0, [
         "suite=prop3.1 family=scan q=5 n=2 expected_deg=7 measured_deg=- pp=- lpp=- theorem: skipped (cap: 623360743125120 balanced tables exceed the scan cap)",
         "rows=1 failed=0 skipped=1",
+    ]),
+    "prop3.1 --p 2 --n 16": (0, [
+        "suite=prop3.1 family=scan q=2 n=16 expected_deg=15 measured_deg=- pp=- lpp=- theorem: skipped (cap: more than 1000000000000000000000000000000 balanced tables exceed the scan cap)",
+        "rows=1 failed=0 skipped=1",
+    ]),
+    "lemma4.5 --p 2 --r 10": (0, [
+        "suite=lemma4.5 family=degree_criterion q=1024 n=1 expected_deg=- measured_deg=- pp=- lpp=- theorem: pass",
+        "rows=1 failed=0 skipped=0",
+    ]),
+    "thm5.2 --p 5 --n 5": (0, [
+        "suite=thm5.2 family=lpp_chain q=5 n=5 expected_deg=15 measured_deg=15 pp=pass lpp=pass conjecture evidence: pass",
+        "rows=1 failed=0 skipped=0",
+    ]),
+    "thm5.3 --p 7 --n 4": (0, [
+        "suite=thm5.3 family=lpp_chain q=7 n=4 expected_deg=20 measured_deg=20 pp=pass lpp=pass conjecture evidence: pass",
+        "rows=1 failed=0 skipped=0",
     ]),
 }
 

@@ -8,6 +8,8 @@ from ffperm import (CapExceeded, MultiPoly, UnsupportedField, assert_degree,
                     check_identities, check_lemma_deg, conjecture_fn, is_lpp,
                     is_pp, lpp_beta, make_field, poly_build, points, pp_hn,
                     preimage_counts, scan_pp_degree_bound, t_poly, to_table)
+from ffperm import verify
+from ffperm.gf import Field
 from ffperm.mvpoly import constant, interpolate, monomial, variable, FuncTable
 from oracle import NaiveField, naive_eval, naive_interp_univariate, naive_degree
 
@@ -210,6 +212,10 @@ def test_scan_counts_match_formula():
     from math import factorial
     for (q, n, want) in [(2, 2, 6), (2, 3, 70), (3, 2, 1680)]:
         assert factorial(q**n) // factorial(q**(n - 1))**q == want
+    for q, n in [(2, 1), (2, 4), (3, 1), (3, 3), (4, 2), (5, 2), (7, 1)]:
+        size, part = q**n, q**(n - 1)
+        assert (verify._balanced_count(size, part, 10**40)
+                == factorial(size) // factorial(part)**q)
 
 
 def test_scan_cap():
@@ -219,6 +225,11 @@ def test_scan_cap():
         scan_pp_degree_bound(F3, 2, table_cap=100)
     with pytest.raises(CapExceeded):
         scan_pp_degree_bound(F3, 10**12)    # refused before 3^n is built
+    # 2^20 points fit the point cap; the count of 2^20-point tables stops
+    # at 10^30 instead of building a million-digit factorial
+    with pytest.raises(CapExceeded, match=r"^more than 10{30} balanced "
+                                          r"tables exceed the scan cap$"):
+        scan_pp_degree_bound(make_field(2), 20)
     with pytest.raises(ValueError):
         scan_pp_degree_bound(F3, 0)
 
@@ -265,15 +276,106 @@ def test_lemma_deg_f5_exhaustive():
                           "mode": "exhaustive"}
 
 
-def test_lemma_deg_sampled_records_seed():
-    rep = check_lemma_deg(F7, trials=1000, seed=42)
-    assert rep.ok
-    assert rep.detail["mode"] == "random"
-    assert rep.detail["trials"] == 1000
-    assert rep.detail["seed"] == 42
-    # deterministic for a fixed seed
-    rep2 = check_lemma_deg(F7, trials=1000, seed=42)
-    assert rep2.detail == rep.detail
+def test_lemma_deg_is_exact_above_q_5():
+    for field in (F7, make_field(2, 3), F9, make_field(2, 10)):
+        rep = check_lemma_deg(field)
+        assert rep.ok
+        assert rep.detail == {"mode": "exact"}
+        assert rep.stats["points"] == 2 * field.q
+
+
+def unit_table_top_coeffs(ref):
+    """Coefficients q-1 and q-2 of the interpolant of every unit table e_a,
+    prod_{b != a} (x - b) / prod_{b != a} (a - b), read off by Vieta: the
+    monic numerator has x^{q-2} coefficient -sum_{b != a} b, and a - b runs
+    over all of F_q^*, so every denominator is the product of F_q^*."""
+    denom, total = 1, 0
+    for b in range(1, ref.q):
+        denom, total = ref.mul(denom, b), ref.add(total, b)
+    inv = ref.inv(denom)
+    return [(inv, ref.mul(ref.sub(a, total), inv)) for a in range(ref.q)]
+
+
+@pytest.mark.parametrize("p,r", [(3, 1), (2, 2), (5, 1), (7, 1), (2, 3),
+                                 (3, 2), (2, 4), (5, 2), (3, 3), (2, 5),
+                                 (3, 5), (3, 6), (2, 10)])
+def test_lagrange_rows_meet_the_lemma(p, r):
+    # rows q-1 and q-2 of lagr_t are -1 and -a, as the oracle's unit tables
+    # say; naive_interp_univariate costs O(q^2) naive field products per
+    # table, too slow for all q tables above q = 32, so there the unit
+    # tables' coefficients come from the Vieta reading it checks up to 32
+    field = make_field(p, r)
+    ref, q = naive_of(field), field.q
+    top = unit_table_top_coeffs(ref)
+    if q <= 32:
+        for a in range(q):
+            coeffs = naive_interp_univariate(ref, [int(b == a)
+                                                   for b in range(q)])
+            assert (coeffs[q - 1], coeffs[q - 2]) == top[a]
+    assert top == [(ref.neg(1), ref.neg(a)) for a in range(q)]
+    assert field.lagr_t[q - 1].tolist() == [c for c, _ in top]
+    assert field.lagr_t[q - 2].tolist() == [c for _, c in top]
+    assert check_lemma_deg(field).ok
+
+
+def spoiled(p, r, *entries):
+    """A fresh F_{p^r} whose lagr_t has 1 added at each (row, rank)."""
+    field = Field(p, r, make_field(p, r).modulus)
+    lagr = field.lagr_t.copy()
+    for e, c in entries:
+        lagr[e, c] = field.add(int(lagr[e, c]), 1)
+    field.lagr_t = lagr
+    return field
+
+
+def test_lemma_deg_spoiled_row_names_the_first_entry():
+    field = spoiled(7, 1, (6, 2), (5, 4))
+    rep = check_lemma_deg(field)
+    assert not rep.ok
+    assert rep.detail == {"mode": "exact"}
+    assert rep.witness == {"row": 5, "rank": 4, "entry": 4, "expected": 3}
+    rep = check_lemma_deg(spoiled(2, 3, (7, 5)))
+    assert rep.witness == {"row": 7, "rank": 5, "entry": 0, "expected": 1}
+
+
+@pytest.mark.parametrize("p,r", [(3, 1), (2, 2), (5, 1)])
+def test_lemma_deg_enumeration_agrees_with_rows(p, r):
+    # for q <= 5 the q^q enumeration runs after the row check: both pass on
+    # the field, and a spoiled row fails at the rows before it is reached
+    field = make_field(p, r)
+    q = field.q
+    rep = check_lemma_deg(field)
+    assert rep.ok and rep.detail["mode"] == "exhaustive"
+    assert field.lagr_t[q - 1].tolist() == [field.neg(1)] * q
+    assert field.lagr_t[q - 2].tolist() == [field.neg(a) for a in range(q)]
+    rep = check_lemma_deg(spoiled(p, r, (q - 1, 1)))
+    assert not rep.ok and rep.detail == {"mode": "exact"}
+
+
+def test_lemma_deg_q2_rests_on_the_enumeration():
+    # at q = 2 row 0 reads 1 + a, so no row check runs; a spoiled top row
+    # is caught by the enumeration of the four tables
+    assert make_field(2).lagr_t.tolist() == [[1, 0], [1, 1]]
+    rep = check_lemma_deg(spoiled(2, 1, (1, 0)))
+    assert not rep.ok
+    assert rep.detail["mode"] == "exhaustive"
+    assert set(rep.witness) == {"table", "degree_is_q_minus_2",
+                                "criterion_holds"}
+
+
+@pytest.mark.parametrize("p,r", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3),
+                                 (3, 2)])
+def test_lemma_sums_match_the_oracle(p, r):
+    field = make_field(p, r)
+    ref, q = naive_of(field), field.q
+    tables = np.concatenate([field.mul_t, field.pow_t, field.lagr_t])
+    got = verify.lemma_sums(field, tables)
+    for k, alpha in enumerate(tables.tolist()):
+        s_alpha = s_a_alpha = 0
+        for a, v in enumerate(alpha):
+            s_alpha = ref.add(s_alpha, v)
+            s_a_alpha = ref.add(s_a_alpha, ref.mul(a, v))
+        assert got[:, k].tolist() == [s_alpha, s_a_alpha]
 
 
 # -- identities and conjecture ----------------------------------------------------------
