@@ -269,7 +269,11 @@ def indicator_poly(field: Field) -> MultiPoly:
 def lpp_indicator(field: Field, n: int) -> MultiPoly:
     """prod_i p(x_i) + sum_i t_beta(x_i) for odd p, q = p^r > 3: an LPP of
     degree n(q-2).  For prime q the same degree is reached through the
-    block-power construction with b = p-2, restricted down to n variables."""
+    block-power construction with b = p-2, restricted down to n variables.
+
+    That route needs q^(b^k) >= q^(p-2) points, so under the default point
+    cap a prime q builds only q = 5 with n <= 3 and q = 7 with n <= 5; for
+    q >= 11 every n raises CapExceeded (11^9 points at q = 11)."""
     p, q = field.p, field.q
     if p == 2 or q <= 3:
         raise UnsupportedField("needs odd p and q > 3")
@@ -393,8 +397,6 @@ def build_family(tag: str, field: Field, n: int | None = None,
     def need_n() -> int:
         if n is None:
             raise ValueError(f"family {tag} needs --n")
-        if n < 1:
-            raise ValueError("--n must be positive")
         return n
 
     if tag in ("pp_hn", "pp_monomial", "pp_dickson", "pp_alpha4", "lpp_beta",
@@ -415,8 +417,13 @@ def build_family(tag: str, field: Field, n: int | None = None,
         if b is None:
             raise ValueError("lpp_power needs --b")
         kk = 1 if k is None else k
-        if n is not None and n != b**kk:
-            raise ValueError(f"lpp_power with b={b}, k={kk} has {b**kk} "
+        # |b|^k >= 2^(k (bit_length(b) - 1)) > |n| once that exponent
+        # reaches bit_length(n), so b^k is built only when it is near n;
+        # k < 1 is left to lpp_power to refuse
+        if n is not None and kk >= 1 and (
+                kk * (abs(b).bit_length() - 1) >= n.bit_length()
+                or n != b**kk):
+            raise ValueError(f"lpp_power with b={b}, k={kk} has b^k "
                              f"variables, not {n}")
         return lpp_power(field, b, kk), {"b": b, "k": kk}
     # lpp_3var_a / _b / _c

@@ -12,10 +12,12 @@ by the array kernels, built eagerly from discrete logs: the generator is
 the smallest-rank primitive element, found by walking the powers of each
 candidate with its multiply-by-g row, and the walk gives exp and log.  Then
 mul is exp[log a + log b], pow is exp[e log a], add is XOR for p = 2 and
-digit-wise addition otherwise, and the interpolation table uses Lucas'
-C(q-1, e) = (-1)^(digit sum of e) mod p.  The q x q tables are filled in
-blocks of rows, so the build's temporaries stay near 2^16 entries.
-make_field refuses q > TABLE_CAP.
+digit-wise addition otherwise, and inv is a^(q-2).  The interpolation
+table is the power table reflected and negated, lagr_t[e, c] =
+-c^(q-1-e), with row 0 the indicator of c = 0: coefficient e of the
+interpolant of f is f(0) for e = 0 and -sum_a a^(q-1-e) f(a) for e >= 1.
+add, mul and pow are filled in blocks of rows, so the build's temporaries
+stay near 2^16 entries.  make_field refuses q > TABLE_CAP.
 """
 
 from functools import lru_cache
@@ -154,8 +156,9 @@ class Field:
         raise NoIrreducibleFound("multiplicative group has no generator")
 
     def _build_tables(self) -> None:
-        """Every table from one exp/log pair, q x q tables in blocks of
-        rows so that no temporary outgrows about 2^16 entries."""
+        """Every table from one exp/log pair: add, mul and pow in blocks of
+        rows so that no temporary outgrows about 2^16 entries, and inv and
+        lagr_t read off pow_t."""
         p, r, q = self.p, self.r, self.q
         ar = np.arange(q, dtype=np.int64)
         D = (ar[:, None] // self.p_pows[None, :]) % p
@@ -183,22 +186,15 @@ class Field:
         pow_t[0] = 0
         pow_t[:, 0] = 1
         neg_t = ((p - D) % p) @ self.p_pows
-        if q > 2:
-            inv_t = pow_t[:, q - 2].copy()
-        else:
-            inv_t = ar.copy()
+        # a^(q-2) inverts a != 0 (at q = 2 that is pow_t[:, 0], all 1)
+        inv_t = pow_t[:, q - 2].copy()
         inv_t[0] = 0
-        # coefficient e of the basis poly 1 - (x - c)^{q-1} vanishing off c:
-        # lagr_t[e, c] = delta_{e,0} - C(q-1, e) * (-c)^{q-1-e}.  By Lucas
-        # C(q-1, e) = (-1)^s mod p, s the digit sum of e, so the second
-        # term is (-c)^{q-1-e} itself for odd s and its negative for even s
-        odd = D.sum(axis=1) % 2 == 1
-        lagr_t = np.empty((q, q), dtype=np.int64)
-        for lo in range(0, q, block):
-            hi = min(q, lo + block)
-            x = pow_t[neg_t[lo:hi, None], ar[::-1]]
-            lagr_t[:, lo:hi] = np.where(odd, x, neg_t[x]).T
-        lagr_t[0] = add_t[1, lagr_t[0]]  # delta_{e,0}
+        # coefficient e of the basis poly 1 - (x - c)^(q-1) vanishing off c
+        # is delta_(e,0) - C(q-1, e) (-c)^(q-1-e) = delta_(e,0) - c^(q-1-e),
+        # as C(q-1, e) = (-1)^e mod p: the power table reflected and
+        # negated, whose row 0 plus 1 is [c == 0]
+        lagr_t = neg_t[pow_t.T[::-1]]
+        lagr_t[0] = add_t[1, lagr_t[0]]
         assert np.array_equal(mul_t[1], ar) and np.array_equal(add_t[0], ar)
         assert np.all(mul_t[ar[1:], inv_t[1:]] == 1)
         self.add_t = add_t

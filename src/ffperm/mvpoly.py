@@ -436,17 +436,18 @@ def points(field: Field, n: int):
 def _transform(field: Field, arr: np.ndarray, M: np.ndarray,
                nvars: int | None = None) -> np.ndarray:
     """Apply the m x q field matrix M along the first nvars axes of a
-    (q,)*nvars [+ batch] tensor, turning each of those axes into length m;
-    transforms on distinct axes commute, so ordering is immaterial."""
-    t = arr
+    (q,)*nvars + batch tensor and return the batch + (m,)*nvars result.
+
+    Each step transforms the leading axis and rotates it to the back, so
+    after nvars steps the batch axes lead and the transformed axes follow
+    in their original order."""
     k = arr.ndim if nvars is None else nvars
-    for axis in range(k):
-        moved = np.moveaxis(t, axis, 0)
-        flat = np.ascontiguousarray(moved).reshape(field.q, -1)
-        res = _kernels.mat_apply(M, flat, field.add_t, field.mul_t)
-        res = res.reshape((M.shape[0],) + moved.shape[1:])
-        t = np.moveaxis(res, 0, axis)
-    return np.ascontiguousarray(t)
+    batch = arr.shape[k:]
+    t = arr
+    for _ in range(k):
+        t = _kernels.mat_apply(M, t.reshape(field.q, -1), field.add_t,
+                               field.mul_t).T
+    return np.ascontiguousarray(t).reshape(batch + (M.shape[0],) * k)
 
 
 def to_table(f: MultiPoly, cap: int | None = None) -> FuncTable:

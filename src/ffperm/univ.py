@@ -6,8 +6,7 @@ import numpy as np
 
 from .errors import EqualPoints, VariableCountMismatch
 from .gf import Field
-from .mvpoly import (FuncTable, MultiPoly, interpolate, monomial, points,
-                     poly_build, to_table)
+from .mvpoly import FuncTable, MultiPoly, interpolate, poly_build, to_table
 
 
 def t_poly(field: Field) -> MultiPoly:

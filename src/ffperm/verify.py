@@ -11,9 +11,8 @@ from . import _kernels
 from .caps import scan_cap
 from .errors import CapExceeded
 from .gf import Field
-from .mvpoly import (FuncTable, MultiPoly, _check_points, _transform,
-                     compose_univariate, interpolate, lead_degree, monomial,
-                     to_table)
+from .mvpoly import (MultiPoly, _check_points, _transform,
+                     compose_univariate, lead_degree, monomial, to_table)
 from .univ import h_polys, t_poly, transposition
 
 
@@ -150,7 +149,8 @@ def _balanced_tables(q: int, n: int):
         for combo in itertools.combinations(remaining, part):
             for i in combo:
                 arr[i] = v
-            rest = tuple(i for i in remaining if i not in set(combo))
+            chosen = set(combo)
+            rest = tuple(i for i in remaining if i not in chosen)
             yield from fill(rest, v + 1)
 
     yield from fill(tuple(range(size)), 0)
@@ -188,12 +188,11 @@ def scan_pp_degree_bound(field: Field, n: int, cap: int | None = None,
     total = _balanced_count(size, size // q, scan_cap(table_cap))
     bound = n * (q - 1) - 1
     tables = np.stack([t.copy() for t in _balanced_tables(q, n)])
-    # interpolate all tables at once: shape (q,)*n + (count,)
-    tensor = np.ascontiguousarray(tables.T).reshape((q,) * n + (total,))
-    coeffs = _transform(field, tensor, field.lagr_t, n).reshape(size, total)
-    degsum = np.array([sum(e) for e in itertools.product(range(q), repeat=n)],
-                      dtype=np.int64)
-    degs = np.where(coeffs != 0, degsum[:, None], -1).max(axis=0)
+    # interpolate all tables at once, one coefficient row per table
+    coeffs = _transform(field, tables.T.reshape((q,) * n + (total,)),
+                        field.lagr_t, n).reshape(total, size)
+    degsum = np.indices((q,) * n).sum(axis=0).reshape(-1)
+    degs = np.where(coeffs != 0, degsum, -1).max(axis=1)
     hist = {int(d): int(c) for d, c in
             zip(*np.unique(degs, return_counts=True))}
     detail = {"tables": int(total), "pp_count": int(total),
@@ -224,13 +223,15 @@ def check_lemma_deg(field: Field) -> VerifyReport:
     sum(a * alpha_a) != 0.
 
     Interpolation is linear, so coefficient e of alpha's interpolant is
-    sum_a lagr_t[e, a] * alpha_a.  When row q-1 of ``lagr_t`` is all -1 and
-    row q-2 is -a, c_(q-1) = -sum(alpha_a) and c_(q-2) = -sum(a * alpha_a)
-    for all q^q tables, and the lemma follows.  For q >= 3 the check reads
-    these 2q entries (detail {"mode": "exact"}); a failure names the first
-    (row, rank) that differs.  At q = 2 the delta_(e,0) term makes row 0
-    read 1 + a, so q = 2 rests on the enumeration of all q^q tables, which
-    runs as a cross-check for q <= 5 (detail {"mode": "exhaustive"}).
+    sum_a lagr_t[e, a] * alpha_a, and for e >= 1 ``lagr_t`` is the power
+    table reflected and negated, lagr_t[e, a] = -a^(q-1-e).  So row q-1 is
+    all -a^0 = -1 and row q-2 is -a, c_(q-1) = -sum(alpha_a) and
+    c_(q-2) = -sum(a * alpha_a) for all q^q tables, and the lemma follows.
+    For q >= 3 the check reads these 2q entries (detail {"mode": "exact"});
+    a failure names the first (row, rank) that differs.  At q = 2 row q-2
+    is row 0, the indicator 1 + a of a = 0, so q = 2 rests on the
+    enumeration of all q^q tables, which runs as a cross-check for q <= 5
+    (detail {"mode": "exhaustive"}) and computes only those two rows.
     """
     t0 = time.perf_counter()
     q = field.q
@@ -245,11 +246,10 @@ def check_lemma_deg(field: Field) -> VerifyReport:
     elif q <= 5:
         tables = np.array(list(itertools.product(range(q), repeat=q)),
                           dtype=np.int64)
-        coeffs = _kernels.mat_apply(field.lagr_t,
-                                    np.ascontiguousarray(tables.T),
-                                    field.add_t, field.mul_t)
+        # coefficients q-2 and q-1 of every table's interpolant
+        low, top = _transform(field, tables.T, field.lagr_t[q - 2:], 1).T
         # degree q-2 iff the x^{q-1} coefficient vanishes and x^{q-2}'s not
-        is_deg = (coeffs[q - 1] == 0) & (coeffs[q - 2] != 0)
+        is_deg = (top == 0) & (low != 0)
         sum_alpha, sum_a_alpha = lemma_sums(field, tables)
         criterion = (sum_alpha == 0) & (sum_a_alpha != 0)
         agree = is_deg == criterion

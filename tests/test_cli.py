@@ -17,12 +17,12 @@ ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
     filter(None, [SRC, os.environ.get("PYTHONPATH")])))
 
 
-def run(*args, input=None, env_extra=None):
+def run(*args, input=None, env_extra=None, timeout=None):
     env = dict(ENV)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(CLI + list(args), input=input, env=env,
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=timeout)
 
 
 # -- construct ------------------------------------------------------------------
@@ -102,6 +102,40 @@ def test_construct_huge_n_is_a_cap_error(capsys, tag, p, r):
     out = capsys.readouterr()
     assert rc == 2 and out.out == ""
     assert "points exceed the point cap" in out.err
+
+
+@pytest.mark.parametrize("tag,p,r", SIZED_BY_N)
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_construct_without_a_variable_exit_2(capsys, tag, p, r, n):
+    # the builder's own size guard refuses n < 1
+    from ffperm import cli
+    rc = cli.main(["construct", "--family", tag, "--p", p, "--r", r,
+                   "--n", n])
+    out = capsys.readouterr()
+    assert rc == 2 and out.out == ""
+    assert "need at least one variable" in out.err
+
+
+@pytest.mark.parametrize("b,k", [("2", "1000000000000"), ("5", "100000000"),
+                                 ("1000000000000000000000", "100000")])
+def test_construct_lpp_power_huge_b_to_the_k_exit_2(b, k):
+    # n is compared with b^k without building b^k, or printing it
+    res = run("construct", "--family", "lpp_power", "--p", "7", "--b", b,
+              "--k", k, "--n", "3", timeout=60)
+    assert res.returncode == 2 and res.stdout == ""
+    assert "Traceback" not in res.stderr
+    assert f"b={b}, k={k}" in res.stderr
+    assert len(res.stderr) < 200
+
+
+@pytest.mark.parametrize("b", ["0", "1" + "0" * 400], ids=["zero", "huge"])
+def test_construct_lpp_power_negative_k_exit_2(b):
+    # b^k with k < 1 is never formed: 0^-1 and a huge b^-1 raise in Python
+    res = run("construct", "--family", "lpp_power", "--p", "7", "--b", b,
+              "--k", "-1", "--n", "3", timeout=60)
+    assert res.returncode == 2 and res.stdout == ""
+    assert "Traceback" not in res.stderr
+    assert "violates 1 < b < p-1" in res.stderr
 
 
 # -- verify ----------------------------------------------------------------------

@@ -11,8 +11,8 @@ from ffperm import (CapExceeded, FieldMismatch, MultiPoly, VariableCountMismatch
                     compose_univariate, interpolate, make_field, points,
                     poly_build, poly_from_json, poly_to_json, to_table)
 from ffperm.constructions import lpp_beta
-from ffperm.mvpoly import (FuncTable, constant, extend, fold_exp, monomial,
-                           variable, zero)
+from ffperm.mvpoly import (FuncTable, _transform, constant, extend,
+                           fold_exp, monomial, variable, zero)
 from oracle import (SMALL_FIELDS, NaiveField, naive_eval, naive_poly_build,
                     naive_poly_mul)
 
@@ -299,6 +299,55 @@ def test_interpolate_roundtrip(p, r):
         tbl = FuncTable(field, n, vals)
         g = interpolate(tbl)
         assert np.array_equal(to_table(g).values, vals)  # table -> poly -> table
+
+
+def naive_transform(field, arr, M, nvars):
+    """Apply M along each of the first nvars axes in turn, one entry of M
+    at a time with the oracle's add and mul, then move the batch axes to
+    the front."""
+    nf = naive_of(field)
+    q = field.q
+    add = np.array([[nf.add(a, b) for b in range(q)] for a in range(q)])
+    mul = np.array([[nf.mul(a, b) for b in range(q)] for a in range(q)])
+    t = arr
+    for axis in range(nvars):
+        moved = np.moveaxis(t, axis, 0)
+        out = np.zeros((len(M),) + moved.shape[1:], dtype=np.int64)
+        for e, row in enumerate(M.tolist()):
+            for a, m in enumerate(row):
+                out[e] = add[out[e], mul[m, moved[a]]]
+        t = np.moveaxis(out, 0, axis)
+    return np.moveaxis(t, list(range(nvars)), list(range(-nvars, 0)))
+
+
+TRANSFORM_CASES = [
+    (p, r, kind, nvars, batch)
+    for p, r in SMALL_FIELDS + [(2, 6)]
+    for kind in ("pow_t", "lagr_t", "corner")
+    for nvars in (0, 1, 2, 3)
+    for batch in ((), (1,), (5,))
+    # a naive full transform of 64^3 points takes seconds per batch entry
+    if (p, r, nvars) != (2, 6, 3) or kind == "corner" or not batch]
+
+
+@pytest.mark.parametrize(
+    "p,r,kind,nvars,batch", TRANSFORM_CASES,
+    ids=[f"q{p**r}-{kind}-n{nvars}-b{batch[0] if batch else 'none'}"
+         for p, r, kind, nvars, batch in TRANSFORM_CASES])
+def test_transform_matches_naive_per_axis(p, r, kind, nvars, batch):
+    field = make_field(p, r)
+    q = field.q
+    # the corner slice lagr_t[q-k:], k = 2, has fewer rows than q > 2
+    M = field.lagr_t[q - 2:] if kind == "corner" else getattr(field, kind)
+    rng = np.random.default_rng(q * 100 + nvars * 10 + len(batch))
+    arr = rng.integers(0, q, size=(q,) * nvars + batch).astype(np.int64)
+    got = _transform(field, arr, M, nvars)
+    # batch axes first, then the transformed axes in their original order
+    assert got.shape == batch + (M.shape[0],) * nvars
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, naive_transform(field, arr, M, nvars))
+    if not batch:
+        assert np.array_equal(_transform(field, arr, M), got)
 
 
 def test_interpolate_univariate_matches_naive():
