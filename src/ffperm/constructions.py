@@ -11,10 +11,10 @@ from math import gcd
 
 import numpy as np
 
-from .errors import BadDegree, NoNonResidue, NotMaxLpp, NoValidB, UnsupportedField
+from .errors import BadDegree, NotMaxLpp, NoValidB, UnsupportedField
 from .gf import Field
 from .mvpoly import (FuncTable, MultiPoly, _check_points, compose_univariate,
-                     extend, interpolate, lead_degree, monomial)
+                     extend, interpolate, lead_degree)
 from .univ import is_univariate_pp, t_poly, transposition
 from .verify import is_lpp
 
@@ -107,26 +107,12 @@ def pp_alpha4(field: Field, n: int) -> MultiPoly:
     return MultiPoly(field, n, out)
 
 
-def _smallest_non_power(field: Field, d: int) -> int:
-    """Smallest-rank element that is not a d-th power in F_q."""
-    powers = {field.pow(w, d) for w in field.elements()}
-    for a in field.elements():
-        if a not in powers:
-            return a
-    raise NoNonResidue(f"every element is a {d}-th power")
-
-
-def pp_product(field: Field, n: int, variant: str,
-               g: MultiPoly | None = None, fy: MultiPoly | None = None,
-               a_or_alpha: int | None = None) -> MultiPoly:
-    """(g(x_1..x_n)^d - a) * f(y) family in n+1 variables, degree (n+1)(q-1)-1.
-
-    QNR: d=2, q odd, a a quadratic non-residue.  NONCUBE: d=3, q=2^r with r
-    even, a not a cube.  MERSENNE: the factor is x_1^{q-1}..x_n^{q-1} + alpha
-    with alpha outside {0, 1}, for q = 2^r with r odd > 1.  In every variant
-    f(y) defaults to the 0/1 transposition t, a PP of degree q-2.
-    """
-    q = field.q
+def _product_constant(field: Field, variant: str,
+                      a_or_alpha: int | None) -> tuple[int | None, int]:
+    """(d, a) for the QNR and NONCUBE variants of pp_product and
+    (None, alpha) for MERSENNE, after checking the variant, the field and
+    the constant; a defaults to the smallest element that is not a d-th
+    power, alpha to 2."""
     variant = variant.upper()
     if variant == "QNR":
         if field.p == 2:
@@ -139,40 +125,64 @@ def pp_product(field: Field, n: int, variant: str,
     elif variant == "MERSENNE":
         if field.p != 2 or field.r % 2 == 0 or field.r == 1:
             raise UnsupportedField("MERSENNE variant needs q = 2^r, r odd > 1")
-        d = None
+        alpha = 2 if a_or_alpha is None else field._check(a_or_alpha)
+        if alpha in (0, 1):
+            raise ValueError("alpha must avoid 0 and 1")
+        return None, alpha
     else:
         raise ValueError(f"unknown variant {variant!r}")
+    # d divides q-1 in both variants, so some element is not a d-th power
+    powers = set(field.pow_t[:, d].tolist())
+    if a_or_alpha is None:
+        return d, min(set(field.elements()) - powers)
+    a = field._check(a_or_alpha)
+    if a in powers:
+        raise ValueError(f"{a} is a {d}-th power, not usable here")
+    return d, a
 
+
+def pp_product(field: Field, n: int, variant: str,
+               g: MultiPoly | None = None, fy: MultiPoly | None = None,
+               a_or_alpha: int | None = None) -> MultiPoly:
+    """(g(x_1..x_n)^d - a) * f(y) family in n+1 variables, degree (n+1)(q-1)-1.
+
+    QNR: d=2, q odd, a a quadratic non-residue.  NONCUBE: d=3, q=2^r with r
+    even, a not a cube.  MERSENNE: the factor is x_1^{q-1}..x_n^{q-1} + alpha
+    with alpha outside {0, 1}, for q = 2^r with r odd > 1.  In every variant
+    f(y) defaults to the 0/1 transposition t, a PP of degree q-2.
+
+    The default g is x_1^{(q-1)/d}..x_n^{(q-1)/d}, so every default factor
+    is x_1^{q-1}..x_n^{q-1} + c with c = alpha or -a.  The factor and f(y)
+    share no variable, so the product is an outer product of their
+    coefficients and of their values, and holds both domains.
+    """
+    q = field.q
+    d, a = _product_constant(field, variant, a_or_alpha)
     if fy is None:
         fy = t_poly(field)
     else:
         if (fy.n != 1 or lead_degree(fy.leading_terms(q - 2)) != q - 2
                 or not is_univariate_pp(fy)):
             raise BadDegree("f(y) must be a univariate PP of degree q-2")
-
-    if variant == "MERSENNE":
-        alpha = 2 if a_or_alpha is None else field._check(a_or_alpha)
-        if alpha in (0, 1):
-            raise ValueError("alpha must avoid 0 and 1")
-        _guard(field, n, 1)
+    if d is not None and g is not None:
+        if g.n != n:
+            raise BadDegree(f"g must have {n} variables")
+        want = n * (q - 1) // d
+        if lead_degree(g.leading_terms(want)) != want:
+            raise BadDegree(f"g must have total degree {want}")
+    _guard(field, n, 1)
+    c = a if d is None else field.neg(a)
+    if d is None or g is None:
         factor = _head_tail(field, n, _univariate(field, [q - 1]),
-                            _univariate(field, [0], alpha))
+                            _univariate(field, [0], c))
     else:
-        if g is not None:
-            if g.n != n:
-                raise BadDegree(f"g must have {n} variables")
-            want = n * (q - 1) // d
-            if lead_degree(g.leading_terms(want)) != want:
-                raise BadDegree(f"g must have total degree {want}")
-        a = (_smallest_non_power(field, d) if a_or_alpha is None
-             else field._check(a_or_alpha))
-        if a in {field.pow(w, d) for w in field.elements()}:
-            raise ValueError(f"{a} is a {d}-th power, not usable here")
-        _guard(field, n, 1)
-        if g is None:
-            g = monomial(field, n, ((q - 1) // d,) * n)
-        factor = g**d - monomial(field, n, (0,) * n, a)
-    return extend(factor, n + 1, 0) * extend(fy, n + 1, n)
+        # g^d - a, the univariate x^d - a applied to g's values
+        shift = _univariate(field, [d]) + _univariate(field, [0], c)
+        factor = compose_univariate(shift, g)
+    mul_t = field.mul_t
+    return MultiPoly(field, n + 1, mul_t[factor.coeffs[..., None], fy.coeffs],
+                     FuncTable(field, n + 1,
+                               mul_t[factor._values()[:, None], fy._values()]))
 
 
 # ---------------------------------------------------------------------------
@@ -189,30 +199,13 @@ def lpp_beta(field: Field, n: int) -> MultiPoly:
                      _univariate(field, [1]))
 
 
-def _sub_inverse_powers(f: MultiPoly) -> MultiPoly:
-    """Substitute x_i := x_i^{q-2} simultaneously in every variable.
-
-    Requires every exponent of f below q-1; then e*(q-2) folds to q-1-e for
-    e >= 1, a plain index remap of the coefficient tensor.
-    """
-    q = f.field.q
-    _, per_var = f.degrees()
-    if max(per_var, default=0) >= q - 1:
-        raise ValueError("exponent remap needs per-variable degrees < q-1")
-    remap = np.arange(q, dtype=np.int64)
-    remap[1:q - 1] = q - 1 - remap[1:q - 1]
-    arr = f.coeffs
-    for axis in range(f.n):
-        arr = np.take(arr, remap, axis=axis)
-    return MultiPoly(f.field, f.n, arr)
-
-
 def lpp_power(field: Field, b: int, k: int = 1) -> MultiPoly:
     """Block-power construction in b^k variables, degree b^k(q-2).
 
     Seed (y_1+..+y_b)^b; at each level sum b shifted copies and raise to the
     b-th power; finally substitute y_i := x_i^{q-2}.  Needs 1 < b < p-1 and
-    gcd(b, q-1) = 1.
+    gcd(b, q-1) = 1.  x^{q-2} is the inverse map on F_q (0 to 0), so the
+    substitution is one gather of the value table per variable.
     """
     p, q = field.p, field.q
     if not (isinstance(b, int) and 1 < b < p - 1):
@@ -231,7 +224,10 @@ def lpp_power(field: Field, b: int, k: int = 1) -> MultiPoly:
         for j in range(1, b):
             s = s + extend(f, nv, j * m)
         f = s**b
-    return _sub_inverse_powers(f)
+    inverse = _univariate(field, [q - 2])
+    for i in range(f.n):
+        f = f.substitute(i, inverse)
+    return f
 
 
 def lpp_restrict(f: MultiPoly) -> MultiPoly:
@@ -320,9 +316,7 @@ def lpp_three(field: Field, variant: str) -> MultiPoly:
     t = t_poly(field)
 
     def mono3(i: int, e: int) -> MultiPoly:
-        exps = [0, 0, 0]
-        exps[i] = e
-        return monomial(field, 3, tuple(exps))
+        return extend(_univariate(field, [e]), 3, i)
 
     if variant == "A":
         if p in (2, 3):
@@ -339,7 +333,7 @@ def lpp_three(field: Field, variant: str) -> MultiPoly:
             raise UnsupportedField("variant C needs q = 2^r > 2")
         s = (q - 2) // 2
         h2 = compose_univariate(t, mono3(0, q - 2) + mono3(1, s))
-        inv_mono = monomial(field, 1, (q - 2,))
+        inv_mono = _univariate(field, [q - 2])
         return compose_univariate(inv_mono, h2 + mono3(2, s))
     raise ValueError(f"unknown variant {variant!r}")
 
@@ -404,15 +398,10 @@ def build_family(tag: str, field: Field, n: int | None = None,
         builder = globals()[tag]
         return builder(field, need_n()), {}
     if tag in ("pp_qnr", "pp_noncube", "pp_mersenne"):
-        var = tag[3:].upper()
+        var = tag[3:]
         f = pp_product(field, need_n(), var, a_or_alpha=alpha_rank)
-        if var == "MERSENNE":
-            resolved = 2 if alpha_rank is None else alpha_rank
-            return f, {"variant": "mersenne", "alpha": resolved}
-        d = 2 if var == "QNR" else 3
-        resolved = (_smallest_non_power(field, d) if alpha_rank is None
-                    else alpha_rank)
-        return f, {"variant": var.lower(), "a": int(resolved)}
+        d, a = _product_constant(field, var, alpha_rank)
+        return f, {"variant": var, ("alpha" if d is None else "a"): a}
     if tag == "lpp_power":
         if b is None:
             raise ValueError("lpp_power needs --b")

@@ -154,26 +154,27 @@ def naive_poly_build(field: NaiveField, n: int, terms):
 def naive_interp_univariate(field: NaiveField, values) -> list[int]:
     """Lagrange interpolation, dense coefficient list c_0..c_{q-1}.
 
-    Builds each basis polynomial prod_{b != a} (x - b) / (a - b) by naive
-    coefficient convolution over the field.
+    Each basis polynomial prod_{b != a} (x - b) / (a - b) takes its
+    numerator (x^q - x) / (x - a) from q - 1 steps of synthetic division and
+    its denominator prod_{b != a} (a - b) from naive products, so it costs
+    O(q) field operations.
     """
     q = field.q
     coeffs = [0] * q
     for a in range(q):
         if values[a] == 0:
             continue
-        basis = [1]
+        # quotient c_{k-1} = p_k + a c_k of x^q - x, whose only nonzero
+        # coefficients are p_q = 1 and p_1 = -1
+        basis = [0] * q
+        basis[q - 1] = 1
+        for k in range(q - 1, 0, -1):
+            top = field.neg(1) if k == 1 else 0
+            basis[k - 1] = field.add(top, field.mul(a, basis[k]))
         denom = 1
         for b in range(q):
-            if b == a:
-                continue
-            nb = field.neg(b)
-            new = [0] * (len(basis) + 1)
-            for i, c in enumerate(basis):
-                new[i + 1] = field.add(new[i + 1], c)          # x * c x^i
-                new[i] = field.add(new[i], field.mul(nb, c))   # -b * c x^i
-            basis = new
-            denom = field.mul(denom, field.sub(a, b))
+            if b != a:
+                denom = field.mul(denom, field.sub(a, b))
         scale = field.mul(values[a], field.inv(denom))
         for i, c in enumerate(basis):
             coeffs[i] = field.add(coeffs[i], field.mul(scale, c))

@@ -5,15 +5,18 @@ predicate errors for unusable fields."""
 import itertools
 from math import comb
 
+import numpy as np
 import pytest
 
-from ffperm import (BadDegree, NoValidB, NotMaxLpp, UnsupportedField,
-                    build_family, indicator_poly, is_lpp, is_pp, lpp_beta,
+from ffperm import (BadDegree, FFPermError, MultiPoly, NoValidB, NotMaxLpp,
+                    UnsupportedField, assert_degree, build_family,
+                    indicator_poly, interpolate, is_lpp, is_pp, lpp_beta,
                     lpp_chain, lpp_indicator, lpp_linear, lpp_max, lpp_power,
                     lpp_restrict, lpp_three, make_field, poly_build,
                     pp_alpha4, pp_dickson, pp_hn, pp_monomial, pp_product,
-                    t_poly, to_table)
-from ffperm.mvpoly import monomial, points
+                    t_poly, to_table, transposition)
+from ffperm.constructions import FAMILY_TAGS
+from ffperm.mvpoly import FuncTable, monomial, points
 from oracle import (SMALL_FIELDS, NaiveField, all_points,
                     naive_interp_univariate, naive_is_lpp, naive_is_pp,
                     naive_poly_build, naive_poly_mul)
@@ -265,17 +268,51 @@ def test_lpp_power_leading_coeffs():
     assert is_lpp(g).ok
 
 
-def test_lpp_power_substitution_agrees_with_generic_route():
-    # the exponent remap must equal literal substitution x_i := x_i^{q-2}
-    from ffperm.constructions import _sub_inverse_powers
-    seed = poly_build(F5, 3, [(tuple(int(i == j) for j in range(3)), 1)
-                              for i in range(3)]) ** 3
-    via_remap = _sub_inverse_powers(seed)
-    u = monomial(F5, 1, (3,))                               # x^{q-2}
-    via_subst = seed
-    for i in range(3):
-        via_subst = via_subst.substitute(i, u)
-    assert via_remap == via_subst
+def remapped(f):
+    """f's coefficient tensor with x_i := x_i^{q-2} in every variable, read
+    as an exponent remap on every axis: 0 -> 0, e -> q-1-e, q-1 -> q-1."""
+    q = f.field.q
+    remap = np.arange(q)
+    remap[1:q - 1] = q - 1 - remap[1:q - 1]
+    arr = f.coeffs
+    for axis in range(f.n):
+        arr = np.take(arr, remap, axis=axis)
+    return arr
+
+
+def block_seed(field, b, k):
+    """The block power before its substitution: (y_1+..+y_b)^b, then k-1
+    times the sum of b shifted copies raised to the b-th power."""
+    f = poly_build(field, b, [(tuple(int(i == j) for j in range(b)), 1)
+                              for i in range(b)]) ** b
+    for level in range(1, k):
+        m = b**level
+        f = poly_build(field, b * m, [
+            ((0,) * (j * m) + e + (0,) * ((b - 1 - j) * m), c)
+            for j in range(b) for e, c in f.terms()]) ** b
+    return f
+
+
+@pytest.mark.parametrize("p,b", [(5, 3), (7, 5), (11, 3)])
+def test_lpp_power_is_its_seed_with_exponents_remapped(p, b):
+    field = make_field(p)
+    assert np.array_equal(lpp_power(field, b).coeffs,
+                          remapped(block_seed(field, b, 1)))
+
+
+def test_lpp_power_two_levels_is_its_seed_remapped(monkeypatch):
+    monkeypatch.setenv("FFPERM_POINT_CAP", str(1 << 21))   # 5^9 points
+    assert np.array_equal(lpp_power(F5, 3, 2).coeffs,
+                          remapped(block_seed(F5, 3, 2)))
+
+
+def test_inverse_substitution_remaps_exponent_q_minus_1():
+    # the remap is a bijection on [0, q-1], so exponents q-1 need no guard
+    f = poly_build(F5, 2, [((4, 1), 1), ((4, 4), 2), ((0, 3), 3),
+                           ((2, 0), 4), ((0, 0), 1)])
+    inverse = monomial(F5, 1, (3,))
+    g = f.substitute(0, inverse).substitute(1, inverse)
+    assert np.array_equal(g.coeffs, remapped(f))
 
 
 def test_lpp_power_errors():
@@ -320,7 +357,7 @@ def test_known_degrees_are_read_without_a_full_scan(monkeypatch):
     from ffperm import conjecture_fn
     from ffperm.mvpoly import MultiPoly
     from ffperm.suites import run_suite
-    f = lpp_power(F5, 3)              # built first: lpp_power reads degrees()
+    f = lpp_power(F5, 3)
     g2 = poly_build(F5, 2, [((2, 2), 1), ((3, 0), 2), ((0, 1), 1)])
     t = t_poly(F5)
 
@@ -556,6 +593,95 @@ def test_families_refuse_a_huge_n_before_building():
     from ffperm import CapExceeded
     with pytest.raises(CapExceeded, match="points exceed the point cap"):
         pp_hn(F5, 10**12)
+
+
+# -- the domains a build holds ---------------------------------------------------
+
+# q <= 16
+NINE_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
+               (11, 1), (2, 4)]
+
+
+def assert_domains_agree(f):
+    """f's coefficients evaluate to its table, and its table interpolates
+    to its coefficients, each through a fresh one-domain polynomial."""
+    coeffs, values = f.coeffs, to_table(f).values
+    fresh = MultiPoly(f.field, f.n, coeffs)
+    assert np.array_equal(to_table(fresh).values, values)
+    fresh = interpolate(FuncTable(f.field, f.n, values))
+    assert np.array_equal(fresh.coeffs, coeffs)
+
+
+@pytest.mark.parametrize("tag", FAMILY_TAGS)
+def test_family_domains_agree(tag):
+    built = 0
+    for p, r in NINE_FIELDS:
+        field = make_field(p, r)
+        for n in (1, 2, 3):
+            try:
+                f, _ = build_family(tag, field, n=n,
+                                    b=n if tag == "lpp_power" else None)
+            except (FFPermError, ValueError):
+                continue
+            assert_domains_agree(f)
+            built += 1
+    assert built
+
+
+def test_pp_product_domains_agree_with_custom_pieces():
+    F16 = make_field(2, 4)
+    g = poly_build(F5, 2, [((2, 2), 3), ((1, 0), 2)])
+    assert_domains_agree(pp_product(F5, 2, "QNR", g=g,
+                                    fy=transposition(F5, 2, 4), a_or_alpha=3))
+    g = poly_build(F16, 1, [((5,), 3), ((2,), 1)])
+    assert_domains_agree(pp_product(F16, 1, "NONCUBE", g=g,
+                                    fy=transposition(F16, 0, 9)))
+    assert_domains_agree(pp_product(F16, 4, "NONCUBE"))   # 2^20 points
+
+
+@pytest.fixture
+def applied(monkeypatch):
+    """(M, shape of A) for every field matrix the transform applies."""
+    from ffperm import _kernels
+    calls = []
+    real = _kernels.mat_apply
+
+    def recording(M, A, add_t, mul_t):
+        calls.append((M, A.shape))
+        return real(M, A, add_t, mul_t)
+
+    monkeypatch.setattr(_kernels, "mat_apply", recording)
+    return calls
+
+
+@pytest.mark.parametrize("tag,p,r,n", [("pp_qnr", 3, 2, 2),
+                                       ("pp_noncube", 2, 4, 2),
+                                       ("pp_mersenne", 2, 3, 3)])
+def test_product_families_verify_without_a_transform(applied, tag, p, r, n):
+    # the product is built in both domains, and no transform touches an
+    # array of its q^(n+1) entries
+    field = make_field(p, r)
+    q = field.q
+    f, _ = build_family(tag, field, n=n)
+    assert all(rows * cols < q**(n + 1) for _, (rows, cols) in applied)
+    applied.clear()
+    assert is_pp(f).ok
+    is_lpp(f)
+    assert assert_degree(f, (n + 1) * (q - 1) - 1).ok
+    assert applied == []
+
+
+@pytest.mark.parametrize("variant,p,r", [("A", 7, 1), ("B", 3, 2),
+                                         ("C", 2, 6)])
+def test_lpp_three_transforms_only_univariate_pieces(applied, variant, p, r):
+    lpp_three(make_field(p, r), variant)
+    assert applied and all(cols == 1 for _, (_, cols) in applied)
+
+
+def test_lpp_power_build_interpolates_nothing(applied):
+    lpp_power(F7, 5)
+    assert applied
+    assert not any(np.shares_memory(M, F7.lagr_t) for M, _ in applied)
 
 
 # -- build_family dispatch ------------------------------------------------------------

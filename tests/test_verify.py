@@ -301,11 +301,16 @@ def unit_table_top_coeffs(ref):
                                  (3, 5), (3, 6), (2, 10)])
 def test_lagrange_rows_meet_the_lemma(p, r):
     # rows q-1 and q-2 of lagr_t are -1 and -a, as the oracle's unit tables
-    # say; naive_interp_univariate costs O(q^2) naive field products per
-    # table, too slow for all q tables above q = 32, so there the unit
-    # tables' coefficients come from the Vieta reading it checks up to 32
+    # say; column a of lagr_t interpolates the unit table e_a, so columns
+    # 0, 1 and q-1 are checked in full against the oracle; reading every
+    # unit table costs O(q^2) naive field products, so above q = 32 the
+    # top coefficients come from the Vieta reading it checks up to 32
     field = make_field(p, r)
     ref, q = naive_of(field), field.q
+    for a in (0, 1, q - 1):
+        unit = [int(b == a) for b in range(q)]
+        assert field.lagr_t[:, a].tolist() == naive_interp_univariate(ref,
+                                                                      unit)
     top = unit_table_top_coeffs(ref)
     if q <= 32:
         for a in range(q):
