@@ -11,7 +11,8 @@ from math import gcd
 
 import numpy as np
 
-from .errors import BadDegree, NotMaxLpp, NoValidB, UnsupportedField
+from .errors import (BadDegree, FieldMismatch, NotMaxLpp, NoValidB,
+                     UnsupportedField)
 from .gf import Field
 from .mvpoly import (FuncTable, MultiPoly, _check_points, compose_univariate,
                      extend, interpolate, lead_degree)
@@ -148,8 +149,10 @@ def pp_product(field: Field, n: int, variant: str,
 
     QNR: d=2, q odd, a a quadratic non-residue.  NONCUBE: d=3, q=2^r with r
     even, a not a cube.  MERSENNE: the factor is x_1^{q-1}..x_n^{q-1} + alpha
-    with alpha outside {0, 1}, for q = 2^r with r odd > 1.  In every variant
-    f(y) defaults to the 0/1 transposition t, a PP of degree q-2.
+    with alpha outside {0, 1}, for q = 2^r with r odd > 1, and takes no g
+    (ValueError).  In every variant f(y) defaults to the 0/1 transposition
+    t, a PP of degree q-2.  A g or f(y) over another field raises
+    FieldMismatch before any degree is read.
 
     The default g is x_1^{(q-1)/d}..x_n^{(q-1)/d}, so every default factor
     is x_1^{q-1}..x_n^{q-1} + c with c = alpha or -a.  The factor and f(y)
@@ -158,13 +161,17 @@ def pp_product(field: Field, n: int, variant: str,
     """
     q = field.q
     d, a = _product_constant(field, variant, a_or_alpha)
+    if any(h is not None and h.field != field for h in (g, fy)):
+        raise FieldMismatch("g and f(y) must lie over the given field")
+    if d is None and g is not None:
+        raise ValueError("the MERSENNE variant takes no g")
     if fy is None:
         fy = t_poly(field)
     else:
         if (fy.n != 1 or lead_degree(fy.leading_terms(q - 2)) != q - 2
                 or not is_univariate_pp(fy)):
             raise BadDegree("f(y) must be a univariate PP of degree q-2")
-    if d is not None and g is not None:
+    if g is not None:
         if g.n != n:
             raise BadDegree(f"g must have {n} variables")
         want = n * (q - 1) // d
@@ -172,7 +179,7 @@ def pp_product(field: Field, n: int, variant: str,
             raise BadDegree(f"g must have total degree {want}")
     _guard(field, n, 1)
     c = a if d is None else field.neg(a)
-    if d is None or g is None:
+    if g is None:
         factor = _head_tail(field, n, _univariate(field, [q - 1]),
                             _univariate(field, [0], c))
     else:

@@ -7,15 +7,16 @@ itself.  The modulus is the first monic irreducible of degree r when the
 coefficient vectors are ordered by that same base-p rank, so a given (p, r)
 always yields the same field, the same element order and the same tables.
 
-Fields carry dense q x q lookup tables (add, mul, pow, interpolation) used
-by the array kernels, built eagerly from discrete logs: the generator is
+Fields carry dense q x q lookup tables (add, mul, pow) that the array
+kernels gather from, built eagerly from discrete logs: the generator is
 the smallest-rank primitive element, found by walking the powers of each
 candidate with its multiply-by-g row, and the walk gives exp and log.  Then
 mul is exp[log a + log b], pow is exp[e log a], add is XOR for p = 2 and
-digit-wise addition otherwise, and inv is a^(q-2).  The interpolation
-table is the power table reflected and negated, lagr_t[e, c] =
--c^(q-1-e), with row 0 the indicator of c = 0: coefficient e of the
+digit-wise addition otherwise, and inv reads a^(q-2) off pow.  The
+interpolation matrix is the power table reflected and negated, row e the
+values -c^(q-1-e), with row 0 the indicator of c = 0: coefficient e of the
 interpolant of f is f(0) for e = 0 and -sum_a a^(q-1-e) f(a) for e >= 1.
+It is not stored; lagr_rows gathers the rows a transform needs from pow.
 add, mul and pow are filled in blocks of rows, so the build's temporaries
 stay near 2^16 entries.  make_field refuses q > TABLE_CAP.
 """
@@ -98,7 +99,7 @@ class Field:
     """Immutable field F_{p^r}; construct via make_field."""
 
     __slots__ = ("p", "r", "q", "modulus", "generator", "p_pows", "add_t",
-                 "mul_t", "neg_t", "inv_t", "pow_t", "lagr_t", "_red")
+                 "mul_t", "neg_t", "pow_t")
 
     def __init__(self, p: int, r: int, modulus: tuple[int, ...] | None):
         self.p = p
@@ -106,42 +107,34 @@ class Field:
         self.q = p**r
         self.modulus = modulus
         self.p_pows = np.array([p**i for i in range(r)], dtype=np.int64)
-        # digit vectors of z^r .. z^{2r-2} reduced mod m, used by _times_row
-        if r >= 2:
-            red = np.zeros((r - 1, r), dtype=np.int64)
-            cur = [(-modulus[i]) % p for i in range(r)]
-            for k in range(r - 1):
-                red[k] = cur
-                top = cur[r - 1]
-                cur = [0] + cur[: r - 1]
-                cur = [(cur[i] + top * red[0][i]) % p for i in range(r)]
-            self._red = red
-        else:
-            self._red = np.zeros((0, 1), dtype=np.int64)
+        self.p_pows.setflags(write=False)
         self._build_tables()
-        for name in ("p_pows", "_red"):
-            getattr(self, name).setflags(write=False)
 
     # -- table construction ---------------------------------------------
 
-    def _times_row(self, D: np.ndarray, g: int) -> np.ndarray:
+    def _times_row(self, D: np.ndarray, g: int,
+                   red: np.ndarray) -> np.ndarray:
         """Ranks of g * a for every rank a (D holds the digit rows of all
-        ranks): one digit convolution reduced modulo the modulus."""
+        ranks, red those of z^r .. z^{2r-2} mod m): one digit convolution
+        reduced modulo the modulus."""
         p, r = self.p, self.r
         conv = np.zeros((self.q, 2 * r - 1), dtype=np.int64)
         for i in range(r):
             if D[g, i]:
                 conv[:, i:i + r] += D[g, i] * D
         conv %= p
-        return ((conv[:, :r] + conv[:, r:] @ self._red) % p) @ self.p_pows
+        return ((conv[:, :r] + conv[:, r:] @ red) % p) @ self.p_pows
 
     def _exp_log(self, D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Set the smallest-rank primitive element as the generator and
         return exp (exp[i] = g^i, i < q-1) and log (log[exp[i]] = i; log[0]
         is 0 and callers overwrite what it reaches)."""
-        q = self.q
+        r, q = self.r, self.q
+        # digit vectors of z^r .. z^{2r-2} reduced mod m, for _times_row
+        red = np.array([_poly_rem([0] * (r + k) + [1], self.modulus, self.p)
+                        for k in range(r - 1)], dtype=np.int64).reshape(-1, r)
         for g in range(1, q):
-            row = self._times_row(D, g).tolist()
+            row = self._times_row(D, g, red).tolist()
             exp = [1]
             x = row[1]
             while x != 1 and len(exp) < q:  # bounded if m is reducible
@@ -157,8 +150,7 @@ class Field:
 
     def _build_tables(self) -> None:
         """Every table from one exp/log pair: add, mul and pow in blocks of
-        rows so that no temporary outgrows about 2^16 entries, and inv and
-        lagr_t read off pow_t."""
+        rows so that no temporary outgrows about 2^16 entries."""
         p, r, q = self.p, self.r, self.q
         ar = np.arange(q, dtype=np.int64)
         D = (ar[:, None] // self.p_pows[None, :]) % p
@@ -186,25 +178,28 @@ class Field:
         pow_t[0] = 0
         pow_t[:, 0] = 1
         neg_t = ((p - D) % p) @ self.p_pows
+        assert np.array_equal(mul_t[1], ar) and np.array_equal(add_t[0], ar)
         # a^(q-2) inverts a != 0 (at q = 2 that is pow_t[:, 0], all 1)
-        inv_t = pow_t[:, q - 2].copy()
-        inv_t[0] = 0
+        assert np.all(mul_t[ar[1:], pow_t[1:, q - 2]] == 1)
+        self.add_t = add_t
+        self.mul_t = mul_t
+        self.neg_t = neg_t
+        self.pow_t = pow_t
+        for name in ("add_t", "mul_t", "neg_t", "pow_t"):
+            getattr(self, name).setflags(write=False)
+
+    def lagr_rows(self, low: int = 0) -> np.ndarray:
+        """Rows low..q-1 of the interpolation matrix L, gathered from pow_t
+        on each call and never cached: coefficient e of the interpolant of
+        the values f(c) is sum_c L[e, c] f(c)."""
         # coefficient e of the basis poly 1 - (x - c)^(q-1) vanishing off c
         # is delta_(e,0) - C(q-1, e) (-c)^(q-1-e) = delta_(e,0) - c^(q-1-e),
         # as C(q-1, e) = (-1)^e mod p: the power table reflected and
         # negated, whose row 0 plus 1 is [c == 0]
-        lagr_t = neg_t[pow_t.T[::-1]]
-        lagr_t[0] = add_t[1, lagr_t[0]]
-        assert np.array_equal(mul_t[1], ar) and np.array_equal(add_t[0], ar)
-        assert np.all(mul_t[ar[1:], inv_t[1:]] == 1)
-        self.add_t = add_t
-        self.mul_t = mul_t
-        self.neg_t = neg_t
-        self.inv_t = inv_t
-        self.pow_t = pow_t
-        self.lagr_t = lagr_t
-        for name in ("add_t", "mul_t", "neg_t", "inv_t", "pow_t", "lagr_t"):
-            getattr(self, name).setflags(write=False)
+        rows = self.neg_t[self.pow_t.T[::-1][low:]]
+        if len(rows) == self.q:
+            rows[0] = self.add_t[1, rows[0]]
+        return rows
 
     # -- scalar arithmetic on ranks ---------------------------------------
 
@@ -232,7 +227,7 @@ class Field:
         a = self._check(a)
         if a == 0:
             raise DivisionByZero("zero has no multiplicative inverse")
-        return int(self.inv_t[a])
+        return int(self.pow_t[a, self.q - 2])
 
     def pow(self, a: int, k: int) -> int:
         """a^k for k >= 0, folding the exponent into [1, q-1] when k >= q."""

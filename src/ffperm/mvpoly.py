@@ -98,7 +98,7 @@ class MultiPoly:
         if self._coeffs is None:
             field = self.field
             arr = self._table.values.reshape((field.q,) * self.n)
-            arr = _transform(field, arr, field.lagr_t, self.n)
+            arr = _transform(field, arr, field.lagr_rows(), self.n)
             arr.setflags(write=False)
             self._coeffs = arr
         return self._coeffs
@@ -252,8 +252,10 @@ class MultiPoly:
         return int(self._values().reshape((field.q,) * self.n)[tuple(pt)])
 
     def __repr__(self) -> str:
-        return (f"MultiPoly(q={self.field.q}, n={self.n}, "
-                f"terms={len(np.flatnonzero(self.coeffs))})")
+        # counts terms only when they are held: repr never interpolates
+        held = ("table only" if self._coeffs is None
+                else f"terms={np.count_nonzero(self._coeffs)}")
+        return f"MultiPoly(q={self.field.q}, n={self.n}, {held})"
 
 
 # ---------------------------------------------------------------------------

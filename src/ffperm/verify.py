@@ -190,7 +190,7 @@ def scan_pp_degree_bound(field: Field, n: int, cap: int | None = None,
     tables = np.stack([t.copy() for t in _balanced_tables(q, n)])
     # interpolate all tables at once, one coefficient row per table
     coeffs = _transform(field, tables.T.reshape((q,) * n + (total,)),
-                        field.lagr_t, n).reshape(total, size)
+                        field.lagr_rows(), n).reshape(total, size)
     degsum = np.indices((q,) * n).sum(axis=0).reshape(-1)
     degs = np.where(coeffs != 0, degsum, -1).max(axis=1)
     hist = {int(d): int(c) for d, c in
@@ -223,10 +223,11 @@ def check_lemma_deg(field: Field) -> VerifyReport:
     sum(a * alpha_a) != 0.
 
     Interpolation is linear, so coefficient e of alpha's interpolant is
-    sum_a lagr_t[e, a] * alpha_a, and for e >= 1 ``lagr_t`` is the power
-    table reflected and negated, lagr_t[e, a] = -a^(q-1-e).  So row q-1 is
-    all -a^0 = -1 and row q-2 is -a, c_(q-1) = -sum(alpha_a) and
-    c_(q-2) = -sum(a * alpha_a) for all q^q tables, and the lemma follows.
+    sum_a L[e, a] * alpha_a for the rows L of ``field.lagr_rows()``, and
+    for e >= 1 L is the power table reflected and negated, L[e, a] =
+    -a^(q-1-e).  So row q-1 is all -a^0 = -1 and row q-2 is -a, c_(q-1) =
+    -sum(alpha_a) and c_(q-2) = -sum(a * alpha_a) for all q^q tables, and
+    the lemma follows.
     For q >= 3 the check reads these 2q entries (detail {"mode": "exact"});
     a failure names the first (row, rank) that differs.  At q = 2 row q-2
     is row 0, the indicator 1 + a of a = 0, so q = 2 rests on the
@@ -236,7 +237,7 @@ def check_lemma_deg(field: Field) -> VerifyReport:
     t0 = time.perf_counter()
     q = field.q
     detail, witness, points = {"mode": "exact"}, None, 2 * q
-    got = field.lagr_t[q - 2:]
+    got = field.lagr_rows(q - 2)
     want = np.stack([field.neg_t, np.full(q, field.neg_t[1])])
     bad = np.argwhere(got != want) if q >= 3 else ()
     if len(bad):
@@ -247,7 +248,7 @@ def check_lemma_deg(field: Field) -> VerifyReport:
         tables = np.array(list(itertools.product(range(q), repeat=q)),
                           dtype=np.int64)
         # coefficients q-2 and q-1 of every table's interpolant
-        low, top = _transform(field, tables.T, field.lagr_t[q - 2:], 1).T
+        low, top = _transform(field, tables.T, got, 1).T
         # degree q-2 iff the x^{q-1} coefficient vanishes and x^{q-2}'s not
         is_deg = (top == 0) & (low != 0)
         sum_alpha, sum_a_alpha = lemma_sums(field, tables)

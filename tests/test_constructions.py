@@ -8,9 +8,10 @@ from math import comb
 import numpy as np
 import pytest
 
-from ffperm import (BadDegree, FFPermError, MultiPoly, NoValidB, NotMaxLpp,
-                    UnsupportedField, assert_degree, build_family,
-                    indicator_poly, interpolate, is_lpp, is_pp, lpp_beta,
+from ffperm import (BadDegree, FFPermError, FieldMismatch, MultiPoly,
+                    NoValidB, NotMaxLpp, UnsupportedField, assert_degree,
+                    build_family, indicator_poly, interpolate, is_lpp, is_pp,
+                    lpp_beta,
                     lpp_chain, lpp_indicator, lpp_linear, lpp_max, lpp_power,
                     lpp_restrict, lpp_three, make_field, poly_build,
                     pp_alpha4, pp_dickson, pp_hn, pp_monomial, pp_product,
@@ -215,6 +216,22 @@ def test_pp_product_predicates():
         pp_product(F5, 1, "QNR", fy=poly_build(F5, 1, [((1,), 1)]))
     with pytest.raises(ValueError):
         pp_product(F5, 1, "WHATEVER")
+
+
+def test_pp_product_mersenne_refuses_g():
+    g = poly_build(F8, 2, [((7, 7), 1)])
+    with pytest.raises(ValueError, match="takes no g"):
+        pp_product(F8, 2, "MERSENNE", g=g)
+
+
+def test_pp_product_checks_the_field_before_the_degrees():
+    # a g of the wrong degree for F_5, a g of the right one, and an f(y),
+    # each over F_7
+    for kwargs in (dict(g=poly_build(F7, 1, [((3,), 1)])),
+                   dict(g=poly_build(F7, 1, [((2,), 1)])),
+                   dict(fy=t_poly(F7))):
+        with pytest.raises(FieldMismatch, match="over the given field"):
+            pp_product(F5, 1, "QNR", **kwargs)
 
 
 def test_pp_product_custom_fy():
@@ -679,9 +696,24 @@ def test_lpp_three_transforms_only_univariate_pieces(applied, variant, p, r):
 
 
 def test_lpp_power_build_interpolates_nothing(applied):
+    # every matrix applied is the evaluation table itself
     lpp_power(F7, 5)
     assert applied
-    assert not any(np.shares_memory(M, F7.lagr_t) for M, _ in applied)
+    assert all(np.shares_memory(M, F7.pow_t) for M, _ in applied)
+
+
+def test_repr_interpolates_nothing(applied):
+    # a table-only polynomial prints without its terms, and printing
+    # applies no matrix and caches no coefficients
+    polys = [interpolate(to_table(pp_hn(F5, 2))), lpp_three(F8, "C")]
+    applied.clear()
+    for f in polys:
+        assert repr(f) == f"MultiPoly(q={f.field.q}, n={f.n}, table only)"
+        assert f._coeffs is None
+    assert applied == []
+    f = polys[0]
+    assert repr(MultiPoly(F5, 2, f.coeffs)) == \
+        f"MultiPoly(q=5, n=2, terms={len(f.terms())})"
 
 
 # -- build_family dispatch ------------------------------------------------------------

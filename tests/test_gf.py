@@ -33,11 +33,14 @@ ALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
               (11, 1), (2, 4), (5, 2), (3, 3), (7, 2), (2, 6), (3, 4),
               (5, 3)]
 
-TABLES = ("add_t", "mul_t", "neg_t", "inv_t", "pow_t", "lagr_t")
+# the q x q gather tables a field holds
+SQUARE_TABLES = ("add_t", "mul_t", "pow_t")
 
 # sha256 of each table as C-order int64 bytes, with the generator and the
 # modulus; recorded from the convolution-built tables that the discrete-log
-# build replaced, so any change to a table shows here
+# build replaced, so any change to a table shows here.  "lagr_t" is the
+# full interpolation matrix, read through lagr_rows, and "inv_t" the
+# inverse column, read through inv with 0 at rank 0
 PINNED = {
     (3, 3): {
         "generator": 3,
@@ -203,8 +206,9 @@ def test_tables_match_oracle(p, r):
             assert field.add(a, b) == ref.add(a, b)
             assert field.sub(a, b) == ref.sub(a, b)
             assert field.mul(a, b) == ref.mul(a, b)
-    # pow_t[a, e] = a^e with 0^0 = 1; lagr_t[e, c] = delta_{e,0} -
+    # pow_t[a, e] = a^e with 0^0 = 1; lagr_rows()[e, c] = delta_{e,0} -
     # C(q-1, e) (-c)^{q-1-e}, the binomial taken from math.comb
+    lagr = field.lagr_rows()
     for a in range(q):
         x = 1
         pw = []
@@ -215,7 +219,7 @@ def test_tables_match_oracle(p, r):
         c = ref.neg(a)           # pw lists the powers of -c
         for e in range(q):
             term = ref.mul(comb(q - 1, e) % p, pw[q - 1 - e])
-            assert field.lagr_t[e, c] == ref.sub(int(e == 0), term), (e, c)
+            assert lagr[e, c] == ref.sub(int(e == 0), term), (e, c)
 
 
 @pytest.mark.parametrize("p,r", sorted(PINNED))
@@ -225,9 +229,40 @@ def test_tables_are_pinned(p, r):
     assert field.generator == want["generator"]
     assert (None if field.modulus is None else list(field.modulus)) \
         == want["modulus"]
-    for name in TABLES:
-        table = np.ascontiguousarray(getattr(field, name), dtype=np.int64)
+    arrays = {name: getattr(field, name) for name in SQUARE_TABLES}
+    arrays["neg_t"] = field.neg_t
+    arrays["inv_t"] = [0] + [field.inv(a) for a in range(1, field.q)]
+    arrays["lagr_t"] = field.lagr_rows()
+    assert set(arrays) == set(want) - {"generator", "modulus"}
+    for name, table in arrays.items():
+        table = np.ascontiguousarray(table, dtype=np.int64)
         assert hashlib.sha256(table.tobytes()).hexdigest() == want[name], name
+
+
+def test_field_holds_only_its_gather_tables():
+    # add_t, mul_t and pow_t are the only q x q arrays; the rest is O(q)
+    field = make_field(2, 10)
+    q = field.q
+    arrays = {name: getattr(field, name) for name in Field.__slots__
+              if isinstance(getattr(field, name), np.ndarray)}
+    assert {name for name, a in arrays.items()
+            if a.shape == (q, q)} == set(SQUARE_TABLES)
+    total = sum(a.nbytes for a in arrays.values())
+    assert 3 * 8 * q * q <= total <= 3 * 8 * q * q + 16 * q
+
+
+@pytest.mark.parametrize("p,r", [(2, 1), (3, 1), (2, 2), (3, 3)])
+def test_lagrange_rows_are_a_slice_of_the_full_matrix(p, r):
+    field = make_field(p, r)
+    full = field.lagr_rows()
+    assert full.shape == (field.q, field.q)
+    # slice semantics too: low = q gives no row, low < 0 counts from the end
+    for low in range(-field.q - 1, field.q + 2):
+        assert np.array_equal(field.lagr_rows(low), full[low:]), low
+    # made fresh on each call, never a view of a field table
+    held = [field.lagr_rows()] + [getattr(field, name) for name in
+                                  SQUARE_TABLES + ("neg_t",)]
+    assert not any(np.shares_memory(field.lagr_rows(), a) for a in held)
 
 
 def test_field_build_temporaries_are_bounded():
@@ -240,7 +275,7 @@ def test_field_build_temporaries_are_bounded():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        tables = sum(getattr(field, name).nbytes for name in TABLES)
+        tables = sum(getattr(field, name).nbytes for name in SQUARE_TABLES)
         assert peak <= tables + 4 * 2**20, (p, r, peak - tables)
 
 

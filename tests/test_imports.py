@@ -33,3 +33,48 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_package_imports_are_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# the build fills the field's tables; state that only these methods read
+# is build-only and is kept in locals, not slots
+BUILD = {"__init__", "_times_row", "_exp_log", "_build_tables"}
+
+
+def unread_field_slots(sources: list[str]) -> list[str]:
+    """Names in Field.__slots__ that no attribute load in sources reads
+    outside the BUILD methods of Field."""
+    slots, read = set(), set()
+    for source in sources:
+        tree = ast.parse(source)
+        skip = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == "Field":
+                for item in node.body:
+                    if (isinstance(item, ast.Assign)
+                            and getattr(item.targets[0], "id", "")
+                            == "__slots__"):
+                        slots.update(ast.literal_eval(item.value))
+                    elif (isinstance(item, ast.FunctionDef)
+                          and item.name in BUILD):
+                        skip.update(map(id, ast.walk(item)))
+        read.update(node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load)
+                    and id(node) not in skip)
+    return sorted(slots - read)
+
+
+def test_unread_field_slots_are_found():
+    source = ("class Field:\n    __slots__ = ('q', '_red', 'add_t')\n\n"
+              "    def __init__(self):\n        self._red = self.q\n"
+              "        self.add_t = self._red\n\n"
+              "    def add(self, a):\n        return self.add_t[a]\n")
+    assert unread_field_slots([source]) == ["_red", "q"]
+    assert unread_field_slots([source, "def f(x):\n    return x.q\n"]) \
+        == ["_red"]
+
+
+def test_every_field_slot_is_read_outside_the_build():
+    sources = [path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))]
+    assert unread_field_slots(sources) == []

@@ -45,11 +45,11 @@ def test_mat_apply_matches_oracle(monkeypatch, p, r, block):
     rng = np.random.default_rng(100 * p + r)
     q = F.q
     rand_m = rng.integers(0, q, size=(q, q))
-    # (k+1) x q matrices: the rows of lagr_t that give the top k+1
+    # (k+1) x q matrices: the interpolation rows that give the top k+1
     # coefficients, and a random one
-    corners = [F.lagr_t[q - 1 - k:] for k in sorted({0, 1, q - 2})]
+    corners = [F.lagr_rows(q - 1 - k) for k in sorted({0, 1, q - 2})]
     corners.append(rng.integers(0, q, size=(min(2, q - 1), q)))
-    for M in [F.pow_t, F.lagr_t, rand_m] + corners:
+    for M in [F.pow_t, F.lagr_rows(), rand_m] + corners:
         for A in shaped_inputs(rng, q):
             got = _kernels.mat_apply(M, A, F.add_t, F.mul_t)
             assert got.shape == (M.shape[0], A.shape[1])
@@ -61,10 +61,11 @@ def test_mat_apply_matches_oracle(monkeypatch, p, r, block):
 def test_mat_apply_temporaries_are_bounded(p, r, R):
     F = make_field(p, r)
     A = np.random.default_rng(R).integers(0, F.q, size=(F.q, R))
+    M = F.lagr_rows()
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        out = _kernels.mat_apply(F.lagr_t, A, F.add_t, F.mul_t)
+        out = _kernels.mat_apply(M, A, F.add_t, F.mul_t)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

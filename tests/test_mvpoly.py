@@ -337,8 +337,10 @@ TRANSFORM_CASES = [
 def test_transform_matches_naive_per_axis(p, r, kind, nvars, batch):
     field = make_field(p, r)
     q = field.q
-    # the corner slice lagr_t[q-k:], k = 2, has fewer rows than q > 2
-    M = field.lagr_t[q - 2:] if kind == "corner" else getattr(field, kind)
+    # "lagr_t" is the full interpolation matrix, and the corner its rows
+    # q-2 and q-1, fewer rows than q > 2
+    M = {"pow_t": field.pow_t, "lagr_t": field.lagr_rows(),
+         "corner": field.lagr_rows(q - 2)}[kind]
     rng = np.random.default_rng(q * 100 + nvars * 10 + len(batch))
     arr = rng.integers(0, q, size=(q,) * nvars + batch).astype(np.int64)
     got = _transform(field, arr, M, nvars)

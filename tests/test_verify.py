@@ -148,7 +148,8 @@ def test_assert_degree_equals_full_readout(family_polys):
 
 def test_assert_degree_leaves_coefficients_cached(monkeypatch):
     # a table-only polynomial is interpolated once, with the full q x q
-    # lagr_t, so reading coeffs after the check applies no transform
+    # interpolation matrix, so reading coeffs after the check applies no
+    # transform
     from ffperm import _kernels
     polys = [interpolate(to_table(pp_hn(field, n)))
              for field in (F3, F4, F5, F9) for n in (1, 2, 3)]
@@ -300,17 +301,18 @@ def unit_table_top_coeffs(ref):
                                  (3, 2), (2, 4), (5, 2), (3, 3), (2, 5),
                                  (3, 5), (3, 6), (2, 10)])
 def test_lagrange_rows_meet_the_lemma(p, r):
-    # rows q-1 and q-2 of lagr_t are -1 and -a, as the oracle's unit tables
-    # say; column a of lagr_t interpolates the unit table e_a, so columns
-    # 0, 1 and q-1 are checked in full against the oracle; reading every
-    # unit table costs O(q^2) naive field products, so above q = 32 the
-    # top coefficients come from the Vieta reading it checks up to 32
+    # rows q-1 and q-2 of the interpolation matrix are -1 and -a, as the
+    # oracle's unit tables say; its column a interpolates the unit table
+    # e_a, so columns 0, 1 and q-1 are checked in full against the oracle;
+    # reading every unit table costs O(q^2) naive field products, so above
+    # q = 32 the top coefficients come from the Vieta reading it checks up
+    # to 32
     field = make_field(p, r)
     ref, q = naive_of(field), field.q
+    lagr = field.lagr_rows()
     for a in (0, 1, q - 1):
         unit = [int(b == a) for b in range(q)]
-        assert field.lagr_t[:, a].tolist() == naive_interp_univariate(ref,
-                                                                      unit)
+        assert lagr[:, a].tolist() == naive_interp_univariate(ref, unit)
     top = unit_table_top_coeffs(ref)
     if q <= 32:
         for a in range(q):
@@ -318,18 +320,29 @@ def test_lagrange_rows_meet_the_lemma(p, r):
                                                    for b in range(q)])
             assert (coeffs[q - 1], coeffs[q - 2]) == top[a]
     assert top == [(ref.neg(1), ref.neg(a)) for a in range(q)]
-    assert field.lagr_t[q - 1].tolist() == [c for c, _ in top]
-    assert field.lagr_t[q - 2].tolist() == [c for _, c in top]
+    assert lagr[q - 1].tolist() == [c for c, _ in top]
+    assert lagr[q - 2].tolist() == [c for _, c in top]
     assert check_lemma_deg(field).ok
 
 
+class Spoiled(Field):
+    """A field whose interpolation rows have 1 added at each (row, rank) of
+    ``entries``."""
+
+    __slots__ = ("entries",)
+
+    def lagr_rows(self, low=0):
+        rows = super().lagr_rows()
+        for e, c in self.entries:
+            rows[e, c] = self.add(int(rows[e, c]), 1)
+        return rows[low:]
+
+
 def spoiled(p, r, *entries):
-    """A fresh F_{p^r} whose lagr_t has 1 added at each (row, rank)."""
-    field = Field(p, r, make_field(p, r).modulus)
-    lagr = field.lagr_t.copy()
-    for e, c in entries:
-        lagr[e, c] = field.add(int(lagr[e, c]), 1)
-    field.lagr_t = lagr
+    """A fresh F_{p^r} whose interpolation rows have 1 added at each (row,
+    rank)."""
+    field = Spoiled(p, r, make_field(p, r).modulus)
+    field.entries = entries
     return field
 
 
@@ -351,8 +364,9 @@ def test_lemma_deg_enumeration_agrees_with_rows(p, r):
     q = field.q
     rep = check_lemma_deg(field)
     assert rep.ok and rep.detail["mode"] == "exhaustive"
-    assert field.lagr_t[q - 1].tolist() == [field.neg(1)] * q
-    assert field.lagr_t[q - 2].tolist() == [field.neg(a) for a in range(q)]
+    assert field.lagr_rows(q - 1).tolist() == [[field.neg(1)] * q]
+    assert field.lagr_rows(q - 2)[0].tolist() == [field.neg(a)
+                                                  for a in range(q)]
     rep = check_lemma_deg(spoiled(p, r, (q - 1, 1)))
     assert not rep.ok and rep.detail == {"mode": "exact"}
 
@@ -360,7 +374,7 @@ def test_lemma_deg_enumeration_agrees_with_rows(p, r):
 def test_lemma_deg_q2_rests_on_the_enumeration():
     # at q = 2 row 0 reads 1 + a, so no row check runs; a spoiled top row
     # is caught by the enumeration of the four tables
-    assert make_field(2).lagr_t.tolist() == [[1, 0], [1, 1]]
+    assert make_field(2).lagr_rows().tolist() == [[1, 0], [1, 1]]
     rep = check_lemma_deg(spoiled(2, 1, (1, 0)))
     assert not rep.ok
     assert rep.detail["mode"] == "exhaustive"
@@ -373,7 +387,7 @@ def test_lemma_deg_q2_rests_on_the_enumeration():
 def test_lemma_sums_match_the_oracle(p, r):
     field = make_field(p, r)
     ref, q = naive_of(field), field.q
-    tables = np.concatenate([field.mul_t, field.pow_t, field.lagr_t])
+    tables = np.concatenate([field.mul_t, field.pow_t, field.lagr_rows()])
     got = verify.lemma_sums(field, tables)
     for k, alpha in enumerate(tables.tolist()):
         s_alpha = s_a_alpha = 0
