@@ -17,8 +17,11 @@ interpolation matrix is the power table reflected and negated, row e the
 values -c^(q-1-e), with row 0 the indicator of c = 0: coefficient e of the
 interpolant of f is f(0) for e = 0 and -sum_a a^(q-1-e) f(a) for e >= 1.
 It is not stored; lagr_rows gathers the rows a transform needs from pow.
-add, mul and pow are filled in blocks of rows, so the build's temporaries
-stay near 2^16 entries.  make_field refuses q > TABLE_CAP.
+A full transform (mvpoly._transform) is a DFT over F_q^* whose stages read
+the generator's row exp = pow[g, :q-1] on each call; the dense q x q
+matrices, pow itself and lagr_rows(), are its one-stage plan.  add, mul
+and pow are filled in blocks of rows, so the build's temporaries stay near
+2^16 entries.  make_field refuses q > TABLE_CAP.
 """
 
 from functools import lru_cache

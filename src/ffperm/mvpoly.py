@@ -9,8 +9,9 @@ each other, so a MultiPoly lives in two domains and holds either or both:
 - the value-table domain, a FuncTable listing f at every point of F_q^n in
   the same rank order.
 
-Whichever is missing is computed on first use (one q x q field matrix per
-axis, see _transform) and cached.  Ring operations, substitution,
+Whichever is missing is computed on first use (one transform per axis: a
+DFT over F_q^*, or the dense q x q gather that is its one-stage plan; see
+_transform) and cached.  Ring operations, substitution,
 extension and composition act pointwise on value tables and return
 table-only polynomials, and evaluate reads the table; poly_build, terms,
 degrees and JSON work on coefficients; leading_terms scans only the top
@@ -98,7 +99,7 @@ class MultiPoly:
         if self._coeffs is None:
             field = self.field
             arr = self._table.values.reshape((field.q,) * self.n)
-            arr = _transform(field, arr, field.lagr_rows(), self.n)
+            arr = _transform(field, arr, True, self.n)
             arr.setflags(write=False)
             self._coeffs = arr
         return self._coeffs
@@ -107,7 +108,7 @@ class MultiPoly:
         """Flat value table in point-rank order, evaluated on first use."""
         if self._table is None:
             field = self.field
-            vals = _transform(field, self._coeffs, field.pow_t, self.n)
+            vals = _transform(field, self._coeffs, False, self.n)
             self._table = FuncTable(field, self.n, vals)
         return self._table.values
 
@@ -435,21 +436,128 @@ def points(field: Field, n: int):
     return itertools.product(field.elements(), repeat=n)
 
 
-def _transform(field: Field, arr: np.ndarray, M: np.ndarray,
-               nvars: int | None = None) -> np.ndarray:
-    """Apply the m x q field matrix M along the first nvars axes of a
-    (q,)*nvars + batch tensor and return the batch + (m,)*nvars result.
+# The multi-stage plan runs only where it saves at least this many lookups
+# over the dense gather (q per nonzero row and column): below that, its
+# fixed cost of 40-80 us per stage outweighs the saving.  Timed per dense
+# axis on a 2-core x86 VM, the plan breaks even near R = 100 at q = 16 and
+# near R = 20 at q = 27, and wins at R = 1 from q = 64 on; this value puts
+# the switch at R = 128, 26 and 2 there, and keeps every axis with R = 1
+# at q <= 64 on the gather.
+_DFT_MIN = 1 << 12
+# What a stage of the plan costs beyond its p x p matrix (twiddle gather,
+# rotating copy, and a share of the entry and exit gathers), in rows of the
+# dense gather: a plan over the radices costs sum(p + _STAGE_ROWS) rows.
+# Fitted on whole dense axes, where it keeps q = 7, 9, 13 and 17 (radices
+# of 2 and 3 only) on the gather, which was as fast or faster there.
+_STAGE_ROWS = 3
 
-    Each step transforms the leading axis and rotates it to the back, so
-    after nvars steps the batch axes lead and the transformed axes follow
-    in their original order."""
+
+def _radices(m: int) -> list[int]:
+    """The prime factors of m >= 1, smallest first, with multiplicity."""
+    out, d = [], 2
+    while d * d <= m:
+        while m % d == 0:
+            out.append(d)
+            m //= d
+        d += 1
+    return out + [m] if m > 1 else out
+
+
+def _dft(field: Field, A: np.ndarray, inverse: bool,
+         radices: list[int]) -> np.ndarray:
+    """The full evaluation (inverse False) or interpolation matrix applied
+    to the (q, R) array A, as a mixed-radix DFT of length q-1 over F_q^*;
+    radices multiply to q-1.  Equal to mat_apply of pow_t or lagr_rows().
+
+    With g the generator and exp[i] = g^i, evaluation at g^k is
+    c_0 + sum_(j<q-1) c'_j g^(jk) where c'_0 = c_(q-1) and c'_j = c_j
+    otherwise; c_0 rides in c'_0, as it adds to every value.  Interpolation
+    is the DFT X in g^(-1) of the values f(g^j): c_0 = f(0),
+    c_e = -X[e] for 0 < e < q-1 and c_(q-1) = -(f(0) + X[0]).
+
+    With w the root (g or g^(-1)), the stage of radix p splits the index
+    it works on as j = j_p * m + j' (m the product of the later radices,
+    P of the earlier ones), contracts the leading digit j_p with the p x p
+    matrix w^((q-1)/p * j_p * k_p) in one mat_apply, multiplies by the
+    twiddles w^(P * j' * k_p) in place through mul_t, and rotates the
+    digit k_p to the back; frequency k is the sum of k_p * P.  No stage
+    reorders its input; one gather at the end reads each output row from
+    where its frequency landed, and the only other copies are the entry
+    gather (rows in DFT order) and one rotation per stage."""
+    q, N = field.q, field.q - 1
+    add_f, mul_f = field.add_t.ravel(), field.mul_t.ravel()
+    exp = field.pow_t[field.generator, :N]
+    sign = -1 if inverse else 1
+    if inverse:
+        t = A[exp]
+    else:
+        t = A[np.r_[N, 1:N]]
+        t[0] = add_f[q * t[0] + A[0]]
+    done = 1
+    for n in radices:
+        k = np.arange(n)
+        M = exp[sign * (N // n) * np.outer(k, k) % N]
+        rest = N // (done * n)
+        if inverse and rest == 1:
+            M = field.neg_t[M]      # the last stage negates every X[e]
+        t = _kernels.mat_apply(M, t.reshape(n, -1), field.add_t, field.mul_t)
+        if rest > 1:
+            v = t.reshape(n, rest, -1)
+            v *= q
+            v += exp[sign * done * np.outer(k, np.arange(rest)) % N, None]
+            mul_f.take(v, out=v, mode="clip")
+            del v                   # so that no stage holds three arrays
+            t = np.ascontiguousarray(t.reshape(n, -1).T)
+        done *= n
+    # t holds (k_s, R, k_1, ..., k_(s-1)) in C order
+    if inverse:
+        freq = np.r_[0, 1:N, 0]
+    else:
+        freq = np.zeros(q, dtype=np.int64)
+        freq[exp] = np.arange(N)
+    pos, place = np.zeros_like(freq), 1
+    for n in radices[:-1]:
+        pos = pos * n + freq // place % n
+        place *= n
+    out = t.reshape(radices[-1], A.shape[1], place)[freq // place, :, pos]
+    out[0] = A[0]
+    if inverse:
+        out[N] = add_f[q * field.neg_t[A[0]] + out[N]]
+    return out
+
+
+def _transform(field: Field, arr: np.ndarray, inverse: bool,
+               nvars: int | None = None, low: int = 0) -> np.ndarray:
+    """Apply rows low..q-1 of the evaluation matrix pow_t (inverse False)
+    or of the interpolation matrix lagr_rows() along the first nvars axes
+    of a (q,)*nvars + batch tensor; returns the batch + (q-low,)*nvars
+    result.
+
+    A full transform (low 0) of an axis runs as the mixed-radix DFT _dft
+    when q-1 is composite and the DFT saves at least _DFT_MIN lookups:
+    the dense gather costs q per nonzero row and column of the axis, the
+    DFT sum(p + _STAGE_ROWS) rows over its radices p.  Otherwise, and for
+    a corner (low > 0), the axis takes one dense mat_apply of the matrix
+    rows, which are gathered once per call.  Each step transforms the
+    leading axis and rotates it to the back, so after nvars steps the batch
+    axes lead and the transformed axes follow in their original order."""
     k = arr.ndim if nvars is None else nvars
     batch = arr.shape[k:]
+    q = field.q
+    radices = _radices(q - 1) if low == 0 else []
+    cost = sum(radices) + _STAGE_ROWS * len(radices)
+    dense = None
     t = arr
     for _ in range(k):
-        t = _kernels.mat_apply(M, t.reshape(field.q, -1), field.add_t,
-                               field.mul_t).T
-    return np.ascontiguousarray(t).reshape(batch + (M.shape[0],) * k)
+        A = t.reshape(q, -1)
+        if (len(radices) > 1 and (np.count_nonzero(A.any(axis=1)) - cost)
+                * A.size >= _DFT_MIN):
+            t = _dft(field, A, inverse, radices).T
+            continue
+        if dense is None:
+            dense = field.lagr_rows(low) if inverse else field.pow_t[low:]
+        t = _kernels.mat_apply(dense, A, field.add_t, field.mul_t).T
+    return np.ascontiguousarray(t).reshape(batch + (q - low,) * k)
 
 
 def to_table(f: MultiPoly, cap: int | None = None) -> FuncTable:

@@ -26,11 +26,11 @@ whose workload exceeds a cap are reported as skipped, not failed.
 
 from collections.abc import Callable
 from dataclasses import dataclass, field as dc_field
-from math import factorial
+from math import factorial, gcd
 
 from . import constructions as cons
 from . import verify as vf
-from .errors import CapExceeded, FFPermError, UnsupportedField
+from .errors import CapExceeded, FFPermError, NoValidB, UnsupportedField
 from .gf import Field, make_field
 from .mvpoly import MultiPoly, lead_degree, to_table
 
@@ -108,8 +108,17 @@ def _build(spec: Spec, field: Field, n: int, prev: MultiPoly | None):
     The suites' power cells take k = 1, so b = n."""
     if spec.family == "lpp_restrict":
         return cons.lpp_restrict(prev), {}
-    b = n if spec.family == "lpp_power" else None
-    return cons.build_family(spec.family, field, n=n, b=b)
+    if spec.family != "lpp_power":
+        return cons.build_family(spec.family, field, n=n)
+    try:
+        return cons.build_family(spec.family, field, n=n, b=n)
+    except NoValidB as e:
+        # an override's n is the block size, so name the n this field admits
+        fits = [b for b in range(2, field.p - 1) if gcd(b, field.q - 1) == 1]
+        hint = (f"try --n {fits[0]}" if fits
+                else f"no n fits 1 < n < {field.p - 1}")
+        raise NoValidB(f"{e}: {spec.family} cells take b = n; on "
+                       f"F_{field.q} {hint}") from e
 
 
 def _fill(row: Row, spec: Spec, field: Field, prev: MultiPoly | None):

@@ -190,7 +190,7 @@ def scan_pp_degree_bound(field: Field, n: int, cap: int | None = None,
     tables = np.stack([t.copy() for t in _balanced_tables(q, n)])
     # interpolate all tables at once, one coefficient row per table
     coeffs = _transform(field, tables.T.reshape((q,) * n + (total,)),
-                        field.lagr_rows(), n).reshape(total, size)
+                        True, n).reshape(total, size)
     degsum = np.indices((q,) * n).sum(axis=0).reshape(-1)
     degs = np.where(coeffs != 0, degsum, -1).max(axis=1)
     hist = {int(d): int(c) for d, c in
@@ -248,7 +248,7 @@ def check_lemma_deg(field: Field) -> VerifyReport:
         tables = np.array(list(itertools.product(range(q), repeat=q)),
                           dtype=np.int64)
         # coefficients q-2 and q-1 of every table's interpolant
-        low, top = _transform(field, tables.T, got, 1).T
+        low, top = _transform(field, tables.T, True, 1, q - 2).T
         # degree q-2 iff the x^{q-1} coefficient vanishes and x^{q-2}'s not
         is_deg = (top == 0) & (low != 0)
         sum_alpha, sum_a_alpha = lemma_sums(field, tables)

@@ -350,6 +350,20 @@ def test_check_override_without_a_row_exit_2(capsys, args):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("p,n,hint", [("13", None, "try --n 5"),
+                                      ("7", "3", "try --n 5"),
+                                      ("3", None, "no n fits")])
+def test_check_power_override_names_the_n_it_admits(capsys, p, n, hint):
+    # thm4.3 builds lpp_power with b = n; a refused n names one that fits
+    args = ("--suite", "thm4.3", "--p", p) + (("--n", n) if n else ())
+    rc, out, err = check_main(capsys, *args)
+    assert rc == 2 and out == "" and hint in err
+    if hint.startswith("try "):
+        rc, out, _ = check_main(capsys, "--suite", "thm4.3", "--p", p,
+                                *hint.split()[1:])
+        assert rc == 0 and out.endswith("failed=0 skipped=0\n")
+
+
 def test_check_override_stays_on_its_field(capsys):
     rc, out, _ = check_main(capsys, "--suite", "thm4.3", "--p", "5",
                             "--r", "2")

@@ -695,11 +695,26 @@ def test_lpp_three_transforms_only_univariate_pieces(applied, variant, p, r):
     assert applied and all(cols == 1 for _, (_, cols) in applied)
 
 
-def test_lpp_power_build_interpolates_nothing(applied):
-    # every matrix applied is the evaluation table itself
+@pytest.fixture
+def transforms(monkeypatch):
+    """(inverse, shape of arr) for every table transform MultiPoly makes."""
+    from ffperm import mvpoly
+    calls = []
+    real = mvpoly._transform
+
+    def recording(field, arr, inverse, *rest):
+        calls.append((inverse, arr.shape))
+        return real(field, arr, inverse, *rest)
+
+    monkeypatch.setattr(mvpoly, "_transform", recording)
+    return calls
+
+
+def test_lpp_power_build_interpolates_nothing(transforms):
+    # the univariate pieces are evaluated, and nothing is interpolated
     lpp_power(F7, 5)
-    assert applied
-    assert all(np.shares_memory(M, F7.pow_t) for M, _ in applied)
+    assert transforms
+    assert all(not inverse for inverse, _ in transforms)
 
 
 def test_repr_interpolates_nothing(applied):

@@ -1,11 +1,15 @@
-"""The numpy kernels on hand-made inputs and against the naive oracle."""
+"""The numpy kernels on hand-made inputs and against the naive oracle,
+and the per-axis transform (dense gather or mixed-radix DFT) against
+them."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from ffperm import _kernels, make_field
+from ffperm import _kernels, make_field, mvpoly
+from ffperm.gf import TABLE_CAP, _is_prime
+from ffperm.mvpoly import _dft, _radices, _transform
 from oracle import NaiveField
 
 ORACLE_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (2, 3)]
@@ -71,6 +75,135 @@ def test_mat_apply_temporaries_are_bounded(p, r, R):
         tracemalloc.stop()
     # a full q x R int64 temporary alone is 32 * 65536 bytes at q=64
     assert peak <= out.nbytes + 32 * max(R, _kernels._BLOCK)
+
+
+# every field the tables admit: 198 prime powers, 192 of them with q - 1
+# composite, where the transform has a multi-stage plan
+PRIME_POWERS = [(p, r) for p in range(2, TABLE_CAP + 1) if _is_prime(p)
+                for r in range(1, TABLE_CAP.bit_length())
+                if p**r <= TABLE_CAP]
+
+
+def dense_gather(F, A, inverse):
+    """The one-stage plan: the full interpolation or evaluation matrix."""
+    M = F.lagr_rows() if inverse else F.pow_t
+    return _kernels.mat_apply(M, A, F.add_t, F.mul_t)
+
+
+def test_dft_matches_the_dense_gather_on_every_field():
+    assert len(PRIME_POWERS) == 198
+    multi = 0
+    for p, r in PRIME_POWERS:
+        F = make_field(p, r)
+        q = F.q
+        radices = _radices(q - 1)
+        assert np.prod(radices, dtype=np.int64) == q - 1
+        A = np.random.default_rng(q).integers(0, q, size=(q, 2))
+        for inverse in (False, True):
+            want = dense_gather(F, A, inverse)
+            # the plan _transform picks, and the multi-stage plan itself
+            assert np.array_equal(_transform(F, A, inverse, 1).T, want)
+            if len(radices) > 1:
+                assert np.array_equal(_dft(F, A, inverse, radices), want), q
+        multi += len(radices) > 1
+    assert multi == 192
+
+
+@pytest.mark.parametrize("p,r", ORACLE_FIELDS + [(7, 1), (2, 4), (3, 3),
+                                                 (2, 6)])
+def test_dft_on_shaped_inputs(p, r):
+    # all zero, one and two nonzero rows, dense, R = 0 and 1, and zero
+    # columns, against the dense gather and, on the oracle fields, the
+    # naive sum; q - 1 prime has no multi-stage plan
+    F = make_field(p, r)
+    q = F.q
+    rng = np.random.default_rng(7 * q)
+    A = rng.integers(0, q, size=(q, 6))
+    A[:, 1::2] = 0
+    nf = NaiveField(p, None if F.modulus is None else tuple(F.modulus))
+    radices = _radices(q - 1)
+    for A in shaped_inputs(rng, q) + [A]:
+        for inverse in (False, True):
+            want = dense_gather(F, A, inverse)
+            if (p, r) in ORACLE_FIELDS:
+                M = F.lagr_rows() if inverse else F.pow_t
+                assert want.tolist() == naive_mat_apply(nf, M.tolist(),
+                                                        A.tolist())
+            if len(radices) > 1:
+                got = _dft(F, A, inverse, radices)
+                assert got.shape == A.shape and got.dtype == np.int64
+                assert np.array_equal(got, want)
+
+
+@pytest.fixture
+def staged(monkeypatch):
+    """The (q, R) shape of every axis that runs the multi-stage plan."""
+    calls = []
+    real = mvpoly._dft
+
+    def recording(field, A, inverse, radices):
+        calls.append(A.shape)
+        return real(field, A, inverse, radices)
+
+    monkeypatch.setattr(mvpoly, "_dft", recording)
+    return calls
+
+
+def test_plan_switches_at_the_cutoff(staged):
+    # q = 64, radices 3 3 7: the plan costs 13 + 3 * _STAGE_ROWS rows, and
+    # runs where (nonzero rows - cost) * q * R reaches _DFT_MIN, so one
+    # axis of each pair lies on each side of the cutoff
+    F = make_field(2, 6)
+    q = F.q
+    cost = 13 + 3 * mvpoly._STAGE_ROWS
+    wide = -(-mvpoly._DFT_MIN // ((q - cost) * q))   # fewest columns
+    rng = np.random.default_rng(64)
+    cases = [(wide - 1, q, False), (wide, q, True),
+             (4096, cost, False), (4096, cost + 1, True)]
+    for R, rows, multi in cases:
+        A = rng.integers(1, q, size=(q, R))
+        A[rows:] = 0
+        for inverse in (False, True):
+            staged.clear()
+            got = _transform(F, A, inverse, 1).T
+            assert staged == ([(q, R)] if multi else []), (R, rows)
+            assert np.array_equal(got, dense_gather(F, A, inverse))
+
+
+def test_prime_and_small_axes_take_the_dense_gather(staged):
+    # q - 1 prime (q = 2, 3, 4, 8, 32, 128) has no multi-stage plan, and
+    # an R = 1 axis at q <= 27 never saves _DFT_MIN lookups
+    for p, r, R in [(2, 1, 4096), (2, 5, 1024), (2, 7, 64), (3, 3, 1),
+                    (5, 2, 1), (2, 4, 1)]:
+        F = make_field(p, r)
+        A = np.random.default_rng(R).integers(1, F.q, size=(F.q, R))
+        for inverse in (False, True):
+            got = _transform(F, A, inverse, 1).T
+            assert np.array_equal(got, dense_gather(F, A, inverse))
+    assert staged == []
+
+
+@pytest.mark.parametrize("p,r,R", [(2, 6, 4096), (2, 10, 1024)])
+def test_dft_temporaries_are_bounded(staged, p, r, R):
+    F = make_field(p, r)
+    q = F.q
+    A = np.random.default_rng(R).integers(0, q, size=(q, R))
+    unit = q * R * 8                 # bytes of one q x R int64 array
+    for inverse in (False, True):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            _transform(F, A, inverse, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # between stages one q x R array lives; a stage of radix p adds its
+        # output and mat_apply's temporaries, which the mat_apply test
+        # bounds by 32 bytes per entry of a (p, q R / p) input row, and the
+        # smallest radix here is 3 (63 = 3*3*7, 1023 = 3*11*31); the exit
+        # gather and the contiguous result hold two arrays
+        assert peak <= 2 * unit + 32 * max(q * R // 3, _kernels._BLOCK)
+    assert len(staged) == 2
 
 
 def test_lpp_scan_reports_lowest_witness():

@@ -339,17 +339,18 @@ def test_transform_matches_naive_per_axis(p, r, kind, nvars, batch):
     q = field.q
     # "lagr_t" is the full interpolation matrix, and the corner its rows
     # q-2 and q-1, fewer rows than q > 2
-    M = {"pow_t": field.pow_t, "lagr_t": field.lagr_rows(),
-         "corner": field.lagr_rows(q - 2)}[kind]
+    inverse, low = {"pow_t": (False, 0), "lagr_t": (True, 0),
+                    "corner": (True, q - 2)}[kind]
+    M = field.lagr_rows(low) if inverse else field.pow_t
     rng = np.random.default_rng(q * 100 + nvars * 10 + len(batch))
     arr = rng.integers(0, q, size=(q,) * nvars + batch).astype(np.int64)
-    got = _transform(field, arr, M, nvars)
+    got = _transform(field, arr, inverse, nvars, low)
     # batch axes first, then the transformed axes in their original order
     assert got.shape == batch + (M.shape[0],) * nvars
     assert got.flags.c_contiguous
     assert np.array_equal(got, naive_transform(field, arr, M, nvars))
     if not batch:
-        assert np.array_equal(_transform(field, arr, M), got)
+        assert np.array_equal(_transform(field, arr, inverse, low=low), got)
 
 
 def test_interpolate_univariate_matches_naive():

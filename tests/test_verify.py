@@ -208,6 +208,28 @@ def test_scan_3_2():
     assert rep.detail["max_degree"] == 3 == rep.detail["bound"]
 
 
+def test_scan_7_1_through_the_multi_stage_plan(monkeypatch):
+    # q - 1 = 6 = 2 * 3 is composite: with the plan's costs zeroed, all
+    # 5040 tables interpolate through the DFT, and the report is unchanged
+    from ffperm import mvpoly
+    want = scan_pp_degree_bound(F7, 1)
+    assert want.ok and want.detail["tables"] == 5040
+    assert want.detail["max_degree"] == 5 == want.detail["bound"]
+    staged = []
+    real = mvpoly._dft
+
+    def recording(f, A, inverse, radices):
+        staged.append((A.shape, inverse, radices))
+        return real(f, A, inverse, radices)
+
+    monkeypatch.setattr(mvpoly, "_STAGE_ROWS", 0)
+    monkeypatch.setattr(mvpoly, "_DFT_MIN", 0)
+    monkeypatch.setattr(mvpoly, "_dft", recording)
+    got = scan_pp_degree_bound(F7, 1)
+    assert staged == [((7, 5040), True, [2, 3])]
+    assert got.ok and got.detail == want.detail
+
+
 def test_scan_counts_match_formula():
     # number of balanced tables is (q^n)! / ((q^(n-1))!)^q
     from math import factorial
