@@ -133,7 +133,7 @@ def _product_constant(field: Field, variant: str,
     else:
         raise ValueError(f"unknown variant {variant!r}")
     # d divides q-1 in both variants, so some element is not a d-th power
-    powers = set(field.pow_t[:, d].tolist())
+    powers = set(field.powers(np.arange(field.q), d).tolist())
     if a_or_alpha is None:
         return d, min(set(field.elements()) - powers)
     a = field._check(a_or_alpha)

@@ -7,23 +7,20 @@ itself.  The modulus is the first monic irreducible of degree r when the
 coefficient vectors are ordered by that same base-p rank, so a given (p, r)
 always yields the same field, the same element order and the same tables.
 
-Fields carry dense q x q lookup tables (add, mul, pow) that the array
-kernels gather from, built eagerly from discrete logs: the generator is
-the smallest-rank primitive element, found by walking the powers of each
-candidate with its multiply-by-g row, and the walk gives exp and log.  Then
-mul is exp[log a + log b], pow is exp[e log a], add is XOR for p = 2 and
-digit-wise addition otherwise, and inv reads a^(q-2) off pow.  The
-interpolation matrix is the power table reflected and negated, row e the
-values -c^(q-1-e), with row 0 the indicator of c = 0: coefficient e of the
-interpolant of f is f(0) for e = 0 and -sum_a a^(q-1-e) f(a) for e >= 1.
-It is not stored; lagr_rows gathers the rows a transform needs from pow.
-A full transform (mvpoly._transform) is a DFT over F_q^* whose stages read
-the generator's row exp = pow[g, :q-1] on each call; the dense q x q
-matrices, pow itself and lagr_rows(), are its one-stage plan.  add, mul
-and pow are filled in blocks of rows, so the build's temporaries stay near
-2^16 entries.  make_field refuses q > TABLE_CAP.
+Fields carry two dense q x q lookup tables, add and mul, that the array
+kernels gather from, and three length-q arrays: neg, exp and log.  The
+generator is the smallest-rank primitive element, found by walking the
+powers of each candidate with its multiply-by-g row, and the walk gives
+exp (exp[i] = g^i) and log.  mul is exp[log a + log b], add is XOR for
+p = 2 and digit-wise addition otherwise, and powers reads a^k as
+exp[(log a * k) mod (q-1)], which also serves pow and inv.  add and mul
+are filled in blocks of rows, so the build's temporaries stay near 2^16
+entries.  No power or interpolation matrix is stored: mvpoly makes them
+from exp and log when a transform needs them.  make_field refuses
+q > TABLE_CAP.
 """
 
+import operator
 from functools import lru_cache
 from math import isqrt
 
@@ -33,6 +30,11 @@ from .errors import (CapExceeded, DivisionByZero, FieldMismatch,
                      NoIrreducibleFound, NotPrime)
 
 TABLE_CAP = 1024
+
+
+def fold_exp(e: int, q: int) -> int:
+    """Reduce a single exponent modulo the relation x^q = x."""
+    return e if e < q else (e - 1) % (q - 1) + 1
 
 
 def _is_prime(m: int) -> bool:
@@ -102,7 +104,7 @@ class Field:
     """Immutable field F_{p^r}; construct via make_field."""
 
     __slots__ = ("p", "r", "q", "modulus", "generator", "p_pows", "add_t",
-                 "mul_t", "neg_t", "pow_t")
+                 "mul_t", "neg_t", "exp", "log")
 
     def __init__(self, p: int, r: int, modulus: tuple[int, ...] | None):
         self.p = p
@@ -152,8 +154,8 @@ class Field:
         raise NoIrreducibleFound("multiplicative group has no generator")
 
     def _build_tables(self) -> None:
-        """Every table from one exp/log pair: add, mul and pow in blocks of
-        rows so that no temporary outgrows about 2^16 entries."""
+        """Every table from one exp/log pair: add and mul in blocks of rows
+        so that no temporary outgrows about 2^16 entries."""
         p, r, q = self.p, self.r, self.q
         ar = np.arange(q, dtype=np.int64)
         D = (ar[:, None] // self.p_pows[None, :]) % p
@@ -162,12 +164,9 @@ class Field:
         block = max(1, 2**16 // q)
         add_t = np.empty((q, q), dtype=np.int64)
         mul_t = np.empty((q, q), dtype=np.int64)
-        pow_t = np.empty((q, q), dtype=np.int64)
         for lo in range(0, q, block):
             hi = min(q, lo + block)
-            la = log[lo:hi, None]
-            mul_t[lo:hi] = exp2[la + log]
-            pow_t[lo:hi] = exp[la * ar % (q - 1)]
+            mul_t[lo:hi] = exp2[log[lo:hi, None] + log]
             if p == 2:
                 add_t[lo:hi] = ar[lo:hi, None] ^ ar
             else:
@@ -175,34 +174,18 @@ class Field:
                 acc[:] = 0
                 for i in range(r):
                     acc += (D[lo:hi, i, None] + D[:, i]) % p * self.p_pows[i]
-        # zero has no log: 0 * b = 0, 0^e = 0 for e >= 1, and a^0 = 1
+        # zero has no log: 0 * b = 0
         mul_t[0] = 0
         mul_t[:, 0] = 0
-        pow_t[0] = 0
-        pow_t[:, 0] = 1
         neg_t = ((p - D) % p) @ self.p_pows
         assert np.array_equal(mul_t[1], ar) and np.array_equal(add_t[0], ar)
-        # a^(q-2) inverts a != 0 (at q = 2 that is pow_t[:, 0], all 1)
-        assert np.all(mul_t[ar[1:], pow_t[1:, q - 2]] == 1)
         self.add_t = add_t
         self.mul_t = mul_t
         self.neg_t = neg_t
-        self.pow_t = pow_t
-        for name in ("add_t", "mul_t", "neg_t", "pow_t"):
+        self.exp = np.append(exp, 1)        # g^(q-1) = 1
+        self.log = log
+        for name in ("add_t", "mul_t", "neg_t", "exp", "log"):
             getattr(self, name).setflags(write=False)
-
-    def lagr_rows(self, low: int = 0) -> np.ndarray:
-        """Rows low..q-1 of the interpolation matrix L, gathered from pow_t
-        on each call and never cached: coefficient e of the interpolant of
-        the values f(c) is sum_c L[e, c] f(c)."""
-        # coefficient e of the basis poly 1 - (x - c)^(q-1) vanishing off c
-        # is delta_(e,0) - C(q-1, e) (-c)^(q-1-e) = delta_(e,0) - c^(q-1-e),
-        # as C(q-1, e) = (-1)^e mod p: the power table reflected and
-        # negated, whose row 0 plus 1 is [c == 0]
-        rows = self.neg_t[self.pow_t.T[::-1][low:]]
-        if len(rows) == self.q:
-            rows[0] = self.add_t[1, rows[0]]
-        return rows
 
     # -- scalar arithmetic on ranks ---------------------------------------
 
@@ -227,19 +210,27 @@ class Field:
         return int(self.mul_t[a, b])
 
     def inv(self, a: int) -> int:
-        a = self._check(a)
-        if a == 0:
+        if self._check(a) == 0:
             raise DivisionByZero("zero has no multiplicative inverse")
-        return int(self.pow_t[a, self.q - 2])
+        return self.pow(a, self.q - 2)
 
     def pow(self, a: int, k: int) -> int:
-        """a^k for k >= 0, folding the exponent into [1, q-1] when k >= q."""
-        a = self._check(a)
+        """a^k for an integer k >= 0, with 0^0 = 1."""
+        return int(self.powers(self._check(a), k))
+
+    def powers(self, a, k: int) -> np.ndarray:
+        """a^k for the ranks a (an int or an array of them), read off exp and
+        log as exp[(log a * k) mod (q-1)], with 0^0 = 1 and 0^k = 0.
+
+        k is read with operator.index, so a bool counts as 0 or 1 as in
+        pow(), and folded into [1, q-1] when k >= q; a non-integral or
+        negative k raises ValueError."""
+        k = operator.index(k) if hasattr(k, "__index__") else -1
         if k < 0:
-            raise ValueError("exponent must be nonnegative")
-        if k >= self.q:
-            k = (k - 1) % (self.q - 1) + 1
-        return int(self.pow_t[a, k])
+            raise ValueError("exponent must be a nonnegative integer")
+        k = fold_exp(k, self.q)
+        return np.where(a == 0, int(k == 0),
+                        self.exp[self.log[a] * k % (self.q - 1)])
 
     def from_int(self, m: int) -> int:
         """Embed an ordinary integer as the constant m mod p."""

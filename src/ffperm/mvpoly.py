@@ -11,11 +11,14 @@ each other, so a MultiPoly lives in two domains and holds either or both:
 
 Whichever is missing is computed on first use (one transform per axis: a
 DFT over F_q^*, or the dense q x q gather that is its one-stage plan; see
-_transform) and cached.  Ring operations, substitution,
-extension and composition act pointwise on value tables and return
-table-only polynomials, and evaluate reads the table; poly_build, terms,
-degrees and JSON work on coefficients; leading_terms scans only the top
-corner of the coefficient tensor that can hold its answer.  Exponents
+_transform) and cached.  This module alone knows the interpolation
+formula: _dense_matrix makes both one-stage matrices from the field's exp
+and log on each call, and _dft runs the same maps stage by stage.  Ring
+operations, substitution, extension and composition act pointwise on value
+tables and return table-only polynomials, and evaluate reads the table;
+poly_build, terms, degrees and JSON work on coefficients; leading_terms
+scans only the top corner of the coefficient tensor that can hold its
+answer.  Exponents
 e >= q fold to ((e - 1) mod (q - 1)) + 1, which keeps x^0 and x^{q-1}
 distinct and makes the correspondence one-to-one.
 
@@ -33,12 +36,7 @@ from . import _kernels
 from .caps import point_cap
 from .errors import (CapExceeded, FieldMismatch, IndexOutOfRange,
                      VariableCountMismatch)
-from .gf import Field
-
-
-def fold_exp(e: int, q: int) -> int:
-    """Reduce a single exponent modulo the relation x^q = x."""
-    return e if e < q else (e - 1) % (q - 1) + 1
+from .gf import Field, fold_exp
 
 
 def _exponents(nz: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -209,11 +207,7 @@ class MultiPoly:
         return self._tabled(self.field.mul_t[self._values(), other._values()])
 
     def __pow__(self, k: int) -> "MultiPoly":
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        # a^k == a^fold(k) for every a in F_q, and pow_t[a, 0] == 1
-        return self._tabled(
-            self.field.pow_t[self._values(), fold_exp(k, self.field.q)])
+        return self._tabled(self.field.powers(self._values(), k))
 
     def __eq__(self, other) -> bool:
         # tables and reduced polynomials correspond one to one
@@ -463,11 +457,32 @@ def _radices(m: int) -> list[int]:
     return out + [m] if m > 1 else out
 
 
+def _dense_matrix(field: Field, inverse: bool) -> np.ndarray:
+    """The full evaluation matrix E (inverse False) or interpolation matrix
+    L, made from exp and log on each call and never cached.
+
+    E[c, e] = c^e, with 0^0 = 1: the values of f at the points c are
+    E @ coeffs.  Coefficient e of the interpolant of the values f(c) is
+    sum_c L[e, c] f(c): the basis poly 1 - (x - c)^(q-1) vanishing off c
+    has coefficient delta_(e,0) - C(q-1, e) (-c)^(q-1-e) = delta_(e,0) -
+    c^(q-1-e), as C(q-1, e) = (-1)^e mod p, so L is E reflected and
+    negated, with 1 added to row 0."""
+    q = field.q
+    E = np.multiply.outer(field.log, np.arange(q))
+    E %= q - 1
+    E = field.exp[E]
+    E[0, 1:] = 0            # log[0] = 0 made row 0 all 1; 0^e = 0 for e > 0
+    if inverse:
+        E = field.neg_t[E.T[::-1]]
+        E[0] = field.add_t[1, E[0]]
+    return E
+
+
 def _dft(field: Field, A: np.ndarray, inverse: bool,
          radices: list[int]) -> np.ndarray:
     """The full evaluation (inverse False) or interpolation matrix applied
     to the (q, R) array A, as a mixed-radix DFT of length q-1 over F_q^*;
-    radices multiply to q-1.  Equal to mat_apply of pow_t or lagr_rows().
+    radices multiply to q-1.  Equal to mat_apply of _dense_matrix.
 
     With g the generator and exp[i] = g^i, evaluation at g^k is
     c_0 + sum_(j<q-1) c'_j g^(jk) where c'_0 = c_(q-1) and c'_j = c_j
@@ -486,7 +501,7 @@ def _dft(field: Field, A: np.ndarray, inverse: bool,
     gather (rows in DFT order) and one rotation per stage."""
     q, N = field.q, field.q - 1
     add_f, mul_f = field.add_t.ravel(), field.mul_t.ravel()
-    exp = field.pow_t[field.generator, :N]
+    exp = field.exp[:N]
     sign = -1 if inverse else 1
     if inverse:
         t = A[exp]
@@ -527,24 +542,23 @@ def _dft(field: Field, A: np.ndarray, inverse: bool,
 
 
 def _transform(field: Field, arr: np.ndarray, inverse: bool,
-               nvars: int | None = None, low: int = 0) -> np.ndarray:
-    """Apply rows low..q-1 of the evaluation matrix pow_t (inverse False)
-    or of the interpolation matrix lagr_rows() along the first nvars axes
-    of a (q,)*nvars + batch tensor; returns the batch + (q-low,)*nvars
-    result.
+               nvars: int | None = None) -> np.ndarray:
+    """Apply the evaluation matrix (inverse False) or the interpolation
+    matrix of _dense_matrix along the first nvars axes of a
+    (q,)*nvars + batch tensor; returns the batch + (q,)*nvars result.
 
-    A full transform (low 0) of an axis runs as the mixed-radix DFT _dft
-    when q-1 is composite and the DFT saves at least _DFT_MIN lookups:
-    the dense gather costs q per nonzero row and column of the axis, the
-    DFT sum(p + _STAGE_ROWS) rows over its radices p.  Otherwise, and for
-    a corner (low > 0), the axis takes one dense mat_apply of the matrix
-    rows, which are gathered once per call.  Each step transforms the
-    leading axis and rotates it to the back, so after nvars steps the batch
-    axes lead and the transformed axes follow in their original order."""
+    An axis runs as the mixed-radix DFT _dft when q-1 is composite and the
+    DFT saves at least _DFT_MIN lookups: the dense gather costs q per
+    nonzero row and column of the axis, the DFT sum(p + _STAGE_ROWS) rows
+    over its radices p.  Otherwise the axis takes one dense mat_apply of
+    the matrix, which is made at most once per call.  Each step transforms
+    the leading axis and rotates it to the back, so after nvars steps the
+    batch axes lead and the transformed axes follow in their original
+    order."""
     k = arr.ndim if nvars is None else nvars
     batch = arr.shape[k:]
     q = field.q
-    radices = _radices(q - 1) if low == 0 else []
+    radices = _radices(q - 1)
     cost = sum(radices) + _STAGE_ROWS * len(radices)
     dense = None
     t = arr
@@ -555,9 +569,9 @@ def _transform(field: Field, arr: np.ndarray, inverse: bool,
             t = _dft(field, A, inverse, radices).T
             continue
         if dense is None:
-            dense = field.lagr_rows(low) if inverse else field.pow_t[low:]
+            dense = _dense_matrix(field, inverse)
         t = _kernels.mat_apply(dense, A, field.add_t, field.mul_t).T
-    return np.ascontiguousarray(t).reshape(batch + (q - low,) * k)
+    return np.ascontiguousarray(t).reshape(batch + (q,) * k)
 
 
 def to_table(f: MultiPoly, cap: int | None = None) -> FuncTable:

@@ -11,7 +11,7 @@ from . import _kernels
 from .caps import scan_cap
 from .errors import CapExceeded
 from .gf import Field
-from .mvpoly import (MultiPoly, _check_points, _transform,
+from .mvpoly import (MultiPoly, _check_points, _dense_matrix, _transform,
                      compose_univariate, lead_degree, monomial, to_table)
 from .univ import h_polys, t_poly, transposition
 
@@ -223,21 +223,22 @@ def check_lemma_deg(field: Field) -> VerifyReport:
     sum(a * alpha_a) != 0.
 
     Interpolation is linear, so coefficient e of alpha's interpolant is
-    sum_a L[e, a] * alpha_a for the rows L of ``field.lagr_rows()``, and
-    for e >= 1 L is the power table reflected and negated, L[e, a] =
-    -a^(q-1-e).  So row q-1 is all -a^0 = -1 and row q-2 is -a, c_(q-1) =
-    -sum(alpha_a) and c_(q-2) = -sum(a * alpha_a) for all q^q tables, and
-    the lemma follows.
+    sum_a L[e, a] * alpha_a for the interpolation matrix L of
+    ``mvpoly._dense_matrix``, and for e >= 1 L is the power table
+    reflected and negated, L[e, a] = -a^(q-1-e).  So row q-1 is all
+    -a^0 = -1 and row q-2 is -a, c_(q-1) = -sum(alpha_a) and c_(q-2) =
+    -sum(a * alpha_a) for all q^q tables, and the lemma follows.
     For q >= 3 the check reads these 2q entries (detail {"mode": "exact"});
     a failure names the first (row, rank) that differs.  At q = 2 row q-2
     is row 0, the indicator 1 + a of a = 0, so q = 2 rests on the
     enumeration of all q^q tables, which runs as a cross-check for q <= 5
-    (detail {"mode": "exhaustive"}) and computes only those two rows.
+    (detail {"mode": "exhaustive"}): it interpolates every table in full
+    and reads coefficients q-2 and q-1.
     """
     t0 = time.perf_counter()
     q = field.q
     detail, witness, points = {"mode": "exact"}, None, 2 * q
-    got = field.lagr_rows(q - 2)
+    got = _dense_matrix(field, True)[q - 2:]
     want = np.stack([field.neg_t, np.full(q, field.neg_t[1])])
     bad = np.argwhere(got != want) if q >= 3 else ()
     if len(bad):
@@ -248,7 +249,7 @@ def check_lemma_deg(field: Field) -> VerifyReport:
         tables = np.array(list(itertools.product(range(q), repeat=q)),
                           dtype=np.int64)
         # coefficients q-2 and q-1 of every table's interpolant
-        low, top = _transform(field, tables.T, True, 1, q - 2).T
+        low, top = _transform(field, tables.T, True, 1)[:, q - 2:].T
         # degree q-2 iff the x^{q-1} coefficient vanishes and x^{q-2}'s not
         is_deg = (top == 0) & (low != 0)
         sum_alpha, sum_a_alpha = lemma_sums(field, tables)

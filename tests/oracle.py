@@ -181,6 +181,20 @@ def naive_interp_univariate(field: NaiveField, values) -> list[int]:
     return coeffs
 
 
+def naive_transform_matrices(field: NaiveField):
+    """The evaluation matrix E[c][e] = c^e (0^0 = 1), by repeated
+    multiplication, and the interpolation matrix L[e][c]: E reflected and
+    negated, with 1 added to row 0, so L[e][c] = [e = 0] - c^(q-1-e)."""
+    q = field.q
+    E = [[1] * q for _ in range(q)]
+    for c in range(q):
+        for e in range(1, q):
+            E[c][e] = field.mul(E[c][e - 1], c)
+    L = [[field.neg(E[c][q - 1 - e]) for c in range(q)] for e in range(q)]
+    L[0] = [field.add(1, v) for v in L[0]]
+    return E, L
+
+
 def naive_degree(coeffs) -> int:
     deg = -1
     for i, c in enumerate(coeffs):

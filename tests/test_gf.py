@@ -10,6 +10,7 @@ import pytest
 
 from ffperm import (CapExceeded, Field, FieldMismatch, NotPrime,
                     field_from_json, make_field)
+from ffperm.mvpoly import _dense_matrix
 from oracle import NaiveField
 
 # canonical modulus = first monic irreducible in base-p rank order
@@ -34,13 +35,14 @@ ALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
               (5, 3)]
 
 # the q x q gather tables a field holds
-SQUARE_TABLES = ("add_t", "mul_t", "pow_t")
+SQUARE_TABLES = ("add_t", "mul_t")
 
 # sha256 of each table as C-order int64 bytes, with the generator and the
 # modulus; recorded from the convolution-built tables that the discrete-log
-# build replaced, so any change to a table shows here.  "lagr_t" is the
-# full interpolation matrix, read through lagr_rows, and "inv_t" the
-# inverse column, read through inv with 0 at rank 0
+# build replaced, so any change to a table shows here.  "pow_t" and
+# "lagr_t" are the full evaluation and interpolation matrices that
+# mvpoly._dense_matrix makes, and "inv_t" the inverse column, read through
+# inv with 0 at rank 0
 PINNED = {
     (3, 3): {
         "generator": 3,
@@ -206,20 +208,27 @@ def test_tables_match_oracle(p, r):
             assert field.add(a, b) == ref.add(a, b)
             assert field.sub(a, b) == ref.sub(a, b)
             assert field.mul(a, b) == ref.mul(a, b)
-    # pow_t[a, e] = a^e with 0^0 = 1; lagr_rows()[e, c] = delta_{e,0} -
-    # C(q-1, e) (-c)^{q-1-e}, the binomial taken from math.comb
-    lagr = field.lagr_rows()
+    # exp[i] = g^i and log inverts it; the evaluation matrix E[a, e] = a^e
+    # with 0^0 = 1, as pow and powers read it; the interpolation matrix
+    # L[e, c] = delta_{e,0} - C(q-1, e) (-c)^{q-1-e}, the binomial taken
+    # from math.comb
+    x = 1
+    for i in range(q):
+        assert field.exp[i] == x and (i == q - 1 or field.log[x] == i), i
+        x = ref.mul(x, field.generator)
+    E, L = _dense_matrix(field, False), _dense_matrix(field, True)
     for a in range(q):
         x = 1
         pw = []
         for e in range(q):
-            assert field.pow_t[a, e] == x, (a, e)
+            assert E[a, e] == field.pow(a, e) == x, (a, e)
             pw.append(x)
             x = ref.mul(x, a)
+        assert field.powers(np.arange(q), a).tolist() == E[:, a].tolist()
         c = ref.neg(a)           # pw lists the powers of -c
         for e in range(q):
             term = ref.mul(comb(q - 1, e) % p, pw[q - 1 - e])
-            assert lagr[e, c] == ref.sub(int(e == 0), term), (e, c)
+            assert L[e, c] == ref.sub(int(e == 0), term), (e, c)
 
 
 @pytest.mark.parametrize("p,r", sorted(PINNED))
@@ -232,7 +241,8 @@ def test_tables_are_pinned(p, r):
     arrays = {name: getattr(field, name) for name in SQUARE_TABLES}
     arrays["neg_t"] = field.neg_t
     arrays["inv_t"] = [0] + [field.inv(a) for a in range(1, field.q)]
-    arrays["lagr_t"] = field.lagr_rows()
+    arrays["pow_t"] = _dense_matrix(field, False)
+    arrays["lagr_t"] = _dense_matrix(field, True)
     assert set(arrays) == set(want) - {"generator", "modulus"}
     for name, table in arrays.items():
         table = np.ascontiguousarray(table, dtype=np.int64)
@@ -240,29 +250,40 @@ def test_tables_are_pinned(p, r):
 
 
 def test_field_holds_only_its_gather_tables():
-    # add_t, mul_t and pow_t are the only q x q arrays; the rest is O(q)
+    # add_t and mul_t are the only q x q arrays; neg_t, exp and log are
+    # read-only length-q arrays, and the rest is O(r)
     field = make_field(2, 10)
     q = field.q
+    assert Field.__slots__[-3:] == ("neg_t", "exp", "log")
     arrays = {name: getattr(field, name) for name in Field.__slots__
               if isinstance(getattr(field, name), np.ndarray)}
     assert {name for name, a in arrays.items()
             if a.shape == (q, q)} == set(SQUARE_TABLES)
+    for name in ("neg_t", "exp", "log"):
+        assert arrays[name].shape == (q,) and not arrays[name].flags.writeable
     total = sum(a.nbytes for a in arrays.values())
-    assert 3 * 8 * q * q <= total <= 3 * 8 * q * q + 16 * q
+    assert 2 * 8 * q * q <= total <= 2 * 8 * q * q + 32 * q
 
 
 @pytest.mark.parametrize("p,r", [(2, 1), (3, 1), (2, 2), (3, 3)])
-def test_lagrange_rows_are_a_slice_of_the_full_matrix(p, r):
+def test_transform_matrices_are_made_per_call(p, r):
+    # each call makes a fresh matrix, never a view of a field table, and
+    # the interpolation matrix inverts the evaluation matrix
     field = make_field(p, r)
-    full = field.lagr_rows()
-    assert full.shape == (field.q, field.q)
-    # slice semantics too: low = q gives no row, low < 0 counts from the end
-    for low in range(-field.q - 1, field.q + 2):
-        assert np.array_equal(field.lagr_rows(low), full[low:]), low
-    # made fresh on each call, never a view of a field table
-    held = [field.lagr_rows()] + [getattr(field, name) for name in
-                                  SQUARE_TABLES + ("neg_t",)]
-    assert not any(np.shares_memory(field.lagr_rows(), a) for a in held)
+    q = field.q
+    for inverse in (False, True):
+        M = _dense_matrix(field, inverse)
+        assert M.shape == (q, q) and M.flags.writeable
+        held = [_dense_matrix(field, inverse)] + [
+            getattr(field, name) for name in
+            SQUARE_TABLES + ("neg_t", "exp", "log")]
+        assert not any(np.shares_memory(M, a) for a in held)
+    E, L = _dense_matrix(field, False), _dense_matrix(field, True)
+    add_f, mul_f = field.add_t, field.mul_t
+    prod = np.zeros((q, q), dtype=np.int64)
+    for k in range(q):          # prod = L @ E over F_q
+        prod = add_f[prod, mul_f[L[:, k, None], E[k]]]
+    assert np.array_equal(prod, np.eye(q, dtype=np.int64))
 
 
 def test_field_build_temporaries_are_bounded():

@@ -1,6 +1,7 @@
 """The numpy kernels on hand-made inputs and against the naive oracle,
 and the per-axis transform (dense gather or mixed-radix DFT) against
-them."""
+them.  The reference matrices are built by repeated multiplication, never
+from the field's exp and log."""
 
 import tracemalloc
 
@@ -9,8 +10,8 @@ import pytest
 
 from ffperm import _kernels, make_field, mvpoly
 from ffperm.gf import TABLE_CAP, _is_prime
-from ffperm.mvpoly import _dft, _radices, _transform
-from oracle import NaiveField
+from ffperm.mvpoly import _dense_matrix, _dft, _radices, _transform
+from oracle import NaiveField, naive_transform_matrices
 
 ORACLE_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (2, 3)]
 
@@ -49,11 +50,12 @@ def test_mat_apply_matches_oracle(monkeypatch, p, r, block):
     rng = np.random.default_rng(100 * p + r)
     q = F.q
     rand_m = rng.integers(0, q, size=(q, q))
+    E, L = map(np.array, naive_transform_matrices(nf))
     # (k+1) x q matrices: the interpolation rows that give the top k+1
     # coefficients, and a random one
-    corners = [F.lagr_rows(q - 1 - k) for k in sorted({0, 1, q - 2})]
+    corners = [L[q - 1 - k:] for k in sorted({0, 1, q - 2})]
     corners.append(rng.integers(0, q, size=(min(2, q - 1), q)))
-    for M in [F.pow_t, F.lagr_rows(), rand_m] + corners:
+    for M in [E, L, rand_m] + corners:
         for A in shaped_inputs(rng, q):
             got = _kernels.mat_apply(M, A, F.add_t, F.mul_t)
             assert got.shape == (M.shape[0], A.shape[1])
@@ -65,7 +67,7 @@ def test_mat_apply_matches_oracle(monkeypatch, p, r, block):
 def test_mat_apply_temporaries_are_bounded(p, r, R):
     F = make_field(p, r)
     A = np.random.default_rng(R).integers(0, F.q, size=(F.q, R))
-    M = F.lagr_rows()
+    M = reference_matrices(F)[1]
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -84,13 +86,30 @@ PRIME_POWERS = [(p, r) for p in range(2, TABLE_CAP + 1) if _is_prime(p)
                 if p**r <= TABLE_CAP]
 
 
+def reference_matrices(F):
+    """The evaluation matrix E[c, e] = c^e (0^0 = 1), one column at a time
+    by repeated multiplication through mul_t, and the interpolation matrix:
+    E reflected and negated, with 1 added to row 0."""
+    q = F.q
+    ar = np.arange(q)
+    E = np.ones((q, q), dtype=np.int64)
+    for e in range(1, q):
+        E[:, e] = F.mul_t[E[:, e - 1], ar]
+    L = F.neg_t[E.T[::-1]]
+    L[0] = F.add_t[1, L[0]]
+    return E, L
+
+
 def dense_gather(F, A, inverse):
-    """The one-stage plan: the full interpolation or evaluation matrix."""
-    M = F.lagr_rows() if inverse else F.pow_t
+    """The reference matrix of the direction applied to A."""
+    M = reference_matrices(F)[inverse]
     return _kernels.mat_apply(M, A, F.add_t, F.mul_t)
 
 
 def test_dft_matches_the_dense_gather_on_every_field():
+    # both plans against the reference: the one-stage plan's matrices
+    # themselves, and the multi-stage plan and the plan _transform picks
+    # on a random input
     assert len(PRIME_POWERS) == 198
     multi = 0
     for p, r in PRIME_POWERS:
@@ -99,9 +118,9 @@ def test_dft_matches_the_dense_gather_on_every_field():
         radices = _radices(q - 1)
         assert np.prod(radices, dtype=np.int64) == q - 1
         A = np.random.default_rng(q).integers(0, q, size=(q, 2))
-        for inverse in (False, True):
-            want = dense_gather(F, A, inverse)
-            # the plan _transform picks, and the multi-stage plan itself
+        for inverse, M in zip((False, True), reference_matrices(F)):
+            assert np.array_equal(_dense_matrix(F, inverse), M), q
+            want = _kernels.mat_apply(M, A, F.add_t, F.mul_t)
             assert np.array_equal(_transform(F, A, inverse, 1).T, want)
             if len(radices) > 1:
                 assert np.array_equal(_dft(F, A, inverse, radices), want), q
@@ -126,9 +145,8 @@ def test_dft_on_shaped_inputs(p, r):
         for inverse in (False, True):
             want = dense_gather(F, A, inverse)
             if (p, r) in ORACLE_FIELDS:
-                M = F.lagr_rows() if inverse else F.pow_t
-                assert want.tolist() == naive_mat_apply(nf, M.tolist(),
-                                                        A.tolist())
+                M = naive_transform_matrices(nf)[inverse]
+                assert want.tolist() == naive_mat_apply(nf, M, A.tolist())
             if len(radices) > 1:
                 got = _dft(F, A, inverse, radices)
                 assert got.shape == A.shape and got.dtype == np.int64
@@ -204,6 +222,22 @@ def test_dft_temporaries_are_bounded(staged, p, r, R):
         # gather and the contiguous result hold two arrays
         assert peak <= 2 * unit + 32 * max(q * R // 3, _kernels._BLOCK)
     assert len(staged) == 2
+
+
+def test_dense_matrix_temporaries_are_bounded():
+    # the one-stage matrices are made on each call; neither build holds
+    # more than two q x q int64 arrays at once
+    F = make_field(2, 10)
+    q = F.q
+    for inverse in (False, True):
+        tracemalloc.start()
+        try:
+            M = _dense_matrix(F, inverse)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert M.shape == (q, q)
+        assert peak <= 2 * 8 * q * q + 2**20, (inverse, peak)
 
 
 def test_lpp_scan_reports_lowest_witness():

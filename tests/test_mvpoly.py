@@ -9,12 +9,13 @@ import pytest
 
 from ffperm import (CapExceeded, FieldMismatch, MultiPoly, VariableCountMismatch,
                     compose_univariate, interpolate, make_field, points,
-                    poly_build, poly_from_json, poly_to_json, to_table)
+                    poly_build, poly_from_json, poly_to_json, t_poly,
+                    to_table)
 from ffperm.constructions import lpp_beta
 from ffperm.mvpoly import (FuncTable, _transform, constant, extend,
                            fold_exp, monomial, variable, zero)
 from oracle import (SMALL_FIELDS, NaiveField, naive_eval, naive_poly_build,
-                    naive_poly_mul)
+                    naive_poly_mul, naive_transform_matrices)
 
 
 def naive_of(field):
@@ -247,6 +248,30 @@ def test_pow_matches_repeated_naive_mul(p, r, n):
             acc = naive_poly_mul(ref, n, acc, f_terms)
 
 
+@pytest.mark.parametrize("p,r", [(2, 1), (5, 1), (2, 10)])
+def test_exponents_are_read_as_integers(p, r):
+    # Field.pow and ** share one check and one fold: a bool counts as 0 or
+    # 1 as in pow(), a numpy integer is an integer, and a non-integral or
+    # negative exponent raises ValueError (at q = 2, q - 1 = 1)
+    field = make_field(p, r)
+    q = field.q
+    f = t_poly(field)
+    one = constant(field, 1, 1)
+    assert f**True == f and f**False == one
+    assert f**np.int64(2) == f * f and f**np.int64(q) == f
+    assert f**(2**70) == f**fold_exp(2**70, q)
+    for a in (0, 1, q - 1):
+        assert field.pow(a, True) == a and field.pow(a, False) == 1
+        assert field.pow(a, np.int64(2)) == field.mul(a, a)
+        assert field.pow(a, np.uint16(q - 1)) == int(a != 0)
+    assert field.inv(q - 1) == field.pow(q - 1, q - 2)
+    for k in (2.0, np.float64(2), -1, np.int64(-1), -2**70, "2", None):
+        with pytest.raises(ValueError):
+            f**k
+        with pytest.raises(ValueError):
+            field.pow(1, k)
+
+
 def test_cross_field_and_arity_errors():
     f5, f7 = make_field(5), make_field(7)
     a = variable(f5, 1, 0)
@@ -337,20 +362,23 @@ TRANSFORM_CASES = [
 def test_transform_matches_naive_per_axis(p, r, kind, nvars, batch):
     field = make_field(p, r)
     q = field.q
-    # "lagr_t" is the full interpolation matrix, and the corner its rows
-    # q-2 and q-1, fewer rows than q > 2
-    inverse, low = {"pow_t": (False, 0), "lagr_t": (True, 0),
-                    "corner": (True, q - 2)}[kind]
-    M = field.lagr_rows(low) if inverse else field.pow_t
+    # "pow_t" is the full evaluation matrix and "lagr_t" the full
+    # interpolation matrix, both built by the oracle; "corner" reads
+    # coefficients q-2 and q-1 of every axis off a full interpolation,
+    # against the oracle's interpolation rows q-2 and q-1 alone
+    E, L = map(np.array, naive_transform_matrices(naive_of(field)))
+    inverse, M = {"pow_t": (False, E), "lagr_t": (True, L),
+                  "corner": (True, L[q - 2:])}[kind]
     rng = np.random.default_rng(q * 100 + nvars * 10 + len(batch))
     arr = rng.integers(0, q, size=(q,) * nvars + batch).astype(np.int64)
-    got = _transform(field, arr, inverse, nvars, low)
+    got = _transform(field, arr, inverse, nvars)
     # batch axes first, then the transformed axes in their original order
-    assert got.shape == batch + (M.shape[0],) * nvars
+    assert got.shape == batch + (q,) * nvars
     assert got.flags.c_contiguous
-    assert np.array_equal(got, naive_transform(field, arr, M, nvars))
     if not batch:
-        assert np.array_equal(_transform(field, arr, inverse, low=low), got)
+        assert np.array_equal(_transform(field, arr, inverse), got)
+    got = got[(...,) + (slice(q - len(M), None),) * nvars]
+    assert np.array_equal(got, naive_transform(field, arr, M, nvars))
 
 
 def test_interpolate_univariate_matches_naive():
@@ -373,7 +401,7 @@ def test_large_field_univariate_roundtrips(p, r):
     q = field.q
     for e in (1, q - 2, q - 1):
         tbl = to_table(monomial(field, 1, (e,)))
-        assert np.array_equal(tbl.values, field.pow_t[:, e])
+        assert np.array_equal(tbl.values, field.powers(np.arange(q), e))
         assert interpolate(tbl).terms() == [((e,), 1)]
 
 

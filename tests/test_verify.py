@@ -8,9 +8,9 @@ from ffperm import (CapExceeded, MultiPoly, UnsupportedField, assert_degree,
                     check_identities, check_lemma_deg, conjecture_fn, is_lpp,
                     is_pp, lpp_beta, make_field, poly_build, points, pp_hn,
                     preimage_counts, scan_pp_degree_bound, t_poly, to_table)
-from ffperm import verify
-from ffperm.gf import Field
-from ffperm.mvpoly import constant, interpolate, monomial, variable, FuncTable
+from ffperm import mvpoly, verify
+from ffperm.mvpoly import (FuncTable, _dense_matrix, constant, interpolate,
+                           monomial, variable)
 from oracle import NaiveField, naive_eval, naive_interp_univariate, naive_degree
 
 F3 = make_field(3)
@@ -331,7 +331,7 @@ def test_lagrange_rows_meet_the_lemma(p, r):
     # to 32
     field = make_field(p, r)
     ref, q = naive_of(field), field.q
-    lagr = field.lagr_rows()
+    lagr = _dense_matrix(field, True)
     for a in (0, 1, q - 1):
         unit = [int(b == a) for b in range(q)]
         assert lagr[:, a].tolist() == naive_interp_univariate(ref, unit)
@@ -347,57 +347,60 @@ def test_lagrange_rows_meet_the_lemma(p, r):
     assert check_lemma_deg(field).ok
 
 
-class Spoiled(Field):
-    """A field whose interpolation rows have 1 added at each (row, rank) of
-    ``entries``."""
+@pytest.fixture
+def spoil(monkeypatch):
+    """spoil(*entries) adds 1 at each (row, rank) of every interpolation
+    matrix that mvpoly._dense_matrix makes, where check_lemma_deg and the
+    transform read it."""
+    real = mvpoly._dense_matrix
 
-    __slots__ = ("entries",)
+    def apply(*entries):
+        def spoiled(field, inverse):
+            M = real(field, inverse)
+            if inverse:
+                for e, c in entries:
+                    M[e, c] = field.add(int(M[e, c]), 1)
+            return M
 
-    def lagr_rows(self, low=0):
-        rows = super().lagr_rows()
-        for e, c in self.entries:
-            rows[e, c] = self.add(int(rows[e, c]), 1)
-        return rows[low:]
-
-
-def spoiled(p, r, *entries):
-    """A fresh F_{p^r} whose interpolation rows have 1 added at each (row,
-    rank)."""
-    field = Spoiled(p, r, make_field(p, r).modulus)
-    field.entries = entries
-    return field
+        monkeypatch.setattr(mvpoly, "_dense_matrix", spoiled)
+        monkeypatch.setattr(verify, "_dense_matrix", spoiled)
+    return apply
 
 
-def test_lemma_deg_spoiled_row_names_the_first_entry():
-    field = spoiled(7, 1, (6, 2), (5, 4))
-    rep = check_lemma_deg(field)
+def test_lemma_deg_spoiled_row_names_the_first_entry(spoil):
+    spoil((6, 2), (5, 4))
+    rep = check_lemma_deg(F7)
     assert not rep.ok
     assert rep.detail == {"mode": "exact"}
     assert rep.witness == {"row": 5, "rank": 4, "entry": 4, "expected": 3}
-    rep = check_lemma_deg(spoiled(2, 3, (7, 5)))
+    spoil((7, 5))
+    rep = check_lemma_deg(make_field(2, 3))
     assert rep.witness == {"row": 7, "rank": 5, "entry": 0, "expected": 1}
 
 
 @pytest.mark.parametrize("p,r", [(3, 1), (2, 2), (5, 1)])
-def test_lemma_deg_enumeration_agrees_with_rows(p, r):
+def test_lemma_deg_enumeration_agrees_with_rows(spoil, p, r):
     # for q <= 5 the q^q enumeration runs after the row check: both pass on
     # the field, and a spoiled row fails at the rows before it is reached
     field = make_field(p, r)
     q = field.q
     rep = check_lemma_deg(field)
     assert rep.ok and rep.detail["mode"] == "exhaustive"
-    assert field.lagr_rows(q - 1).tolist() == [[field.neg(1)] * q]
-    assert field.lagr_rows(q - 2)[0].tolist() == [field.neg(a)
-                                                  for a in range(q)]
-    rep = check_lemma_deg(spoiled(p, r, (q - 1, 1)))
+    lagr = _dense_matrix(field, True)
+    assert lagr[q - 1].tolist() == [field.neg(1)] * q
+    assert lagr[q - 2].tolist() == [field.neg(a) for a in range(q)]
+    spoil((q - 1, 1))
+    rep = check_lemma_deg(field)
     assert not rep.ok and rep.detail == {"mode": "exact"}
 
 
-def test_lemma_deg_q2_rests_on_the_enumeration():
+def test_lemma_deg_q2_rests_on_the_enumeration(spoil):
     # at q = 2 row 0 reads 1 + a, so no row check runs; a spoiled top row
     # is caught by the enumeration of the four tables
-    assert make_field(2).lagr_rows().tolist() == [[1, 0], [1, 1]]
-    rep = check_lemma_deg(spoiled(2, 1, (1, 0)))
+    F2 = make_field(2)
+    assert _dense_matrix(F2, True).tolist() == [[1, 0], [1, 1]]
+    spoil((1, 0))
+    rep = check_lemma_deg(F2)
     assert not rep.ok
     assert rep.detail["mode"] == "exhaustive"
     assert set(rep.witness) == {"table", "degree_is_q_minus_2",
@@ -409,7 +412,8 @@ def test_lemma_deg_q2_rests_on_the_enumeration():
 def test_lemma_sums_match_the_oracle(p, r):
     field = make_field(p, r)
     ref, q = naive_of(field), field.q
-    tables = np.concatenate([field.mul_t, field.pow_t, field.lagr_rows()])
+    tables = np.concatenate([field.mul_t, _dense_matrix(field, False),
+                             _dense_matrix(field, True)])
     got = verify.lemma_sums(field, tables)
     for k, alpha in enumerate(tables.tolist()):
         s_alpha = s_a_alpha = 0
