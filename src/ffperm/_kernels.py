@@ -16,29 +16,41 @@ def mat_apply(M, A, add_t, mul_t):
     M may have any number of rows (a row slice of a q x q field matrix gives
     the matching rows of out); the table stride q comes from add_t.
     All-zero rows of A are skipped: they add nothing, since mul_t[m, 0] == 0
-    and add_t[x, 0] == x.  Each nonzero row updates a block of
-    max(1, _BLOCK // R) output rows per gather, so a small R costs few numpy
-    calls, and the temporaries hold at most 2 * max(R, _BLOCK) values.  The
-    gathers index the flattened tables at x * q + y: a 1-D take is cheaper
-    than a 2-D fancy index.  The last take reads indices that are in range
-    by construction, so mode="clip" changes no value; it spares the copy of
-    out that mode="raise" buffers.
+    and add_t[x, 0] == x.  The first nonzero row writes its products into
+    out instead of adding them to zeros, and a column of M whose entries are
+    all 1 (found once per call) adds its row of A without the mul gather.
+    Each nonzero row updates a block of max(1, _BLOCK // R) output rows per
+    gather, so a small R costs few numpy calls, and the temporaries hold at
+    most 2 * max(R, _BLOCK) values.  The gathers index the flattened tables
+    at x * q + y: a 1-D take is cheaper than a 2-D fancy index.  The add
+    take reads indices that are in range by construction, so mode="clip"
+    changes no value; it spares the copy of out that mode="raise" buffers.
     """
     q = add_t.shape[0]
     rows = M.shape[0]
     R = A.shape[1]
-    out = np.zeros((rows, R), dtype=np.int64)
+    live = np.flatnonzero(A.any(axis=1))
+    if live.size == 0:
+        return np.zeros((rows, R), dtype=np.int64)
+    out = np.empty((rows, R), dtype=np.int64)
     add_f = add_t.ravel()
     mul_f = mul_t.ravel()
     step = max(1, _BLOCK // max(R, 1))
-    for a in np.flatnonzero(A.any(axis=1)):
+    ones = (M[:, live] == 1).all(axis=0).tolist()
+    for i, a in enumerate(live.tolist()):
         row = A[a]
         for s in range(0, rows, step):
             blk = out[s:s + step]
-            prod = mul_f.take(q * M[s:s + step, a, None] + row)
+            if ones[i]:
+                prod = row
+            else:
+                prod = mul_f.take(q * M[s:s + step, a, None] + row)
+            if i == 0:
+                blk[...] = prod
+                continue
             blk *= q
-            prod += blk
-            add_f.take(prod, out=blk, mode="clip")
+            blk += prod
+            add_f.take(blk, out=blk, mode="clip")
     return out
 
 

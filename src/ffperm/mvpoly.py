@@ -10,10 +10,14 @@ each other, so a MultiPoly lives in two domains and holds either or both:
   the same rank order.
 
 Whichever is missing is computed on first use (one transform per axis: a
-DFT over F_q^*, or the dense q x q gather that is its one-stage plan; see
-_transform) and cached.  This module alone knows the interpolation
-formula: _dense_matrix makes both one-stage matrices from the field's exp
-and log on each call, and _dft runs the same maps stage by stage.  Ring
+DFT over F_q^*, or the dense q x q gather that is its one-stage plan; on a
+tensor of at least _SPARSE_MIN entries the axes go densest first and only
+the nonzero columns of each are transformed, which spares most of the
+work on a sparse polynomial such as pp_hn; see _transform) and cached.
+This module alone knows the interpolation formula: _dense_matrix makes
+both one-stage matrices, or the columns of them an axis reads, from the
+field's exp and log on each call, and _dft runs the same maps stage by
+stage.  Ring
 operations, substitution, extension and composition act pointwise on value
 tables and return table-only polynomials, and evaluate reads the table;
 poly_build, terms, degrees and JSON work on coefficients; leading_terms
@@ -444,6 +448,14 @@ _DFT_MIN = 1 << 12
 # Fitted on whole dense axes, where it keeps q = 7, 9, 13 and 17 (radices
 # of 2 and 3 only) on the gather, which was as fast or faster there.
 _STAGE_ROWS = 3
+# _transform orders the axes and skips zero columns only on tensors of at
+# least this many entries: on smaller ones the reductions that find them
+# cost more than they save.
+_SPARSE_MIN = 1 << 14
+# From this q on, a dense gather whose axis has at most q / 4 nonzero rows
+# makes only the matrix columns it reads; at smaller q making the whole
+# matrix costs less than the extra calls.
+_PARTIAL_Q = 64
 
 
 def _radices(m: int) -> list[int]:
@@ -457,9 +469,11 @@ def _radices(m: int) -> list[int]:
     return out + [m] if m > 1 else out
 
 
-def _dense_matrix(field: Field, inverse: bool) -> np.ndarray:
-    """The full evaluation matrix E (inverse False) or interpolation matrix
-    L, made from exp and log on each call and never cached.
+def _dense_matrix(field: Field, inverse: bool,
+                  cols: np.ndarray | None = None) -> np.ndarray:
+    """The evaluation matrix E (inverse False) or interpolation matrix L,
+    or only its columns cols (a sorted rank array), made from exp and log on
+    each call and never cached.
 
     E[c, e] = c^e, with 0^0 = 1: the values of f at the points c are
     E @ coeffs.  Coefficient e of the interpolant of the values f(c) is
@@ -468,14 +482,21 @@ def _dense_matrix(field: Field, inverse: bool) -> np.ndarray:
     c^(q-1-e), as C(q-1, e) = (-1)^e mod p, so L is E reflected and
     negated, with 1 added to row 0."""
     q = field.q
-    E = np.multiply.outer(field.log, np.arange(q))
-    E %= q - 1
-    E = field.exp[E]
-    E[0, 1:] = 0            # log[0] = 0 made row 0 all 1; 0^e = 0 for e > 0
+    at = np.arange(q) if cols is None else cols
     if inverse:
-        E = field.neg_t[E.T[::-1]]
-        E[0] = field.add_t[1, E[0]]
-    return E
+        M = np.multiply.outer(np.arange(q - 1, -1, -1), field.log[at])
+    else:
+        M = np.multiply.outer(field.log, at)
+    M %= q - 1
+    M = field.exp[M]
+    # log[0] = 0 made every power of 0 a 1; 0^k = 0 for k > 0
+    if inverse:
+        M[:-1, at == 0] = 0
+        M = field.neg_t[M]
+        M[0] = field.add_t[1, M[0]]
+    else:
+        M[0, at != 0] = 0
+    return M
 
 
 def _dft(field: Field, A: np.ndarray, inverse: bool,
@@ -541,37 +562,86 @@ def _dft(field: Field, A: np.ndarray, inverse: bool,
     return out
 
 
+def _densest_first(arr: np.ndarray, k: int) -> list[int]:
+    """The first k axes of arr, those with the most nonzero rows first and
+    ties in axis order."""
+    live = arr.any(axis=tuple(range(k, arr.ndim)))
+    rows = [np.count_nonzero(live.any(axis=tuple(j for j in range(k)
+                                                 if j != i)))
+            for i in range(k)]
+    return sorted(range(k), key=lambda i: -rows[i])
+
+
+def _few_columns(t: np.ndarray) -> np.ndarray | None:
+    """The flat indices of the nonzero columns of t (axis 0 its rows, the
+    other axes its columns in C order) when they are under a quarter of
+    the columns; None otherwise, and always for a lone column (t 1-D)."""
+    live = t.any(axis=0)
+    if live.ndim and 4 * np.count_nonzero(live) < live.size:
+        return np.flatnonzero(live)
+    return None
+
+
 def _transform(field: Field, arr: np.ndarray, inverse: bool,
                nvars: int | None = None) -> np.ndarray:
     """Apply the evaluation matrix (inverse False) or the interpolation
     matrix of _dense_matrix along the first nvars axes of a
     (q,)*nvars + batch tensor; returns the batch + (q,)*nvars result.
 
+    Each step transforms one axis, as a (q, R) array A whose rows are the
+    axis and whose columns are all other entries, and moves it to the back.
+    A zero column of A stays zero under any per-axis map, so on a tensor
+    of at least _SPARSE_MIN entries the steps take the axes densest first
+    (most nonzero rows, ties in axis order), and a step whose nonzero
+    columns are under a quarter of R transforms only those and scatters
+    them into zeros.  Smaller tensors take the axes in order and every
+    column, as the reductions would cost more than they save.
+
     An axis runs as the mixed-radix DFT _dft when q-1 is composite and the
     DFT saves at least _DFT_MIN lookups: the dense gather costs q per
-    nonzero row and column of the axis, the DFT sum(p + _STAGE_ROWS) rows
-    over its radices p.  Otherwise the axis takes one dense mat_apply of
-    the matrix, which is made at most once per call.  Each step transforms
-    the leading axis and rotates it to the back, so after nvars steps the
-    batch axes lead and the transformed axes follow in their original
-    order."""
+    nonzero row and column of A (of the columns transformed), the DFT
+    sum(p + _STAGE_ROWS) rows over its radices p.  Otherwise the axis
+    takes one dense mat_apply: of the whole matrix, made at most once per
+    call, or, when q >= _PARTIAL_Q and at most q / 4 rows of A are
+    nonzero, of only the matrix columns those rows meet.  The one copy at
+    the end puts the transformed axes back in their original order."""
     k = arr.ndim if nvars is None else nvars
     batch = arr.shape[k:]
     q = field.q
     radices = _radices(q - 1)
     cost = sum(radices) + _STAGE_ROWS * len(radices)
     dense = None
-    t = arr
-    for _ in range(k):
-        A = t.reshape(q, -1)
-        if (len(radices) > 1 and (np.count_nonzero(A.any(axis=1)) - cost)
-                * A.size >= _DFT_MIN):
-            t = _dft(field, A, inverse, radices).T
-            continue
+
+    def step(A):
+        nonlocal dense
+        live = A.any(axis=1)
+        nz = np.count_nonzero(live)
+        if len(radices) > 1 and (nz - cost) * A.size >= _DFT_MIN:
+            return _dft(field, A, inverse, radices)
+        if q >= _PARTIAL_Q and 4 * nz <= q:
+            at = np.flatnonzero(live)
+            return _kernels.mat_apply(_dense_matrix(field, inverse, at),
+                                      A[at], field.add_t, field.mul_t)
         if dense is None:
             dense = _dense_matrix(field, inverse)
-        t = _kernels.mat_apply(dense, A, field.add_t, field.mul_t).T
-    return np.ascontiguousarray(t).reshape(batch + (q,) * k)
+        return _kernels.mat_apply(dense, A, field.add_t, field.mul_t)
+
+    sparse = arr.size >= _SPARSE_MIN
+    order = _densest_first(arr, k) if sparse and k > 1 else list(range(k))
+    t = arr.transpose(order + list(range(k, arr.ndim)))
+    for _ in range(k):
+        rest = t.shape[1:]
+        cols = _few_columns(t) if sparse else None
+        if cols is not None:
+            vals = step(t[(slice(None),) + np.unravel_index(cols, rest)])
+            del t               # so that old and new never coexist
+            t = np.zeros(rest + (q,), dtype=np.int64)
+            t.reshape(-1, q)[cols] = vals.T
+            continue
+        t = step(t.reshape(q, -1)).T.reshape(rest + (q,))
+    back = list(range(len(batch))) + [len(batch) + order.index(i)
+                                      for i in range(k)]
+    return np.ascontiguousarray(t.transpose(back)).reshape(batch + (q,) * k)
 
 
 def to_table(f: MultiPoly, cap: int | None = None) -> FuncTable:

@@ -671,6 +671,40 @@ def applied(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def products(monkeypatch):
+    """For every mat_apply call, its nonzero rows of A times its columns:
+    the row x column products it applies a matrix column to."""
+    from ffperm import _kernels
+    calls = []
+    real = _kernels.mat_apply
+
+    def recording(M, A, add_t, mul_t):
+        calls.append(int(np.count_nonzero(A.any(axis=1))) * A.shape[1])
+        return real(M, A, add_t, mul_t)
+
+    monkeypatch.setattr(_kernels, "mat_apply", recording)
+    return calls
+
+
+def test_sparse_evaluation_applies_few_products(monkeypatch, products):
+    # pp_hn q=32 n=4 holds 32 terms among 2^20 coefficients.  Over every
+    # column each axis is a (q, q^3) array, up to 4 q q^3 products; the
+    # column scan transforms the few nonzero columns of the first axes
+    from ffperm import mvpoly
+    field = make_field(2, 5)
+    q = field.q
+    coeffs = pp_hn(field, 4).coeffs
+    values = MultiPoly(field, 4, coeffs)._values()
+    sparse = sum(products)
+    products.clear()
+    monkeypatch.setattr(mvpoly, "_SPARSE_MIN", coeffs.size + 1)
+    assert np.array_equal(MultiPoly(field, 4, coeffs)._values(), values)
+    every = sum(products)
+    assert 32 * sparse <= 4 * q * q**3 and 8 * sparse <= every, (sparse,
+                                                                  every)
+
+
 @pytest.mark.parametrize("tag,p,r,n", [("pp_qnr", 3, 2, 2),
                                        ("pp_noncube", 2, 4, 2),
                                        ("pp_mersenne", 2, 3, 3)])

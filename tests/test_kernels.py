@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from ffperm import _kernels, make_field, mvpoly
+from ffperm.constructions import pp_hn
 from ffperm.gf import TABLE_CAP, _is_prime
 from ffperm.mvpoly import _dense_matrix, _dft, _radices, _transform
 from oracle import NaiveField, naive_transform_matrices
@@ -128,6 +129,41 @@ def test_dft_matches_the_dense_gather_on_every_field():
     assert multi == 192
 
 
+def test_sparse_columns_match_the_dense_gather_on_every_field(monkeypatch):
+    # with no size gate, an input with two nonzero columns among nine has
+    # just those two transformed and scattered into zeros, where a linear
+    # map sends the other seven: a random pair, and a pair with two
+    # nonzero rows, which from q = _PARTIAL_Q on reads only the two matrix
+    # columns those rows meet.  Those partial matrices are a column slice
+    # of the full one for any sorted set of columns.  The reference is the
+    # dense gather of the two columns alone
+    monkeypatch.setattr(mvpoly, "_SPARSE_MIN", 0)
+    live = [2, 7]
+    for p, r in PRIME_POWERS:
+        F = make_field(p, r)
+        q = F.q
+        rng = np.random.default_rng(q)
+        dense = rng.integers(0, q, size=(q, 2))
+        two = np.zeros((q, 2), dtype=np.int64)
+        two[rng.choice(q, size=2, replace=False)] = rng.integers(1, q, (2, 2))
+        picks = [np.arange(0), np.array([0]), np.array([q - 1]),
+                 np.arange(1, q, 2),
+                 np.sort(rng.choice(q, size=min(q, 5), replace=False))]
+        for inverse, M in zip((False, True), reference_matrices(F)):
+            full = _dense_matrix(F, inverse)
+            for at in picks:
+                part = _dense_matrix(F, inverse, at)
+                assert part.shape == (q, at.size) and part.dtype == np.int64
+                assert np.array_equal(part, full[:, at]), (q, inverse, at)
+            for cols in (dense, two):
+                A = np.zeros((q, 9), dtype=np.int64)
+                A[:, live] = cols
+                got = _transform(F, A, inverse, 1).T
+                want = _kernels.mat_apply(M, cols, F.add_t, F.mul_t)
+                assert np.array_equal(got[:, live], want), q
+                assert not np.delete(got, live, axis=1).any(), q
+
+
 @pytest.mark.parametrize("p,r", ORACLE_FIELDS + [(7, 1), (2, 4), (3, 3),
                                                  (2, 6)])
 def test_dft_on_shaped_inputs(p, r):
@@ -186,6 +222,22 @@ def test_plan_switches_at_the_cutoff(staged):
             got = _transform(F, A, inverse, 1).T
             assert staged == ([(q, R)] if multi else []), (R, rows)
             assert np.array_equal(got, dense_gather(F, A, inverse))
+    # over the size gate the plan sees the compacted A: the same cutoff,
+    # counted on the nonzero columns alone (under a quarter of 4096) and
+    # on the nonzero rows among them
+    R = 4096
+    assert q * R >= mvpoly._SPARSE_MIN
+    cases = [(wide - 1, q, False), (wide, q, True),
+             (63, cost + 1, False), (64, cost + 1, True)]
+    for live, rows, multi in cases:
+        A = np.zeros((q, R), dtype=np.int64)
+        cols = np.sort(rng.choice(R, size=live, replace=False))
+        A[:rows, cols] = rng.integers(1, q, size=(rows, live))
+        for inverse in (False, True):
+            staged.clear()
+            got = _transform(F, A, inverse, 1).T
+            assert staged == ([(q, live)] if multi else []), (live, rows)
+            assert np.array_equal(got, dense_gather(F, A, inverse))
 
 
 def test_prime_and_small_axes_take_the_dense_gather(staged):
@@ -222,6 +274,49 @@ def test_dft_temporaries_are_bounded(staged, p, r, R):
         # gather and the contiguous result hold two arrays
         assert peak <= 2 * unit + 32 * max(q * R // 3, _kernels._BLOCK)
     assert len(staged) == 2
+
+
+def peak_bytes(run):
+    """The tracemalloc peak of run()."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sparse_path_peaks_no_higher_than_every_column(monkeypatch):
+    # evaluating pp_hn q=32 n=4 (2^20 entries, 32 terms) through the axis
+    # order and the column scan holds no more memory at its peak than
+    # the same transform over every column in axis order
+    F = make_field(2, 5)
+    coeffs = np.array(pp_hn(F, 4).coeffs)
+    want = _transform(F, coeffs, False, 4)
+    sparse = peak_bytes(lambda: _transform(F, coeffs, False, 4))
+    monkeypatch.setattr(mvpoly, "_SPARSE_MIN", coeffs.size + 1)
+    assert np.array_equal(_transform(F, coeffs, False, 4), want)
+    every = peak_bytes(lambda: _transform(F, coeffs, False, 4))
+    assert sparse <= every, (sparse, every)
+
+
+def test_size_gate_allocates_nothing_extra(monkeypatch):
+    # just under the gate, a transform allocates exactly what it does with
+    # the gate out of reach: the gate itself makes nothing
+    for p, r, n in [(5, 1, 6), (3, 2, 4), (2, 1, 13), (127, 1, 2)]:
+        F = make_field(p, r)
+        shape = (F.q,) * n
+        assert np.prod(shape) < mvpoly._SPARSE_MIN
+        arr = np.zeros(shape, dtype=np.int64)
+        arr[(0,) * n] = 1
+        for inverse in (False, True):
+            _transform(F, arr, inverse, n)      # warm numpy's caches
+            under = peak_bytes(lambda: _transform(F, arr, inverse, n))
+            with monkeypatch.context() as m:
+                m.setattr(mvpoly, "_SPARSE_MIN", 1 << 62)
+                every = peak_bytes(lambda: _transform(F, arr, inverse, n))
+            assert under == every, (F.q, n, inverse)
 
 
 def test_dense_matrix_temporaries_are_bounded():

@@ -1,6 +1,8 @@
 """Reduced multivariate ring: arithmetic vs a naive oracle, evaluation,
 interpolation round trips, substitution, composition, JSON."""
 
+import functools
+import itertools
 import json
 import tracemalloc
 
@@ -8,8 +10,8 @@ import numpy as np
 import pytest
 
 from ffperm import (CapExceeded, FieldMismatch, MultiPoly, VariableCountMismatch,
-                    compose_univariate, interpolate, make_field, points,
-                    poly_build, poly_from_json, poly_to_json, t_poly,
+                    compose_univariate, interpolate, make_field, mvpoly,
+                    points, poly_build, poly_from_json, poly_to_json, t_poly,
                     to_table)
 from ffperm.constructions import lpp_beta
 from ffperm.mvpoly import (FuncTable, _transform, constant, extend,
@@ -326,14 +328,21 @@ def test_interpolate_roundtrip(p, r):
         assert np.array_equal(to_table(g).values, vals)  # table -> poly -> table
 
 
+@functools.cache
+def naive_tables(p, modulus):
+    """The oracle's add and mul over F_q as q x q arrays."""
+    nf = NaiveField(p, None if modulus is None else tuple(modulus))
+    q = nf.q
+    add = np.array([[nf.add(a, b) for b in range(q)] for a in range(q)])
+    mul = np.array([[nf.mul(a, b) for b in range(q)] for a in range(q)])
+    return add, mul
+
+
 def naive_transform(field, arr, M, nvars):
     """Apply M along each of the first nvars axes in turn, one entry of M
     at a time with the oracle's add and mul, then move the batch axes to
     the front."""
-    nf = naive_of(field)
-    q = field.q
-    add = np.array([[nf.add(a, b) for b in range(q)] for a in range(q)])
-    mul = np.array([[nf.mul(a, b) for b in range(q)] for a in range(q)])
+    add, mul = naive_tables(field.p, field.modulus)
     t = arr
     for axis in range(nvars):
         moved = np.moveaxis(t, axis, 0)
@@ -343,6 +352,37 @@ def naive_transform(field, arr, M, nvars):
                 out[e] = add[out[e], mul[m, moved[a]]]
         t = np.moveaxis(out, 0, axis)
     return np.moveaxis(t, list(range(nvars)), list(range(-nvars, 0)))
+
+
+def sparse_inputs(rng, q, nvars, batch):
+    """Sparse tensors of shape (q,)*nvars + batch: all zero, one nonzero
+    entry, a few nonzero columns of the (q, R) view, and, for each order
+    of the axes, a staircase whose axes have nonzero rows in that order of
+    count (most first; q = 2 allows no more than 2 rows); then an empty
+    tensor, with a batch axis of length 0."""
+    shape = (q,) * nvars + batch
+    size = int(np.prod(shape))
+    out = [np.zeros(shape, dtype=np.int64)]
+    one = np.zeros(size, dtype=np.int64)
+    one[rng.integers(size)] = rng.integers(1, q)
+    out.append(one.reshape(shape))
+    if nvars:
+        cols = np.zeros((q, size // q), dtype=np.int64)
+        picked = rng.choice(size // q, size=min(2, size // q), replace=False)
+        cols[:, picked] = rng.integers(0, q, size=(q, picked.size))
+        out.append(cols.reshape(shape))
+    for perm in itertools.permutations(range(nvars)):
+        stair = np.zeros(shape, dtype=np.int64)
+        rows = [rng.choice(q, size=min(q, nvars - j), replace=False)
+                for j in range(nvars)]
+        for m in range(nvars):
+            pt = [0] * nvars
+            for j, axis in enumerate(perm):
+                pt[axis] = rows[j][min(m, len(rows[j]) - 1)]
+            stair[tuple(pt)] = rng.integers(1, q, size=batch)
+        out.append(stair)
+    out.append(np.zeros((q,) * nvars + (0,), dtype=np.int64))
+    return out
 
 
 TRANSFORM_CASES = [
@@ -359,7 +399,8 @@ TRANSFORM_CASES = [
     "p,r,kind,nvars,batch", TRANSFORM_CASES,
     ids=[f"q{p**r}-{kind}-n{nvars}-b{batch[0] if batch else 'none'}"
          for p, r, kind, nvars, batch in TRANSFORM_CASES])
-def test_transform_matches_naive_per_axis(p, r, kind, nvars, batch):
+def test_transform_matches_naive_per_axis(monkeypatch, p, r, kind, nvars,
+                                          batch):
     field = make_field(p, r)
     q = field.q
     # "pow_t" is the full evaluation matrix and "lagr_t" the full
@@ -379,6 +420,17 @@ def test_transform_matches_naive_per_axis(p, r, kind, nvars, batch):
         assert np.array_equal(_transform(field, arr, inverse), got)
     got = got[(...,) + (slice(q - len(M), None),) * nvars]
     assert np.array_equal(got, naive_transform(field, arr, M, nvars))
+    if q == 64 and kind != "corner":
+        return      # a naive full transform at q = 64 is slow per input
+    # the sparse inputs run with no size gate, so that even these small
+    # tensors take the axis order and the column scan
+    monkeypatch.setattr(mvpoly, "_SPARSE_MIN", 0)
+    for arr in sparse_inputs(rng, q, nvars, batch):
+        got = _transform(field, arr, inverse, nvars)
+        assert got.shape == arr.shape[nvars:] + (q,) * nvars
+        assert got.flags.c_contiguous
+        got = got[(...,) + (slice(q - len(M), None),) * nvars]
+        assert np.array_equal(got, naive_transform(field, arr, M, nvars))
 
 
 def test_interpolate_univariate_matches_naive():
