@@ -54,26 +54,11 @@ def mat_apply(M, A, add_t, mul_t):
     return out
 
 
-# No caller: MultiPoly multiplies value tables.  Kept because the benchmark
-# tracer (perfbench/tracer.py) resolves this name when it installs.
-def poly_mul(exps_a, vals_a, exps_b, vals_b, q, radix, add_t, mul_t,
-             digit_t, p_pows, p, out):
-    """Accumulate the product of two term lists into the flat coeff array out.
-
-    Exponent sums fold by e -> e - (q-1) when e >= q.  Coefficient digit
-    vectors accumulate with np.add.at (collision safe) and ranks are
-    recombined at the end.
-    """
-    r = digit_t.shape[1]
-    acc = np.zeros((out.size, r), dtype=np.int64)
-    for i in range(exps_a.shape[0]):
-        t = exps_a[i][None, :] + exps_b
-        t = np.where(t >= q, t - (q - 1), t)
-        flat = t @ radix
-        np.add.at(acc, flat, digit_t[mul_t[vals_a[i], vals_b]])
-    acc %= p
-    np.add(out, acc @ p_pows, out=out)  # out starts zeroed by the caller
-    return out
+# No caller: MultiPoly multiplies value tables.  Only the name is kept, for
+# perfbench/tracer.py resolves it when it installs; moving the tracer onto
+# spans recorded inside the library deletes it.
+def poly_mul(*args, **kwargs):
+    raise NotImplementedError("poly_mul has no implementation")
 
 
 def lpp_scan(table, n, q):

@@ -14,17 +14,16 @@ import numpy as np
 from .errors import (BadDegree, FieldMismatch, NotMaxLpp, NoValidB,
                      UnsupportedField)
 from .gf import Field
-from .mvpoly import (FuncTable, MultiPoly, _check_points, compose_univariate,
-                     extend, interpolate, lead_degree)
-from .univ import is_univariate_pp, t_poly, transposition
+from .mvpoly import (FuncTable, MultiPoly, _check_points, _need_a_variable,
+                     compose_univariate, extend, interpolate, lead_degree)
+from .univ import dickson, is_univariate_pp, t_poly, transposition
 from .verify import is_lpp
 
 
 def _guard(field: Field, n: int, extra: int = 0) -> None:
     """Refuse n < 1, then q^n and q^(n+extra) points over the point cap,
     before anything of size n is built."""
-    if n < 1:
-        raise ValueError("need at least one variable")
+    _need_a_variable(n)
     _check_points(field, n)
     if extra:
         _check_points(field, n + extra)
@@ -87,7 +86,6 @@ def pp_dickson(field: Field, n: int) -> MultiPoly:
     """x_1^{q-1}..x_{n-1}^{q-1}(x_n^{q-2} + m(x_n)) + x_n^2 over q = 4^s > 4,
     where m collects the middle terms of the Dickson polynomial g_{q-2}(x, 1)
     = x^{q-2} + m(x) + x^2."""
-    from .univ import dickson
     q = field.q
     if field.p != 2 or field.r % 2 or q <= 4:
         raise UnsupportedField("this family needs q = 4^s > 4")
@@ -209,10 +207,12 @@ def lpp_beta(field: Field, n: int) -> MultiPoly:
 def lpp_power(field: Field, b: int, k: int = 1) -> MultiPoly:
     """Block-power construction in b^k variables, degree b^k(q-2).
 
-    Seed (y_1+..+y_b)^b; at each level sum b shifted copies and raise to the
-    b-th power; finally substitute y_i := x_i^{q-2}.  Needs 1 < b < p-1 and
-    gcd(b, q-1) = 1.  x^{q-2} is the inverse map on F_q (0 to 0), so the
-    substitution is one gather of the value table per variable.
+    Seed (y_1+..+y_b)^b with y_i = x_i^{q-2}; at each level sum b shifted
+    copies and raise to the b-th power.  Needs 1 < b < p-1 and
+    gcd(b, q-1) = 1.  x^{q-2} is the inverse map on F_q (0 to 0), and ring
+    operations act pointwise on value tables, so inverting the coordinates
+    in the seed gives the function that substituting y_i := x_i^{q-2} into
+    the finished polynomial would.
     """
     p, q = field.p, field.q
     if not (isinstance(b, int) and 1 < b < p - 1):
@@ -223,7 +223,7 @@ def lpp_power(field: Field, b: int, k: int = 1) -> MultiPoly:
         raise ValueError("k must be a positive integer")
     _guard(field, b)
     f = _prod_sum(field, b, _univariate(field, []),
-                  _univariate(field, [1]))**b
+                  _univariate(field, [q - 2]))**b
     for level in range(1, k):
         m = b**level
         nv = b * m
@@ -231,9 +231,6 @@ def lpp_power(field: Field, b: int, k: int = 1) -> MultiPoly:
         for j in range(1, b):
             s = s + extend(f, nv, j * m)
         f = s**b
-    inverse = _univariate(field, [q - 2])
-    for i in range(f.n):
-        f = f.substitute(i, inverse)
     return f
 
 

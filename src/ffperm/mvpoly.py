@@ -40,7 +40,7 @@ from . import _kernels
 from .caps import point_cap
 from .errors import (CapExceeded, FieldMismatch, IndexOutOfRange,
                      VariableCountMismatch)
-from .gf import Field, fold_exp
+from .gf import Field, field_from_json, fold_exp
 
 
 def _exponents(nz: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -71,6 +71,11 @@ def _check_points(field: Field, n: int, cap: int | None = None) -> int:
     if n >= limit.bit_length() or field.q**n > limit:
         raise CapExceeded(f"{field.q}^{n} points exceed the point cap")
     return field.q**n
+
+
+def _need_a_variable(n: int) -> None:
+    if n < 1:
+        raise ValueError("need at least one variable")
 
 
 class MultiPoly:
@@ -116,19 +121,24 @@ class MultiPoly:
 
     # -- metadata ----------------------------------------------------------
 
+    def _nonzero(self, low: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """The exponent rows and coefficient ranks of the nonzero terms whose
+        every exponent is >= low, in ascending term rank."""
+        corner = self.coeffs[(slice(low, None),) * self.n]
+        flat = corner.reshape(-1)
+        nz = np.flatnonzero(flat)
+        return _exponents(nz, corner.shape) + low, flat[nz]
+
     def terms(self) -> list[tuple[tuple[int, ...], int]]:
         """Nonzero (exponents, coefficient rank) pairs in ascending term rank."""
-        flat = self.coeffs.reshape(-1)
-        nz = np.flatnonzero(flat)
-        exps = _exponents(nz, self.coeffs.shape).tolist()
-        return [(tuple(e), c) for e, c in zip(exps, flat[nz].tolist())]
+        exps, ranks = self._nonzero()
+        return list(zip(map(tuple, exps.tolist()), ranks.tolist()))
 
     def degrees(self) -> tuple[int, tuple[int, ...]]:
         """(total degree, per-variable degrees); the zero poly reports -1."""
-        nz = np.flatnonzero(self.coeffs)
-        if nz.size == 0:
+        exps, ranks = self._nonzero()
+        if ranks.size == 0:
             return -1, (-1,) * self.n
-        exps = _exponents(nz, self.coeffs.shape)
         return int(exps.sum(axis=1).max()), tuple(exps.max(axis=0).tolist())
 
     @property
@@ -159,16 +169,12 @@ class MultiPoly:
     def _corner_leads(self, low: int) -> list[tuple[tuple[int, ...], int]]:
         """The highest-degree terms among those whose every exponent is
         >= low, in ascending term rank; [] when there are none."""
-        corner = self.coeffs[(slice(low, None),) * self.n]
-        flat = corner.reshape(-1)
-        nz = np.flatnonzero(flat)
-        if nz.size == 0:
+        exps, ranks = self._nonzero(low)
+        if ranks.size == 0:
             return []
-        exps = _exponents(nz, corner.shape) + low
         degs = exps.sum(axis=1)
         top = degs == degs.max()
-        return list(zip(map(tuple, exps[top].tolist()),
-                        flat[nz[top]].tolist()))
+        return list(zip(map(tuple, exps[top].tolist()), ranks[top].tolist()))
 
     def is_zero(self) -> bool:
         return not self.coeffs.any()
@@ -673,14 +679,13 @@ def compose_univariate(g: MultiPoly, f: MultiPoly) -> MultiPoly:
 def poly_to_json(f: MultiPoly) -> dict:
     """Canonical JSON: terms sorted by rank, coefficients as digit vectors."""
     field = f.field
-    flat = f.coeffs.reshape(-1)
-    nz = np.flatnonzero(flat)
-    exps = _exponents(nz, f.coeffs.shape).tolist()
-    digits = (flat[nz, None] // field.p_pows % field.p).tolist()
+    exps, ranks = f._nonzero()
+    digits = (ranks[:, None] // field.p_pows % field.p).tolist()
     return {
         "field": field.to_json(),
         "n": f.n,
-        "terms": [{"exps": e, "coeff": d} for e, d in zip(exps, digits)],
+        "terms": [{"exps": e, "coeff": d}
+                  for e, d in zip(exps.tolist(), digits)],
     }
 
 
@@ -779,7 +784,6 @@ def poly_from_json(data: dict) -> MultiPoly:
     Raises ValueError when the document has the wrong shape.  Exponents and
     coefficient digits stream from the document into arrays, with no
     object per term, and _sum_terms adds them up."""
-    from .gf import field_from_json
     _check_poly_json(data)
     field = field_from_json(data["field"])
     n = int(data["n"])

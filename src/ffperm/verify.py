@@ -9,10 +9,11 @@ import numpy as np
 
 from . import _kernels
 from .caps import scan_cap
-from .errors import CapExceeded
+from .errors import CapExceeded, UnsupportedField
 from .gf import Field
-from .mvpoly import (MultiPoly, _check_points, _dense_matrix, _transform,
-                     compose_univariate, lead_degree, monomial, to_table)
+from .mvpoly import (MultiPoly, _check_points, _dense_matrix, _exponents,
+                     _need_a_variable, _transform, compose_univariate,
+                     lead_degree, monomial, to_table)
 from .univ import h_polys, t_poly, transposition
 
 
@@ -50,11 +51,6 @@ def preimage_counts(f: MultiPoly, cap: int | None = None) -> dict[int, int]:
     return {int(a): int(c) for a, c in enumerate(counts)}
 
 
-def _need_a_variable(n: int) -> None:
-    if n < 1:
-        raise ValueError("need at least one variable")
-
-
 def is_pp(f: MultiPoly, cap: int | None = None) -> VerifyReport:
     """Pass iff every value has exactly q^(n-1) preimages."""
     t0 = time.perf_counter()
@@ -71,13 +67,6 @@ def is_pp(f: MultiPoly, cap: int | None = None) -> VerifyReport:
     v = int(bad[np.argmax(counts[bad])])
     witness = {"value": v, "count": int(counts[v]), "expected": want}
     return _finish(VerifyReport("PP", False, witness), q**n, t0)
-
-
-def _point_of_rank(q: int, n: int, rank: int) -> list[int]:
-    out = [0] * n
-    for i in range(n - 1, -1, -1):
-        rank, out[i] = divmod(rank, q)
-    return out
 
 
 def is_lpp(f: MultiPoly, cap: int | None = None) -> VerifyReport:
@@ -103,7 +92,8 @@ def is_lpp(f: MultiPoly, cap: int | None = None) -> VerifyReport:
             pair = (seen[v], a, v)
             break
         seen[v] = a
-    assignment = _point_of_rank(q, n - 1, lo * R + hi)
+    assignment = _exponents(np.array([lo * R + hi]),
+                            (q,) * (n - 1))[0].tolist()
     witness = {
         "coordinate": axis + 1,
         "assignment": assignment,
@@ -294,7 +284,6 @@ def conjecture_fn(field: Field, n: int) -> VerifyReport:
     Evidence only: the result is labeled accordingly and never asserted;
     lpp_chain refuses an n over the point cap before it builds anything."""
     from .constructions import lpp_chain
-    from .errors import UnsupportedField
     t0 = time.perf_counter()
     q = field.q
     if field.p == 2 or q <= 3:

@@ -216,6 +216,9 @@ def test_pp_product_predicates():
         pp_product(F5, 1, "QNR", fy=poly_build(F5, 1, [((1,), 1)]))
     with pytest.raises(ValueError):
         pp_product(F5, 1, "WHATEVER")
+    with pytest.raises(BadDegree) as err:
+        pp_product(F5, 2, "QNR", g=poly_build(F5, 1, [((2,), 1)]))
+    assert str(err.value) == "g must have 2 variables"
 
 
 def test_pp_product_mersenne_refuses_g():
@@ -811,6 +814,9 @@ def test_build_family_aliases_and_errors():
         build_family("lpp_power", F5, b=3, n=5)      # n inconsistent with b^k
     with pytest.raises(ValueError):
         build_family("lpp_3var_a", F5, n=2)          # fixed at 3 variables
+    with pytest.raises(ValueError) as err:
+        build_family("lpp_three", F5)                # missing variant
+    assert str(err.value) == "lpp_three needs variant a|b|c"
 
 
 def test_build_family_mersenne_params():

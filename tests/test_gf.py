@@ -377,6 +377,14 @@ def test_rank_coeff_roundtrip():
     assert field.from_int(-1) == field.neg(1)
     assert field.from_int(3) == 0            # integers map into the prime subfield
     assert field.from_int(-4) == field.neg(1)
+    for coeffs, message in (([1], "coefficient vector must have length 2"),
+                            ([1, 0, 0], "coefficient vector must have "
+                                        "length 2"),
+                            ([3, 0], "coefficient 3 outside [0, 3)"),
+                            ([0, -1], "coefficient -1 outside [0, 3)")):
+        with pytest.raises(ValueError) as err:
+            field.rank_of(coeffs)
+        assert str(err.value) == message
 
 
 def test_element_str():
@@ -394,6 +402,14 @@ def test_field_json_roundtrip():
         assert field_from_json(field.to_json()) is field
     with pytest.raises(FieldMismatch):
         field_from_json({"p": 2, "r": 2, "modulus": [1, 0, 1]})  # reducible
+    # a prime field accepts the modulus x ([0, 1]) or none ([]) only
+    f5 = make_field(5)
+    for modulus in ([0, 1], [], None):
+        assert field_from_json({"p": 5, "modulus": modulus}) == f5
+    for modulus in ([1, 1], [0, 0, 1], [1]):
+        with pytest.raises(FieldMismatch) as err:
+            field_from_json({"p": 5, "modulus": modulus})
+        assert str(err.value) == "prime fields carry no modulus"
 
 
 def test_field_json_rejects_garbage():

@@ -78,3 +78,34 @@ def test_every_field_slot_is_read_outside_the_build():
     sources = [path.read_text(encoding="utf-8")
                for path in sorted(PACKAGE.glob("*.py"))]
     assert unread_field_slots(sources) == []
+
+
+def local_imports(source: str) -> list[tuple[str, str]]:
+    """(innermost enclosing function, import statement) for every import
+    inside a function body of source, in line order."""
+    owner = {}
+    # ast.walk goes breadth first, so a nested function overwrites its
+    # enclosing function as the owner of its imports
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update((inner, node.name) for inner in ast.walk(node)
+                         if isinstance(inner, (ast.Import, ast.ImportFrom)))
+    return [(name, ast.unparse(node))
+            for node, name in sorted(owner.items(),
+                                     key=lambda item: item[0].lineno)]
+
+
+def test_local_imports_are_found():
+    source = ("import os\n\ndef f():\n    from x import a\n\n"
+              "    def g():\n        import y\n    return a\n")
+    assert local_imports(source) == [("f", "from x import a"),
+                                     ("g", "import y")]
+
+
+def test_imports_sit_at_module_level():
+    # verify and constructions import each other, so conjecture_fn's
+    # import of lpp_chain is the one that must wait for the call
+    found = {path.name: local_imports(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: f for name, f in found.items() if f} == {
+        "verify.py": [("conjecture_fn", "from .constructions import lpp_chain")]}

@@ -9,8 +9,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ffperm import (CapExceeded, FieldMismatch, MultiPoly, VariableCountMismatch,
-                    compose_univariate, interpolate, make_field, mvpoly,
+from ffperm import (CapExceeded, FieldMismatch, IndexOutOfRange, MultiPoly,
+                    VariableCountMismatch, compose_univariate, interpolate, make_field, mvpoly,
                     points, poly_build, poly_from_json, poly_to_json, t_poly,
                     to_table)
 from ffperm.constructions import lpp_beta
@@ -117,6 +117,10 @@ FAULTS = [
      (ValueError, f"rank {10**30} outside field of order 9"), None),
     ("digit 10**30", 2, [((1, 1), [10**30, 0])],
      [{"exps": [1, 1], "coeff": [10**30, 0]}], (TypeError, INT_OF_LIST),
+     (ValueError, f"coefficient {10**30} outside [0, 3)")),
+    # the retry after the overflow reads the in-range digit 0 first
+    ("digit 10**30 after 0", 2, [((1, 1), [0, 10**30])],
+     [{"exps": [1, 1], "coeff": [0, 10**30]}], (TypeError, INT_OF_LIST),
      (ValueError, f"coefficient {10**30} outside [0, 3)")),
 ]
 
@@ -283,6 +287,68 @@ def test_cross_field_and_arity_errors():
     c = variable(f5, 2, 0)
     with pytest.raises(VariableCountMismatch):
         _ = a + c
+    with pytest.raises(TypeError) as err:
+        _ = a * 2
+    assert str(err.value) == "expected MultiPoly, got int"
+
+
+def test_equal_polynomials_hash_alike():
+    # one held as coefficients, one as a value table only
+    field = make_field(5)
+    f = poly_build(field, 2, [((1, 2), 3), ((0, 4), 1)])
+    g = interpolate(to_table(f))
+    assert g._coeffs is None and f == g
+    assert hash(f) == hash(g) and len({f, g}) == 1
+
+
+F5, F7 = make_field(5), make_field(7)
+X = poly_build(F5, 2, [((1, 1), 1)])            # x1 x2 over F_5
+# (label, call, exception type, message) for misuse of the public helpers
+MISUSE = [
+    ("substitute index", lambda: X.substitute(2, 1), IndexOutOfRange,
+     "variable index 2 outside [0, 2)"),
+    ("substitute field", lambda: X.substitute(0, variable(F7, 1, 0)),
+     FieldMismatch, "substituted polynomial field differs"),
+    ("substitute multivariate", lambda: X.substitute(0, X),
+     VariableCountMismatch, "substituted polynomial must be univariate"),
+    ("evaluate arity", lambda: X.evaluate([1]), VariableCountMismatch,
+     "point has 1 coordinates, poly has 2"),
+    ("variable index", lambda: variable(F5, 3, 3), IndexOutOfRange,
+     "variable index 3 outside [0, 3)"),
+    ("extend past the end", lambda: extend(X, 3, 2), IndexOutOfRange,
+     "cannot place 2 variables at offset 2 inside 3"),
+    ("extend negative offset", lambda: extend(X, 3, -1), IndexOutOfRange,
+     "cannot place 2 variables at offset -1 inside 3"),
+    ("compose multivariate outer", lambda: compose_univariate(X, X),
+     VariableCountMismatch, "outer polynomial must be univariate"),
+    ("compose field", lambda: compose_univariate(variable(F7, 1, 0), X),
+     FieldMismatch, "operands live in different fields"),
+    ("table size", lambda: FuncTable(F5, 2, np.zeros(24)), ValueError,
+     "expected 25 values, got 24"),
+    ("table value q", lambda: FuncTable(F5, 1, [0, 1, 2, 3, 5]), ValueError,
+     "table values must be element ranks"),
+    ("table value -1", lambda: FuncTable(F5, 1, [0, 1, 2, 3, -1]),
+     ValueError, "table values must be element ranks"),
+]
+
+
+@pytest.mark.parametrize("label,call,kind,message", MISUSE,
+                         ids=[case[0] for case in MISUSE])
+def test_misuse_is_refused_with_its_message(label, call, kind, message):
+    with pytest.raises(kind) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_func_table_equality_and_repr():
+    field = make_field(3)
+    t = FuncTable(field, 1, [2, 0, 1])
+    assert t == FuncTable(field, 1, np.array([2, 0, 1]))
+    assert t != FuncTable(field, 1, [2, 1, 0])
+    assert t != FuncTable(make_field(5), 1, [2, 0, 1, 3, 4])
+    assert t != FuncTable(field, 0, [2])
+    assert t != [2, 0, 1]
+    assert repr(t) == "FuncTable(q=3, n=1)"
 
 
 # -- evaluation and tables ----------------------------------------------------

@@ -4,9 +4,9 @@ import hashlib
 
 import pytest
 
-from ffperm import cli, suites
+from ffperm import cli, make_field, suites
 from ffperm import constructions as cons
-from ffperm.mvpoly import monomial
+from ffperm.mvpoly import monomial, poly_build
 
 
 def test_thm54_gates_variant_c_on_lpp(monkeypatch):
@@ -27,6 +27,39 @@ def test_thm54_gates_variant_c_on_lpp(monkeypatch):
     assert "theorem: fail" in row.line()
     assert "not an LPP" in row.reason
     assert row.gates
+
+
+def test_failing_pp_and_report_rows_gate(monkeypatch):
+    # a PP-gated row whose polynomial has the expected degree but is no PP,
+    # and a report row whose check fails
+    field = make_field(3)
+    not_pp = poly_build(field, 2, [((2, 1), 1)])          # x1^2 x2
+    monkeypatch.setattr(cons, "build_family", lambda *a, **k: (not_pp, {}))
+    row = suites.Row("thm3.2", "pp_hn", 3, 2, 3)
+    assert suites._fill(row, suites.Spec("pp_hn", (), gate="pp"), field,
+                        None) is not_pp
+    assert (row.measured_deg, row.pp, row.lpp) == (3, "fail", "fail")
+    assert (row.status, row.reason, row.gates) == ("fail", "not a PP", True)
+
+    def report(field, n):
+        return False, 7, {"seen": n}, "check failed"
+
+    row = suites.Row("lemma2.2", "identities", 3, 1)
+    assert suites._fill(row, suites.Spec("identities", (), report=report),
+                        field, None) is None
+    assert (row.measured_deg, row.extra) == (7, {"seen": 1})
+    assert (row.status, row.reason, row.gates) == ("fail", "check failed",
+                                                   True)
+    assert row.line().endswith("theorem: fail (check failed)")
+    row.label = "conjecture evidence"
+    assert not row.gates
+
+
+def test_unknown_suite_is_refused():
+    with pytest.raises(ValueError) as err:
+        suites.run_suite("nope")
+    assert str(err.value) == (f"unknown suite 'nope'; choose from "
+                              f"{suites.SUITE_NAMES}")
 
 
 def test_thm53_checks_the_leading_coefficient_of_f3_only(monkeypatch):

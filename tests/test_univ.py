@@ -3,8 +3,9 @@ polynomials, and the univariate permutation check."""
 
 import pytest
 
-from ffperm import (EqualPoints, dickson, h_polys, is_univariate_pp,
-                    make_field, poly_build, t_poly, to_table, transposition)
+from ffperm import (EqualPoints, VariableCountMismatch, dickson, h_polys,
+                    is_univariate_pp, make_field, poly_build, t_poly, to_table,
+                    transposition)
 from oracle import NaiveField, naive_eval
 
 FIELDS = [(3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (2, 4),
@@ -109,6 +110,9 @@ def test_dickson_small_cases():
     assert dickson(f5, 2, 1).terms() == [((0,), 3), ((2,), 1)]   # x^2 - 2
     f16 = make_field(2, 4)
     assert dickson(f16, 14, 1).terms() == [((2,), 1), ((10,), 1), ((14,), 1)]
+    with pytest.raises(ValueError) as err:
+        dickson(f5, -1, 1)
+    assert str(err.value) == "Dickson degree must be nonnegative"
 
 
 @pytest.mark.parametrize("p,r,a", [(5, 1, 1), (5, 1, 2), (2, 4, 1), (3, 2, 2)])
@@ -146,3 +150,6 @@ def test_is_univariate_pp():
     assert is_univariate_pp(t_poly(f5))
     for (p, r) in FIELDS:
         assert is_univariate_pp(t_poly(make_field(p, r)))
+    with pytest.raises(VariableCountMismatch) as err:
+        is_univariate_pp(poly_build(f5, 2, [((1, 0), 1)]))
+    assert str(err.value) == "expected a univariate polynomial"

@@ -230,6 +230,27 @@ def test_scan_7_1_through_the_multi_stage_plan(monkeypatch):
     assert got.ok and got.detail == want.detail
 
 
+def test_scan_reports_the_first_table_over_the_bound(monkeypatch):
+    # a transform that adds the top-degree term x1^2 x2^2 to every table's
+    # interpolant puts each one over the bound 3, and the witness names the
+    # first table in lexicographic order
+    real = verify._transform
+
+    def spoiled(field, arr, inverse, nvars=None):
+        out = real(field, arr, inverse, nvars).copy()
+        out[..., field.q - 1, field.q - 1] = 1
+        return out
+
+    monkeypatch.setattr(verify, "_transform", spoiled)
+    rep = scan_pp_degree_bound(F3, 2)
+    assert not rep.ok
+    assert rep.witness == {"table": [0, 0, 0, 1, 1, 1, 2, 2, 2],
+                           "degree": 4, "bound": 3}
+    assert rep.detail == {"tables": 1680, "pp_count": 1680, "max_degree": 4,
+                          "bound": 3, "degree_histogram": {4: 1680}}
+    assert rep.to_json()["verdict"] == "fail"
+
+
 def test_scan_counts_match_formula():
     # number of balanced tables is (q^n)! / ((q^(n-1))!)^q
     from math import factorial
