@@ -15,7 +15,7 @@ from .errors import (BadDegree, FieldMismatch, NotMaxLpp, NoValidB,
                      UnsupportedField)
 from .gf import Field
 from .mvpoly import (FuncTable, MultiPoly, _check_points, _need_a_variable,
-                     compose_univariate, extend, interpolate, lead_degree)
+                     compose_univariate, extend, interpolate)
 from .univ import dickson, is_univariate_pp, t_poly, transposition
 from .verify import is_lpp
 
@@ -166,14 +166,14 @@ def pp_product(field: Field, n: int, variant: str,
     if fy is None:
         fy = t_poly(field)
     else:
-        if (fy.n != 1 or lead_degree(fy.leading_terms(q - 2)) != q - 2
+        if (fy.n != 1 or fy.total_degree != q - 2
                 or not is_univariate_pp(fy)):
             raise BadDegree("f(y) must be a univariate PP of degree q-2")
     if g is not None:
         if g.n != n:
             raise BadDegree(f"g must have {n} variables")
         want = n * (q - 1) // d
-        if lead_degree(g.leading_terms(want)) != want:
+        if g.total_degree != want:
             raise BadDegree(f"g must have total degree {want}")
     _guard(field, n, 1)
     c = a if d is None else field.neg(a)
@@ -240,7 +240,7 @@ def lpp_restrict(f: MultiPoly) -> MultiPoly:
     field, n, q = f.field, f.n, f.field.q
     if n < 2:
         raise NotMaxLpp("need at least two variables to restrict")
-    degree = lead_degree(f.leading_terms(n * (q - 2)))
+    degree = f.total_degree
     if degree != n * (q - 2):
         raise NotMaxLpp(f"degree {degree} is not the maximum {n * (q - 2)}")
     if not is_lpp(f).ok:
@@ -248,7 +248,7 @@ def lpp_restrict(f: MultiPoly) -> MultiPoly:
     target = (n - 1) * (q - 2)
     for alpha in field.elements():
         g = f.substitute(0, alpha)
-        if lead_degree(g.leading_terms(target)) == target:
+        if g.total_degree == target:
             return g
     raise NotMaxLpp("no restriction achieves the maximum degree")
 

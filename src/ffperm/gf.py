@@ -294,14 +294,18 @@ class Field:
         return f"Field(p={self.p}, r={self.r}, q={self.q})"
 
 
-@lru_cache(maxsize=32)
 def make_field(p: int, r: int = 1) -> Field:
-    """Build F_{p^r} with the canonical (smallest) modulus.
+    """Build F_{p^r} with the canonical (smallest) modulus, one Field per
+    (int(p), int(r)) however the arguments are spelled.
 
     Raises NotPrime for composite p, CapExceeded when q exceeds
     TABLE_CAP, and ValueError for r < 1.
     """
-    p, r = int(p), int(r)
+    return _make_field(int(p), int(r))
+
+
+@lru_cache(maxsize=32)
+def _make_field(p: int, r: int) -> Field:
     if r < 1:
         raise ValueError("extension degree must be at least 1")
     # trial division of a huge p would not end; such a p is over the cap
@@ -313,6 +317,11 @@ def make_field(p: int, r: int = 1) -> Field:
             f"field order {p}^{r} exceeds the field cap {TABLE_CAP}")
     modulus = _smallest_irreducible(p, r) if r > 1 else None
     return Field(p, r, modulus)
+
+
+# make_field's cache is _make_field's, keyed on the normalised (p, r)
+make_field.cache_info = _make_field.cache_info
+make_field.cache_clear = _make_field.cache_clear
 
 
 def field_from_json(data: dict) -> Field:

@@ -21,8 +21,8 @@ stage.  Ring
 operations, substitution, extension and composition act pointwise on value
 tables and return table-only polynomials, and evaluate reads the table;
 poly_build, terms, degrees and JSON work on coefficients; leading_terms
-scans only the top corner of the coefficient tensor that can hold its
-answer.  Exponents
+and total_degree scan top corners of the coefficient tensor, growing them
+until one must hold the answer.  Exponents
 e >= q fold to ((e - 1) mod (q - 1)) + 1, which keeps x^0 and x^{q-1}
 distinct and makes the correspondence one-to-one.
 
@@ -48,12 +48,6 @@ def _exponents(nz: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if not shape:  # a constant in 0 variables; unravel_index refuses ()
         return np.zeros((nz.size, 0), dtype=np.int64)
     return np.stack(np.unravel_index(nz, shape), axis=1)
-
-
-def lead_degree(lead: list[tuple[tuple[int, ...], int]]) -> int:
-    """Total degree of a leading_terms list; -1 (the zero polynomial) when
-    it is empty."""
-    return sum(lead[0][0]) if lead else -1
 
 
 # int64 holds exactly the integers in [-_WIDE, _WIDE)
@@ -143,38 +137,33 @@ class MultiPoly:
 
     @property
     def total_degree(self) -> int:
-        return self.degrees()[0]
+        lead = self.leading_terms()
+        return sum(lead[0][0]) if lead else -1
 
-    def leading_terms(self, at_least: int = 0
-                      ) -> list[tuple[tuple[int, ...], int]]:
-        """Terms attaining the total degree, in ascending term rank.
+    def leading_terms(self) -> list[tuple[tuple[int, ...], int]]:
+        """Terms attaining the total degree, in ascending term rank; [] for
+        the zero polynomial.
 
-        ``at_least`` is a guess of the total degree (a claim's expected
-        degree); it changes the cost, never the result.  A term of total
-        degree >= n(q-1) - k has every exponent >= q-1-k, so with
-        k = min(q-1, max(0, n(q-1) - at_least)) those terms all lie in the
-        (k+1)^n top corner coeffs[q-1-k:, ..., q-1-k:], and only that corner
-        is scanned.  When it holds no term of degree >= n(q-1) - k, the
-        leading terms may lie outside it and the whole tensor is scanned.
-        A table-only polynomial interpolates (and caches) its full
-        coefficient tensor first; use lead_degree for the total degree.
+        A term of total degree >= n(q-1) - k has every exponent >= q-1-k,
+        so it lies in the (k+1)^n top corner coeffs[q-1-k:, ..., q-1-k:].
+        On a tensor of at least _SPARSE_MIN entries the corners k = 0, 1,
+        3, 7, ... (capped at q-1) are scanned in turn, up to the first that
+        holds a term of degree >= n(q-1) - k: every term of the total degree
+        lies in that corner.  Smaller tensors are scanned whole at once.  A
+        table-only polynomial interpolates (and caches) its full coefficient
+        tensor first.
         """
         q, n = self.field.q, self.n
-        k = min(q - 1, max(0, n * (q - 1) - at_least))
-        lead = self._corner_leads(q - 1 - k)
-        if k < q - 1 and lead_degree(lead) < n * (q - 1) - k:
-            return self._corner_leads(0)
-        return lead
-
-    def _corner_leads(self, low: int) -> list[tuple[tuple[int, ...], int]]:
-        """The highest-degree terms among those whose every exponent is
-        >= low, in ascending term rank; [] when there are none."""
-        exps, ranks = self._nonzero(low)
-        if ranks.size == 0:
-            return []
-        degs = exps.sum(axis=1)
-        top = degs == degs.max()
-        return list(zip(map(tuple, exps[top].tolist()), ranks[top].tolist()))
+        k = 0 if self.coeffs.size >= _SPARSE_MIN else q - 1
+        while True:
+            exps, ranks = self._nonzero(q - 1 - k)
+            degs = exps.sum(axis=1)
+            top = degs.max(initial=-1)
+            if top >= n * (q - 1) - k or k == q - 1:
+                at = degs == top
+                return list(zip(map(tuple, exps[at].tolist()),
+                                ranks[at].tolist()))
+            k = min(2 * k + 1, q - 1)
 
     def is_zero(self) -> bool:
         return not self.coeffs.any()
@@ -419,8 +408,13 @@ class FuncTable:
         self.field = field
         self.n = n
         vals = np.ascontiguousarray(values, dtype=np.int64).reshape(-1)
-        if vals.size != field.q**n:
-            raise ValueError(f"expected {field.q**n} values, got {vals.size}")
+        if n < 0:
+            raise ValueError("variable count must be nonnegative")
+        # q >= 2, so q^n outgrows the table once n > bit_length(size): such
+        # an n is refused without building q^n
+        want = field.q**n if n <= vals.size.bit_length() else f"{field.q}^{n}"
+        if want != vals.size:
+            raise ValueError(f"expected {want} values, got {vals.size}")
         if vals.size and (vals.min() < 0 or vals.max() >= field.q):
             raise ValueError("table values must be element ranks")
         vals.setflags(write=False)
@@ -454,9 +448,9 @@ _DFT_MIN = 1 << 12
 # Fitted on whole dense axes, where it keeps q = 7, 9, 13 and 17 (radices
 # of 2 and 3 only) on the gather, which was as fast or faster there.
 _STAGE_ROWS = 3
-# _transform orders the axes and skips zero columns only on tensors of at
-# least this many entries: on smaller ones the reductions that find them
-# cost more than they save.
+# _transform orders the axes and skips zero columns, and leading_terms
+# grows its corner from the top, only on tensors of at least this many
+# entries: on smaller ones the reductions cost more than they save.
 _SPARSE_MIN = 1 << 14
 # From this q on, a dense gather whose axis has at most q / 4 nonzero rows
 # makes only the matrix columns it reads; at smaller q making the whole

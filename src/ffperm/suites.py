@@ -3,13 +3,13 @@
 A suite is data: a list of specs, each a family, its default (p, r, n)
 cells and how its rows pass, and one runner turns cells into rows.  A
 family row builds its polynomial through `constructions.build_family`,
-reads the degree from the leading terms at the expected degree, runs the
-PP and LPP checks, and fails when the degree differs, the spec's gated
-verdict fails, or the spec's leading-term check fails.  The expected degree
-follows from the family: (variables)(q-1)-1 for a PP, n(q-2) for an LPP,
-where the product families pp_qnr/pp_noncube/pp_mersenne have n+1
-variables.  A report row (the prop3.1 scan, the lemma checks, the thm4.4
-indicator criterion and the conjecture) runs one check function instead.
+reads its degree and leading terms, runs the PP and LPP checks, and fails
+when the degree differs, the spec's gated verdict fails, or the spec's
+leading-term check fails.  The expected degree follows from the family:
+(variables)(q-1)-1 for a PP, n(q-2) for an LPP, where the product families
+pp_qnr/pp_noncube/pp_mersenne have n+1 variables.  A report row (the
+prop3.1 scan, the lemma checks, the thm4.4 indicator criterion and the
+conjecture) runs one check function instead.
 
 An override (p, r, n|None) picks, for each family, its default cells on
 F_{p^r} (only those with n = N when N is given); a family with no default
@@ -32,7 +32,7 @@ from . import constructions as cons
 from . import verify as vf
 from .errors import CapExceeded, FFPermError, NoValidB, UnsupportedField
 from .gf import Field, make_field
-from .mvpoly import MultiPoly, lead_degree, to_table
+from .mvpoly import MultiPoly, to_table
 
 
 @dataclass
@@ -130,8 +130,8 @@ def _fill(row: Row, spec: Spec, field: Field, prev: MultiPoly | None):
             row.status, row.reason = "fail", reason
         return None
     f, params = _build(spec, field, row.n, prev)
-    lead = f.leading_terms(row.expected_deg)
-    row.measured_deg = lead_degree(lead)
+    lead = f.leading_terms()
+    row.measured_deg = sum(lead[0][0]) if lead else -1
     pp_rep, lpp_rep = vf.is_pp(f), vf.is_lpp(f)
     row.pp, row.lpp = _verdict(pp_rep), _verdict(lpp_rep)
     failures = []
@@ -189,7 +189,7 @@ def _indicator(field: Field, n: int):
     criterion: they sum to 0 while their sum weighted by a does not."""
     q = field.q
     ind = cons.indicator_poly(field)
-    measured = lead_degree(ind.leading_terms(q - 2))
+    measured = ind.total_degree
     vals = to_table(ind).values[None]
     s_alpha, s_a_alpha = vf.lemma_sums(field, vals)[:, 0].tolist()
     crit = s_alpha == 0 and s_a_alpha != 0

@@ -4,6 +4,7 @@ supporting identities, with machine-checkable reports."""
 import itertools
 import time
 from dataclasses import dataclass, field as dc_field
+from math import comb, prod
 
 import numpy as np
 
@@ -13,7 +14,7 @@ from .errors import CapExceeded, UnsupportedField
 from .gf import Field
 from .mvpoly import (MultiPoly, _check_points, _dense_matrix, _exponents,
                      _need_a_variable, _transform, compose_univariate,
-                     lead_degree, monomial, to_table)
+                     monomial, to_table)
 from .univ import h_polys, t_poly, transposition
 
 
@@ -85,20 +86,16 @@ def is_lpp(f: MultiPoly, cap: int | None = None) -> VerifyReport:
         return _finish(VerifyReport("LPP", True), q**n, t0)
     R = q ** (n - 1 - axis)
     row = tbl[lo * q * R + hi::R][:q]
-    seen: dict[int, int] = {}
-    pair = None
-    for a, v in enumerate(row.tolist()):
-        if v in seen:
-            pair = (seen[v], a, v)
-            break
-        seen[v] = a
+    # the first point whose value came earlier, and where it came first
+    _, first, which = np.unique(row, return_index=True, return_inverse=True)
+    a = int(np.flatnonzero(first[which] != np.arange(q))[0])
     assignment = _exponents(np.array([lo * R + hi]),
                             (q,) * (n - 1))[0].tolist()
     witness = {
         "coordinate": axis + 1,
         "assignment": assignment,
-        "colliding": [pair[0], pair[1]],
-        "value": pair[2],
+        "colliding": [int(first[which[a]]), a],
+        "value": int(row[a]),
     }
     return _finish(VerifyReport("LPP", False, witness), q**n, t0)
 
@@ -107,14 +104,12 @@ def assert_degree(f: MultiPoly, expected: int) -> VerifyReport:
     """Compare the total degree against expected; always reports the leading
     terms so coefficient claims can be read off.
 
-    One ``f.leading_terms(expected)`` call gives both.  When f has a term
-    of degree >= expected it scans only the top corner of the coefficient
-    tensor that holds such terms (2^n coefficients at the PP bound
-    n(q-1)-1); otherwise it scans the full tensor.  The report is the same
-    either way.  The zero polynomial measures -1."""
+    One ``f.leading_terms()`` call gives both; expected plays no part in
+    reading them (a PP of degree n(q-1)-1 is found in the 2^n top corner
+    of a large tensor).  The zero polynomial measures -1."""
     t0 = time.perf_counter()
-    lead = f.leading_terms(expected)
-    total = lead_degree(lead)
+    lead = f.leading_terms()
+    total = sum(lead[0][0]) if lead else -1
     leading = [{"exps": list(e), "coeff": f.field.coeffs_of(c)}
                for e, c in lead]
     detail = {"measured": total, "expected": int(expected),
@@ -124,26 +119,37 @@ def assert_degree(f: MultiPoly, expected: int) -> VerifyReport:
     return _finish(VerifyReport("DEGREE", ok, witness, detail=detail), 0, t0)
 
 
-def _balanced_tables(q: int, n: int):
-    """Yield every balanced value table of F_q^n in lexicographic order."""
+def _combinations(m: int, k: int) -> np.ndarray:
+    """The k-subsets of range(m) in lexicographic order, one per row."""
+    flat = itertools.chain.from_iterable(itertools.combinations(range(m), k))
+    return np.fromiter(flat, np.int64).reshape(-1, k)
+
+
+def _balanced_tables(q: int, n: int) -> np.ndarray:
+    """Every balanced value table of F_q^n, one per row, in lexicographic
+    order.
+
+    Value v takes part = q^(n-1) of the positions the values below it left
+    free, as a combination of their relative indices; the tables are the
+    product of those choices, value 0 outermost, and q-1 takes the rest.
+    Each value is written into all the rows of a prefix at once, so only
+    the free positions of each prefix are held beside the result."""
     size = q**n
-    part = q ** (n - 1)
-    arr = np.empty(size, dtype=np.int64)
-
-    def fill(remaining: tuple[int, ...], v: int):
-        if v == q - 1:
-            for i in remaining:
-                arr[i] = v
-            yield arr
-            return
-        for combo in itertools.combinations(remaining, part):
-            for i in combo:
-                arr[i] = v
-            chosen = set(combo)
-            rest = tuple(i for i in remaining if i not in chosen)
-            yield from fill(rest, v + 1)
-
-    yield from fill(tuple(range(size)), 0)
+    part = size // q
+    total = prod(comb(size - v * part, part) for v in range(q - 1))
+    out = np.full((total, size), q - 1, dtype=np.int64)
+    free = np.arange(size)[None]    # one row per prefix: its free positions
+    for v in range(q - 1):
+        m = free.shape[1]
+        chosen = _combinations(m, part)
+        rows = len(free) * len(chosen)
+        # the flat offset of every row, grouped by prefix
+        at = np.arange(0, out.size, size).reshape(rows, -1, 1)
+        np.put(out, at + free.take(chosen, axis=1).reshape(rows, 1, part), v)
+        # taking complements reverses the lexicographic order
+        rest = _combinations(m, m - part)[::-1]
+        free = free.take(rest, axis=1).reshape(rows, -1)
+    return out
 
 
 def _balanced_count(size: int, part: int, cap: int) -> int:
@@ -177,7 +183,7 @@ def scan_pp_degree_bound(field: Field, n: int, cap: int | None = None,
     size = _check_points(field, n, cap)
     total = _balanced_count(size, size // q, scan_cap(table_cap))
     bound = n * (q - 1) - 1
-    tables = np.stack([t.copy() for t in _balanced_tables(q, n)])
+    tables = _balanced_tables(q, n)
     # interpolate all tables at once, one coefficient row per table
     coeffs = _transform(field, tables.T.reshape((q,) * n + (total,)),
                         True, n).reshape(total, size)
@@ -290,7 +296,7 @@ def conjecture_fn(field: Field, n: int) -> VerifyReport:
         raise UnsupportedField("the conjecture concerns odd q > 3")
     f = lpp_chain(field, n)
     expected = n * (q - 2)
-    measured = lead_degree(f.leading_terms(expected))
+    measured = f.total_degree
     detail = {"measured": measured, "expected": expected}
     witness = None if measured == expected else detail.copy()
     return _finish(VerifyReport("CONJECTURE", measured == expected, witness,

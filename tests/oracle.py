@@ -201,3 +201,28 @@ def naive_degree(coeffs) -> int:
         if c != 0:
             deg = i
     return deg
+
+
+def naive_balanced_tables(q: int, n: int):
+    """Yield every balanced value table of F_q^n (each value at q^(n-1)
+    positions) as a list, in lexicographic order: value 0 takes each
+    combination of the positions in turn, then value 1 of those left, and
+    so on; q-1 takes the rest."""
+    size = q**n
+    part = q ** (n - 1)
+    table = [0] * size
+
+    def fill(remaining: tuple[int, ...], v: int):
+        if v == q - 1:
+            for i in remaining:
+                table[i] = v
+            yield list(table)
+            return
+        for combo in itertools.combinations(remaining, part):
+            for i in combo:
+                table[i] = v
+            chosen = set(combo)
+            rest = tuple(i for i in remaining if i not in chosen)
+            yield from fill(rest, v + 1)
+
+    yield from fill(tuple(range(size)), 0)

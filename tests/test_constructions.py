@@ -372,8 +372,9 @@ def test_lpp_restrict_rejects_non_max():
 
 
 def test_known_degrees_are_read_without_a_full_scan(monkeypatch):
-    # where the expected degree is known, the checks read it from the
-    # leading terms; MultiPoly.degrees (and total_degree) must not be called
+    # the checks read every degree from the leading terms (total_degree
+    # does too), which scan top corners; MultiPoly.degrees, the full scan
+    # of every term, must not be called
     from ffperm import conjecture_fn
     from ffperm.mvpoly import MultiPoly
     from ffperm.suites import run_suite

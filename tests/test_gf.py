@@ -10,6 +10,7 @@ import pytest
 
 from ffperm import (CapExceeded, Field, FieldMismatch, NotPrime,
                     field_from_json, make_field)
+from ffperm import gf
 from ffperm.mvpoly import _dense_matrix
 from oracle import NaiveField
 
@@ -292,7 +293,7 @@ def test_field_build_temporaries_are_bounded():
     for p, r in [(2, 10), (3, 6)]:
         tracemalloc.start()
         try:
-            field = make_field.__wrapped__(p, r)    # past the cache
+            field = gf._make_field.__wrapped__(p, r)    # past the cache
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -368,6 +369,17 @@ def test_make_field_is_cached():
     assert make_field(3, 2) is make_field(3, 2)
     assert make_field(3, 2) == make_field(3, 2)
     assert make_field(3, 2) != make_field(3, 1)
+
+
+def test_make_field_caches_one_field_however_it_is_spelled():
+    f5 = make_field(5)
+    for same in (make_field(5, 1), make_field(5, r=1), make_field(p=5),
+                 make_field(5.0), make_field(np.int64(5), np.int64(1))):
+        assert same is f5
+    assert make_field(3, 2) is make_field(3.0, r=2)
+    info = make_field.cache_info()
+    make_field(5, 1)
+    assert make_field.cache_info().hits == info.hits + 1
 
 
 def test_rank_coeff_roundtrip():

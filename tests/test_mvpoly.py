@@ -325,6 +325,11 @@ MISUSE = [
      FieldMismatch, "operands live in different fields"),
     ("table size", lambda: FuncTable(F5, 2, np.zeros(24)), ValueError,
      "expected 25 values, got 24"),
+    ("table negative n", lambda: FuncTable(F5, -1, [0]), ValueError,
+     "variable count must be nonnegative"),
+    # refused at once, without building 5^(10^8)
+    ("table huge n", lambda: FuncTable(F5, 10**8, [0]), ValueError,
+     "expected 5^100000000 values, got 1"),
     ("table value q", lambda: FuncTable(F5, 1, [0, 1, 2, 3, 5]), ValueError,
      "table values must be element ranks"),
     ("table value -1", lambda: FuncTable(F5, 1, [0, 1, 2, 3, -1]),
@@ -569,31 +574,83 @@ def both_domains(f):
 
 
 def test_leading_terms_cache_the_full_tensor(family_polys):
-    # a table-only polynomial reads its corner off the full coefficient
+    # a table-only polynomial reads its corners off the full coefficient
     # tensor, which it caches; a corner is never cached in its place
-    for label, f in family_polys:
-        q, n = f.field.q, f.n
-        for k in range(q):
+    for label, f in family_polys + LARGE_LOW:
+        for read in (MultiPoly.leading_terms, lambda g: g.total_degree):
             from_table = both_domains(f)[0]
-            from_table.leading_terms(n * (q - 1) - k)
-            assert np.array_equal(from_table._coeffs, f.coeffs), (label, k)
+            read(from_table)
+            assert np.array_equal(from_table._coeffs, f.coeffs), label
 
 
-# over F_5 with a guess of 6, the corner of exponents >= 2 holds x1^2*x2^2
-# (degree 4) but not the leading term 2*x1^4*x2 (degree 5)
+# over F_5 the corner of exponents >= 2 holds x1^2*x2^2 (degree 4) but not
+# the leading term 2*x1^4*x2 (degree 5); a tensor this small is scanned
+# whole, and LARGE_LOW has the same shape at 5^7 entries
 CORNER_MISSES = ("corner misses",
                  poly_build(make_field(5), 2, [((2, 2), 1), ((4, 1), 2)]))
 
 
-def test_leading_terms_do_not_depend_on_the_guess(family_polys):
-    for label, f in family_polys + [CORNER_MISSES]:
-        q, n = f.field.q, f.n
-        total = f.total_degree
+def _large(p, r, n, terms, label):
+    return (label, poly_build(make_field(p, r), n, terms))
+
+
+# low-degree polynomials on tensors of at least 2^14 entries, so that the
+# corners grow until the last one is the whole tensor
+LARGE_LOW = [
+    _large(2, 4, 4, [((1, 0, 0, 0), 1), ((0, 0, 0, 0), 3)], "x1 + 3 q=16 n=4"),
+    _large(2, 1, 14, [((0,) * 13 + (1,), 1)], "x14 q=2 n=14"),
+    _large(2, 2, 7, [((3, 3, 0, 0, 0, 0, 2), 2), ((1,) * 7, 1)], "q=4 n=7"),
+    # the corner of exponents >= 3 holds (3,...,3) of degree 21 < 27, and
+    # that of exponents >= 1 nothing of degree >= 25; the lead has a zero
+    _large(5, 1, 7, [((3,) * 7, 1), ((4,) * 6 + (0,), 2)], "corner misses n=7"),
+    _large(5, 1, 7, [((0,) * 7, 4)], "constant q=5 n=7"),
+    _large(5, 1, 7, [], "zero q=5 n=7"),
+]
+
+
+def test_leading_terms_match_a_full_scan(family_polys):
+    for label, f in family_polys + [CORNER_MISSES] + LARGE_LOW:
+        total = f.degrees()[0]
         want = [(e, c) for e, c in f.terms() if sum(e) == total]
-        guesses = [n * (q - 1) - k for k in range(q)] + [-1, n * (q - 1) + 5]
-        for at_least in guesses:
-            for g in both_domains(f):
-                assert g.leading_terms(at_least) == want, (label, at_least)
+        for g in both_domains(f):
+            assert g.leading_terms() == want, label
+            assert g.total_degree == total, label
+
+
+def _corners_read(monkeypatch):
+    """The low exponent of every corner _nonzero reads from here on."""
+    lows, nonzero = [], MultiPoly._nonzero
+
+    def record(self, low=0):
+        lows.append(low)
+        return nonzero(self, low)
+
+    monkeypatch.setattr(MultiPoly, "_nonzero", record)
+    return lows
+
+
+def test_leading_term_corners_grow_from_the_top(monkeypatch):
+    small = both_domains(CORNER_MISSES[1])[1]
+    misses, low_degree, zero_poly = (both_domains(f)[1] for f in (
+        LARGE_LOW[3][1], LARGE_LOW[0][1], LARGE_LOW[5][1]))
+    lows = _corners_read(monkeypatch)
+    assert small.total_degree == 5 and lows == [0]      # small: whole
+    del lows[:]
+    assert misses.total_degree == 24 and lows == [4, 3, 1, 0]
+    del lows[:]
+    assert low_degree.total_degree == 1 and lows == [15, 14, 12, 8, 0]
+    del lows[:]
+    assert zero_poly.leading_terms() == [] and lows == [4, 3, 1, 0]
+
+
+def test_lpp_beta_degree_is_read_without_a_full_scan(monkeypatch):
+    # degree n(q-2) = 56 lies in the corner of exponents >= 8 (k = 7)
+    f = lpp_beta(make_field(2, 4), 4)
+    held = MultiPoly(f.field, f.n, f.coeffs)
+    lows = _corners_read(monkeypatch)
+    assert held.leading_terms() == [((14,) * 4, 1)]
+    assert held.total_degree == 56
+    assert lows == [15, 14, 12, 8] * 2
 
 
 def test_zero_variable_readout():
@@ -603,9 +660,10 @@ def test_zero_variable_readout():
     assert c.terms() == [((), 3)] and z.terms() == []
     assert c.degrees() == (0, ()) and z.degrees() == (-1, ())
     assert c.total_degree == 0 and z.total_degree == -1
-    for at_least in (-1, 0, 7):
-        assert c.leading_terms(at_least) == [((), 3)]
-        assert z.leading_terms(at_least) == []
+    for g in both_domains(c):
+        assert g.leading_terms() == [((), 3)] and g.total_degree == 0
+    for g in both_domains(z):
+        assert g.leading_terms() == [] and g.total_degree == -1
 
 
 # -- substitution, extension, composition --------------------------------------

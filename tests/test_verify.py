@@ -11,7 +11,8 @@ from ffperm import (CapExceeded, MultiPoly, UnsupportedField, assert_degree,
 from ffperm import mvpoly, verify
 from ffperm.mvpoly import (FuncTable, _dense_matrix, constant, interpolate,
                            monomial, variable)
-from oracle import NaiveField, naive_eval, naive_interp_univariate, naive_degree
+from oracle import (NaiveField, naive_balanced_tables, naive_degree,
+                    naive_eval, naive_interp_univariate)
 
 F3 = make_field(3)
 F4 = make_field(2, 2)
@@ -260,6 +261,16 @@ def test_scan_counts_match_formula():
         size, part = q**n, q**(n - 1)
         assert (verify._balanced_count(size, part, 10**40)
                 == factorial(size) // factorial(part)**q)
+
+
+@pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1),
+                                 (3, 2), (4, 1), (5, 1), (7, 1)])
+def test_balanced_tables_match_the_recursive_enumeration(q, n):
+    # the same tables in the same order: the scan's witness is the first
+    # failing table, so the order is part of its output
+    want = np.array(list(naive_balanced_tables(q, n)), dtype=np.int64)
+    got = verify._balanced_tables(q, n)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
 
 
 def test_scan_cap():
