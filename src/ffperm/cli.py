@@ -85,11 +85,7 @@ def cmd_verify(args) -> int:
     else:
         with open(args.input, "r", encoding="utf-8") as fh:
             text = fh.read()
-    try:
-        doc = json.loads(text)
-    except RecursionError:
-        raise ValueError("JSON input is nested too deeply") from None
-    f = poly_from_json(doc)
+    f = poly_from_json(text)
     cap = args.point_cap
     if args.pp:
         rep = vf.is_pp(f, cap=cap)

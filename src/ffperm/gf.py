@@ -32,6 +32,18 @@ from .errors import (CapExceeded, DivisionByZero, FieldMismatch,
 TABLE_CAP = 1024
 
 
+def exact_int(x, what: str) -> int:
+    """x as an int, when int(x) equals x (so 5.0 and numpy integers pass);
+    ValueError naming what x is otherwise, e.g. for 5.5 or '5'."""
+    try:
+        k = int(x)
+    except (TypeError, ValueError, OverflowError):
+        k = None
+    if k is None or k != x:
+        raise ValueError(f"{what} must be an integer, not {x!r}")
+    return k
+
+
 def fold_exp(e: int, q: int) -> int:
     """Reduce a single exponent modulo the relation x^q = x."""
     return e if e < q else (e - 1) % (q - 1) + 1
@@ -299,9 +311,11 @@ def make_field(p: int, r: int = 1) -> Field:
     (int(p), int(r)) however the arguments are spelled.
 
     Raises NotPrime for composite p, CapExceeded when q exceeds
-    TABLE_CAP, and ValueError for r < 1.
+    TABLE_CAP, and ValueError for r < 1 or a p or r that is not an
+    integer (5.0 and numpy integers are).
     """
-    return _make_field(int(p), int(r))
+    return _make_field(exact_int(p, "characteristic"),
+                       exact_int(r, "extension degree"))
 
 
 @lru_cache(maxsize=32)

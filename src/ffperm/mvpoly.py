@@ -28,19 +28,22 @@ distinct and makes the correspondence one-to-one.
 
 Raw terms (poly_build, poly_from_json) are read into an exponent array and
 a coefficient rank array, with no Python object per term, and one array
-routine (_sum_terms) checks, folds and sums them.
+routine (_sum_terms) checks, folds and sums them.  JSON text whose terms are
+written in the form `ffperm construct` or json.dump gives them is read
+straight from its bytes (_read_text); json.loads parses everything else.
 """
 
 import itertools
+import json
 from operator import itemgetter
 
 import numpy as np
 
 from . import _kernels
 from .caps import point_cap
-from .errors import (CapExceeded, FieldMismatch, IndexOutOfRange,
-                     VariableCountMismatch)
-from .gf import Field, field_from_json, fold_exp
+from .errors import (CapExceeded, FFPermError, FieldMismatch,
+                     IndexOutOfRange, VariableCountMismatch)
+from .gf import Field, exact_int, field_from_json, fold_exp
 
 
 def _exponents(nz: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -406,7 +409,7 @@ class FuncTable:
 
     def __init__(self, field: Field, n: int, values):
         self.field = field
-        self.n = n
+        self.n = n = exact_int(n, "variable count")
         vals = np.ascontiguousarray(values, dtype=np.int64).reshape(-1)
         if n < 0:
             raise ValueError("variable count must be nonnegative")
@@ -772,12 +775,109 @@ def _json_ranks(field: Field, terms: list) -> np.ndarray:
     return ranks
 
 
-def poly_from_json(data: dict) -> MultiPoly:
+_TERMS = '"terms": ['
+_JSON_SPACE = " \t\n\r"
+_DIGITS = b"0123456789"
+# every byte but a digit becomes a space
+_DIGIT_RUNS = bytes(c if c in _DIGITS else 32 for c in range(256))
+# a slot opens with "[" or " " and closes with "," or "]"
+_SLOT_EDGES = bytes.maketrans(b"[]", b" ,")
+# a run of 18 digits fits in int64; strtoll clamps a longer one
+_RUN_LIMIT = 10**18
+
+
+def _skeletons(n: int, r: int) -> tuple[bytes, bytes]:
+    """One term with its digits deleted: coeff first, as `ffperm construct`
+    writes it (sort_keys), and exps first, as json.dump writes the dict
+    {"exps": ..., "coeff": ...}."""
+    coeff = '"coeff": [' + ", " * (r - 1) + "]"
+    exps = '"exps": [' + ", " * (n - 1) + "]"
+    return f"{{{coeff}, {exps}}}".encode(), f"{{{exps}, {coeff}}}".encode()
+
+
+def _read_text(text: str) -> MultiPoly | None:
+    """The polynomial of a JSON text whose terms are its last key and all
+    written in one of the _skeletons forms with unsigned integers of at
+    most 18 digits, no leading zero and coefficient digits below p; None
+    for any other text, valid or not, and for a header (everything but
+    the terms) that poly_from_json would refuse.
+
+    The header alone goes through json.loads.  The terms' bytes with their
+    digits deleted must be the skeleton repeated, no slot may be empty,
+    and one np.fromstring reads every integer, one row per term.  The
+    digit count the values imply must equal the digits in the text, which
+    a leading zero or a clamped run would break.  The arrays handed to
+    _sum_terms hold what the dict path's would, so the result is the same.
+    """
+    cut = text.find(_TERMS)
+    end = len(text.rstrip(_JSON_SPACE))
+    if cut < 0 or not text.startswith("]}", end - 2):
+        return None
+    # a header that parses with an empty terms list put in at the cut shows
+    # that the cut is a key of the top object, not text in a string or a
+    # nested object
+    try:
+        doc = json.loads(text[:cut] + _TERMS + "]}")
+        _check_poly_json(doc)
+        field = field_from_json(doc["field"])
+        n = int(doc["n"])
+        _check_points(field, n)
+    except (ValueError, FFPermError, RecursionError):
+        return None
+    body = text[cut + len(_TERMS) - 1:end - 1]  # from "[" through "]"
+    if not body.isascii():
+        return None
+    body = body.encode()
+    bare = body.translate(None, _DIGITS)
+    forms = _skeletons(n, field.r)
+    size = len(forms[0]) + 2  # a term and ", "
+    count, rest = divmod(len(bare), size)
+    form = bare[1:size - 1]
+    # n = 0 writes "exps": [], which the empty-slot test refuses
+    if (rest or form not in forms
+            or not bare.startswith((form + b", ") * (count - 1), 1)
+            or not bare.endswith(form + b"]")
+            or b" ," in body.translate(_SLOT_EDGES)):
+        return None
+    digits = len(body) - len(bare)
+    del bare
+    body = body.translate(_DIGIT_RUNS)
+    values = np.fromstring(body, np.int64, sep=" ")
+    del body
+    width = n + field.r
+    if values.size != count * width:
+        return None
+    top = int(values.max())
+    if top >= _RUN_LIMIT or digits != values.size + sum(
+            int(np.count_nonzero(values >= 10**k))
+            for k in range(1, len(str(top)))):
+        return None
+    rows = values.reshape(count, width)
+    if form.startswith(b'{"coeff"'):
+        coeff, exps = rows[:, :field.r], rows[:, field.r:]
+    else:
+        exps, coeff = rows[:, :n], rows[:, n:]
+    if coeff.max() >= field.p:  # the general path words the error
+        return None
+    return _sum_terms(field, n, exps, coeff @ field.p_pows)
+
+
+def poly_from_json(data: dict | str) -> MultiPoly:
     """Accepts unreduced exponents and unsorted terms; extra keys ignored.
 
-    Raises ValueError when the document has the wrong shape.  Exponents and
-    coefficient digits stream from the document into arrays, with no
-    object per term, and _sum_terms adds them up."""
+    data is a document or its JSON text.  Raises ValueError when the text
+    is not JSON or the document has the wrong shape.  Text that _read_text
+    reads never meets json.loads; any other is parsed and read as a
+    document: exponents and coefficient digits stream from it into
+    arrays, with no object per term, and _sum_terms adds them up."""
+    if isinstance(data, str):
+        poly = _read_text(data)
+        if poly is not None:
+            return poly
+        try:
+            data = json.loads(data)
+        except RecursionError:
+            raise ValueError("JSON input is nested too deeply") from None
     _check_poly_json(data)
     field = field_from_json(data["field"])
     n = int(data["n"])

@@ -156,6 +156,24 @@ def test_construct_verify_pipeline_unmodified():
         assert doc["verdict"] == "pass"
 
 
+def test_written_documents_are_read_from_their_bytes(capsys):
+    """lpp_beta q=16 n=4 as `construct` writes it (coeff first) and as the
+    bench's json.dump writes it (exps first) skips json.loads on its
+    terms, and reads as the parsed document does."""
+    from ffperm import cli, mvpoly
+    assert cli.main(["construct", "--family", "lpp_beta", "--p", "2",
+                     "--r", "4", "--n", "4"]) == 0
+    written = capsys.readouterr().out
+    doc = json.loads(written)
+    dumped = json.dumps({"field": {"p": 2, "r": 4}, "n": 4,
+                         "terms": [{"exps": t["exps"], "coeff": t["coeff"]}
+                                   for t in doc["terms"]]})
+    want = mvpoly.poly_from_json(doc)
+    for text in (written, dumped):
+        got = mvpoly._read_text(text)
+        assert got is not None and got == want
+
+
 def test_verify_from_file(tmp_path):
     built = run("construct", "--family", "pp_hn", "--p", "5", "--n", "2")
     path = tmp_path / "poly.json"

@@ -336,6 +336,21 @@ def test_make_field_errors():
         make_field(3, 0)
 
 
+@pytest.mark.parametrize("args,message", [
+    ((5.5,), "characteristic must be an integer, not 5.5"),
+    (("5",), "characteristic must be an integer, not '5'"),
+    ((None,), "characteristic must be an integer, not None"),
+    ((float("inf"),), "characteristic must be an integer, not inf"),
+    ((2, 2.9), "extension degree must be an integer, not 2.9"),
+    ((3, "2"), "extension degree must be an integer, not '2'"),
+])
+def test_make_field_refuses_what_int_would_change(args, message):
+    # int() would read 5.5 and '5' as 5 and 2.9 as 2; nothing is built
+    with pytest.raises(ValueError) as err:
+        make_field(*args)
+    assert str(err.value) == message
+
+
 def test_large_field_exceeds_table_cap(monkeypatch):
     # fields stop at the dense-table cap, whatever the point cap says
     assert make_field(2, 10).q == 1024

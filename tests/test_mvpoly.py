@@ -128,11 +128,16 @@ FAULTS = [
 @pytest.mark.parametrize("label,n,terms,doc_terms,want,doc_want", FAULTS,
                          ids=[case[0] for case in FAULTS])
 def test_single_faults_are_pinned(label, n, terms, doc_terms, want, doc_want):
+    """Also as JSON text, exps first (json.dumps) and coeff first (keys
+    sorted, as `ffperm construct` writes)."""
     f9 = make_field(3, 2)
     doc = {"field": f9.to_json(), "n": n, "terms": doc_terms}
     for call, (kind, detail) in (
             (lambda: poly_build(f9, n, terms), want),
-            (lambda: poly_from_json(doc), doc_want or want)):
+            (lambda: poly_from_json(doc), doc_want or want),
+            (lambda: poly_from_json(json.dumps(doc)), doc_want or want),
+            (lambda: poly_from_json(json.dumps(doc, sort_keys=True)),
+             doc_want or want)):
         if kind == "accepts":
             assert call() == poly_build(f9, n, detail)
             continue
@@ -190,6 +195,34 @@ def test_json_ingest_memory_is_bounded():
         tracemalloc.stop()
     assert got == want
     assert peak <= 3 << 20, peak
+
+
+def test_deeply_nested_text_is_a_value_error():
+    # once with no terms key, once with the nesting in the header
+    deep = "[" * 100000
+    for text in (deep, '{"params": ' + deep + '"terms": [{"exps": [1], '
+                                              '"coeff": [1]}]}'):
+        with pytest.raises(ValueError) as err:
+            poly_from_json(text)
+        assert str(err.value) == "JSON input is nested too deeply"
+
+
+def test_text_ingest_memory_is_bounded():
+    """Read from its text, the same document peaks at under 3 times the
+    text's length (2.8 measured): the terms' bytes, then a copy with every
+    non-digit made a space and the (N, n + r) int64 array np.fromstring
+    reads from it.  Through json.loads it peaks near 8.7 times."""
+    field = make_field(2, 4)
+    text = json.dumps(poly_to_json(lpp_beta(field, 4)))
+    want = poly_from_json(json.loads(text))
+    tracemalloc.start()
+    try:
+        got = poly_from_json(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak <= 3 * len(text), (peak, len(text))
 
 
 # -- ring arithmetic vs oracle ------------------------------------------------
@@ -330,6 +363,10 @@ MISUSE = [
     # refused at once, without building 5^(10^8)
     ("table huge n", lambda: FuncTable(F5, 10**8, [0]), ValueError,
      "expected 5^100000000 values, got 1"),
+    ("table n 2.5", lambda: FuncTable(F5, 2.5, [0] * 25), ValueError,
+     "variable count must be an integer, not 2.5"),
+    ("table n '2'", lambda: FuncTable(F5, "2", [0] * 25), ValueError,
+     "variable count must be an integer, not '2'"),
     ("table value q", lambda: FuncTable(F5, 1, [0, 1, 2, 3, 5]), ValueError,
      "table values must be element ranks"),
     ("table value -1", lambda: FuncTable(F5, 1, [0, 1, 2, 3, -1]),
@@ -354,6 +391,15 @@ def test_func_table_equality_and_repr():
     assert t != FuncTable(field, 0, [2])
     assert t != [2, 0, 1]
     assert repr(t) == "FuncTable(q=3, n=1)"
+
+
+def test_func_table_reads_an_integral_n_as_an_int():
+    values = np.arange(25) % 5
+    want = FuncTable(F5, 2, values)
+    for n in (2.0, np.int64(2)):
+        t = FuncTable(F5, n, values)
+        assert type(t.n) is int and t == want
+        assert interpolate(t) == interpolate(want)
 
 
 # -- evaluation and tables ----------------------------------------------------
