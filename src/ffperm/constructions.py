@@ -204,6 +204,12 @@ def lpp_beta(field: Field, n: int) -> MultiPoly:
                      _univariate(field, [1]))
 
 
+def block_sizes(field: Field) -> list[int]:
+    """The block sizes lpp_power takes on field, smallest first: every b
+    with 1 < b < p-1 and gcd(b, q-1) = 1."""
+    return [b for b in range(2, field.p - 1) if gcd(b, field.q - 1) == 1]
+
+
 def lpp_power(field: Field, b: int, k: int = 1) -> MultiPoly:
     """Block-power construction in b^k variables, degree b^k(q-2).
 
@@ -269,17 +275,20 @@ def indicator_poly(field: Field) -> MultiPoly:
 def lpp_indicator(field: Field, n: int) -> MultiPoly:
     """prod_i p(x_i) + sum_i t_beta(x_i) for odd p, q = p^r > 3: an LPP of
     degree n(q-2).  For prime q the same degree is reached through the
-    block-power construction with b = p-2, restricted down to n variables.
+    block-power construction with the smallest block size b (see
+    block_sizes; p-2 always qualifies), restricted down to n variables.
 
-    That route needs q^(b^k) >= q^(p-2) points, so under the default point
-    cap a prime q builds only q = 5 with n <= 3 and q = 7 with n <= 5; for
-    q >= 11 every n raises CapExceeded (11^9 points at q = 11)."""
+    That route needs q^b points, and q^(b^k) >= q^9 once n > b, which no
+    q >= 5 fits under the default point cap.  So a prime q builds n <= b
+    when q^b fits and raises CapExceeded for every n otherwise: n <= 3 at
+    q = 5, 11 and 17, n <= 5 at q = 7 and 13, nothing at q = 19 (19^5
+    points) or q = 31 (31^7)."""
     p, q = field.p, field.q
     if p == 2 or q <= 3:
         raise UnsupportedField("needs odd p and q > 3")
     _guard(field, n)
     if field.r == 1:
-        b = p - 2
+        b = block_sizes(field)[0]
         k = 1
         while b**k < n:
             k += 1

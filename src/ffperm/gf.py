@@ -11,13 +11,13 @@ Fields carry two dense q x q lookup tables, add and mul, that the array
 kernels gather from, and three length-q arrays: neg, exp and log.  The
 generator is the smallest-rank primitive element, found by walking the
 powers of each candidate with its multiply-by-g row, and the walk gives
-exp (exp[i] = g^i) and log.  mul is exp[log a + log b], add is XOR for
-p = 2 and digit-wise addition otherwise, and powers reads a^k as
-exp[(log a * k) mod (q-1)], which also serves pow and inv.  add and mul
-are filled in blocks of rows, so the build's temporaries stay near 2^16
-entries.  No power or interpolation matrix is stored: mvpoly makes them
-from exp and log when a transform needs them.  make_field refuses
-q > TABLE_CAP.
+exp (exp[i] = g^i) and log.  mul is exp[log a + log b], gathered in
+place; add is the Kronecker sum of F_p's addition table over the r
+digits, built one digit at a time; and powers reads a^k as
+exp[(log a * k) mod (q-1)], which also serves pow and inv.  Neither
+table build allocates a second q x q array.  No power or interpolation
+matrix is stored: mvpoly makes them from exp and log when a transform
+needs them.  make_field refuses q > TABLE_CAP.
 """
 
 import operator
@@ -166,26 +166,23 @@ class Field:
         raise NoIrreducibleFound("multiplicative group has no generator")
 
     def _build_tables(self) -> None:
-        """Every table from one exp/log pair: add and mul in blocks of rows
-        so that no temporary outgrows about 2^16 entries."""
-        p, r, q = self.p, self.r, self.q
+        """Every table from its structure, each q x q table in one pass: add
+        is the Kronecker sum of F_p's addition table over the r digits, mul
+        one gather of exp through log a + log b."""
+        p, q = self.p, self.q
         ar = np.arange(q, dtype=np.int64)
         D = (ar[:, None] // self.p_pows[None, :]) % p
         exp, log = self._exp_log(D)
-        exp2 = np.concatenate([exp, exp])
-        block = max(1, 2**16 // q)
-        add_t = np.empty((q, q), dtype=np.int64)
-        mul_t = np.empty((q, q), dtype=np.int64)
-        for lo in range(0, q, block):
-            hi = min(q, lo + block)
-            mul_t[lo:hi] = exp2[log[lo:hi, None] + log]
-            if p == 2:
-                add_t[lo:hi] = ar[lo:hi, None] ^ ar
-            else:
-                acc = add_t[lo:hi]
-                acc[:] = 0
-                for i in range(r):
-                    acc += (D[lo:hi, i, None] + D[:, i]) % p * self.p_pows[i]
+        digit = np.add.outer(ar[:p], ar[:p])
+        digit %= p      # in place: at r = 1 this is the whole table
+        add_t = digit
+        for m in self.p_pows[1:].tolist():
+            # rank a < p*m is (top digit, a mod m), so index as (p, m)
+            add_t = (m * digit[:, None, :, None]
+                     + add_t[None, :, None, :]).reshape(p * m, p * m)
+        mul_t = np.add.outer(log, log)
+        # clip mode gathers in place; raise mode would buffer a q x q copy
+        np.concatenate([exp, exp]).take(mul_t, out=mul_t, mode="clip")
         # zero has no log: 0 * b = 0
         mul_t[0] = 0
         mul_t[:, 0] = 0

@@ -26,7 +26,7 @@ whose workload exceeds a cap are reported as skipped, not failed.
 
 from collections.abc import Callable
 from dataclasses import dataclass, field as dc_field
-from math import factorial, gcd
+from math import factorial
 
 from . import constructions as cons
 from . import verify as vf
@@ -114,7 +114,7 @@ def _build(spec: Spec, field: Field, n: int, prev: MultiPoly | None):
         return cons.build_family(spec.family, field, n=n, b=n)
     except NoValidB as e:
         # an override's n is the block size, so name the n this field admits
-        fits = [b for b in range(2, field.p - 1) if gcd(b, field.q - 1) == 1]
+        fits = cons.block_sizes(field)
         hint = (f"try --n {fits[0]}" if fits
                 else f"no n fits 1 < n < {field.p - 1}")
         raise NoValidB(f"{e}: {spec.family} cells take b = n; on "

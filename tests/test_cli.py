@@ -116,6 +116,18 @@ def test_construct_without_a_variable_exit_2(capsys, tag, p, r, n):
     assert "need at least one variable" in out.err
 
 
+def test_construct_lpp_indicator_at_a_prime_over_ten(capsys):
+    # F_11 takes block size 3, so one variable needs 11^3 points, not 11^9
+    from ffperm import cli
+    rc = cli.main(["construct", "--family", "lpp_indicator", "--p", "11",
+                   "--n", "1"])
+    out = capsys.readouterr()
+    assert rc == 0 and out.err == ""
+    doc = json.loads(out.out)
+    assert doc["n"] == 1 and doc["field"] == {"p": 11, "r": 1}
+    assert max(t["exps"][0] for t in doc["terms"]) == 9     # degree q-2
+
+
 @pytest.mark.parametrize("b,k", [("2", "1000000000000"), ("5", "100000000"),
                                  ("1000000000000000000000", "100000")])
 def test_construct_lpp_power_huge_b_to_the_k_exit_2(b, k):

@@ -16,7 +16,7 @@ from ffperm import (BadDegree, FFPermError, FieldMismatch, MultiPoly,
                     lpp_restrict, lpp_three, make_field, poly_build,
                     pp_alpha4, pp_dickson, pp_hn, pp_monomial, pp_product,
                     t_poly, to_table, transposition)
-from ffperm.constructions import FAMILY_TAGS
+from ffperm.constructions import FAMILY_TAGS, block_sizes
 from ffperm.mvpoly import FuncTable, monomial, points
 from oracle import (SMALL_FIELDS, NaiveField, all_points,
                     naive_interp_univariate, naive_is_lpp, naive_is_pp,
@@ -452,6 +452,17 @@ def test_lpp_indicator_prime_dispatch():
     assert is_lpp(f).ok
     # the prime route is power + restriction, so the results must agree
     assert f == lpp_restrict(lpp_power(F5, 3))
+    # the smallest block size: b = 3 at q = 11 (p-2 = 9 would need 11^9
+    # points), while q = 19 takes b = 5 and 19^5 is over the point cap
+    assert block_sizes(F5)[0] == 3 and block_sizes(F7)[0] == 5
+    assert block_sizes(F11)[0] == 3
+    f11 = lpp_indicator(F11, 2)
+    assert f11.n == 2 and f11.total_degree == 18 and is_lpp(f11).ok
+    assert f11 == lpp_restrict(lpp_power(F11, 3))
+    from ffperm import CapExceeded
+    with pytest.raises(CapExceeded,
+                       match=r"19\^5 points exceed the point cap"):
+        lpp_indicator(make_field(19), 1)
     with pytest.raises(UnsupportedField):
         lpp_indicator(F3, 2)
     with pytest.raises(UnsupportedField):

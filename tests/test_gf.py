@@ -288,9 +288,10 @@ def test_transform_matrices_are_made_per_call(p, r):
 
 
 def test_field_build_temporaries_are_bounded():
-    # the q x q tables are filled in blocks of rows, so the build allocates
-    # little beyond the tables it returns
-    for p, r in [(2, 10), (3, 6)]:
+    # add is built one digit at a time and mul gathered in place, so the
+    # build allocates little beyond the tables it returns: (31, 2) takes
+    # a large-p digit step, and (1021, 1) builds add as F_p's table alone
+    for p, r in [(2, 10), (3, 6), (31, 2), (1021, 1)]:
         tracemalloc.start()
         try:
             field = gf._make_field.__wrapped__(p, r)    # past the cache

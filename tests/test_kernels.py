@@ -87,6 +87,22 @@ PRIME_POWERS = [(p, r) for p in range(2, TABLE_CAP + 1) if _is_prime(p)
                 if p**r <= TABLE_CAP]
 
 
+def test_field_tables_match_digit_arithmetic_on_every_field():
+    # add_t, built as a Kronecker sum, against digit-wise addition mod p
+    # (rows in blocks, to keep the q x q x r digit sums small); mul_t at
+    # r = 1 against integer multiplication mod p
+    for p, r in PRIME_POWERS:
+        F = make_field(p, r)
+        q = F.q
+        D = (np.arange(q)[:, None] // F.p_pows) % p
+        for lo in range(0, q, 64):
+            want = ((D[lo:lo + 64, None] + D[None]) % p) @ F.p_pows
+            assert np.array_equal(F.add_t[lo:lo + 64], want), (p, r, lo)
+        if r == 1:
+            a = np.arange(q)
+            assert np.array_equal(F.mul_t, np.multiply.outer(a, a) % p), p
+
+
 def reference_matrices(F):
     """The evaluation matrix E[c, e] = c^e (0^0 = 1), one column at a time
     by repeated multiplication through mul_t, and the interpolation matrix:
