@@ -1,6 +1,7 @@
 """Hot integer kernels in numpy.
 
-All kernels operate on int64 rank arrays plus the field lookup tables.
+mat_apply works on int64 rank arrays and the field lookup tables;
+lpp_scan reads a value table alone.
 """
 
 import numpy as np
@@ -67,13 +68,30 @@ def lpp_scan(table, n, q):
     Scans coordinates in order; within a coordinate, assignments to the
     remaining variables run in rank order.  Returns (axis, lo, hi) where the
     failing assignment has rank lo*q^(n-1-axis)+hi, or (-1, -1, -1).
+
+    The table holds values in [0, q).  For q <= 64 each value v becomes the
+    bit 1 << v, shifted in place in one copy of the table in the smallest
+    unsigned dtype that holds 2^q - 1, and a line is a bijection iff the OR
+    of its q bits is 2^q - 1.  Larger q sorts each line instead.  Both tests
+    flag the same lines, so the witness is the same.
     """
-    size = table.size
-    L, R = 1, size // q
-    want = np.arange(q, dtype=np.int64)
+    L, R = 1, table.size // q
+    if q <= 64:
+        full = (1 << q) - 1
+        dt = np.min_scalar_type(full)
+        lines = table.astype(dt)
+        np.left_shift(dt.type(1), lines, out=lines)
+
+        def failing(view):
+            return np.bitwise_or.reduce(view, axis=1) != full
+    else:
+        lines = table
+        want = np.arange(q, dtype=np.int64)[None, :, None]
+
+        def failing(view):
+            return (np.sort(view, axis=1) != want).any(axis=1)
     for axis in range(n):
-        view = table.reshape(L, q, R)
-        bad = (np.sort(view, axis=1) != want[None, :, None]).any(axis=1)
+        bad = failing(lines.reshape(L, q, R))
         if bad.any():
             flat = int(np.argmax(bad.reshape(-1)))
             return axis, flat // R, flat % R

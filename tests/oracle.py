@@ -3,10 +3,14 @@
 Everything here is deliberately naive and table-free: field arithmetic by
 polynomial long division on coefficient tuples, polynomial evaluation by
 repeated multiplication, permutation checks by literal set comparison.  No
-numpy, no shared code paths with the package under test.
+shared code paths with the package under test.  Only sort_lpp_scan uses
+numpy: it is the line scan by sorting, fast enough to be the reference on
+tables of up to 2^20 points.
 """
 
 import itertools
+
+import numpy as np
 
 # (p, r) of the small fields the cross-checks sweep
 SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)]
@@ -226,3 +230,21 @@ def naive_balanced_tables(q: int, n: int):
             yield from fill(rest, v + 1)
 
     yield from fill(tuple(range(size)), 0)
+
+
+def sort_lpp_scan(table, n: int, q: int):
+    """The first line of a value table that is not a bijection, found by
+    sorting every line of every axis; the reference for _kernels.lpp_scan,
+    with its (axis, lo, hi) return (lo, hi split the rank of the failing
+    assignment at q^(n-1-axis)), or (-1, -1, -1)."""
+    L, R = 1, table.size // q
+    want = np.arange(q)[None, :, None]
+    for axis in range(n):
+        lines = np.sort(table.reshape(L, q, R), axis=1)
+        bad = (lines != want).any(axis=1).reshape(-1)
+        if bad.any():
+            flat = int(np.argmax(bad))
+            return axis, flat // R, flat % R
+        L *= q
+        R //= q
+    return -1, -1, -1

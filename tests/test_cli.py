@@ -346,6 +346,18 @@ def test_check_cap_skips_are_not_failures():
     assert "failed=0" in last and "skipped=" in last
 
 
+@pytest.mark.parametrize("var,value,args", [
+    ("FFPERM_POINT_CAP", "abc",
+     ("construct", "--family", "pp_hn", "--p", "5", "--n", "2")),
+    ("FFPERM_SCAN_CAP", "1e6", ("scan", "--p", "2", "--n", "1")),
+])
+def test_unreadable_cap_variable_names_itself_exit_2(var, value, args):
+    res = run(*args, env_extra={var: value})
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == f"error: {var} must be an integer, got '{value}'\n"
+
+
 def test_check_huge_n_is_a_skipped_row(capsys):
     rc, out, _ = check_main(capsys, "--suite", "thm3.2", "--p", "5",
                             "--n", str(10**12))
