@@ -1,4 +1,4 @@
-"""Size caps for exhaustive work, overridable per call or via environment."""
+"""Size caps for exhaustive work, set only by environment variable."""
 
 import os
 
@@ -6,11 +6,8 @@ DEFAULT_POINT_CAP = 1 << 20
 DEFAULT_SCAN_CAP = 10**7
 
 
-def _cap(override: int | None, name: str, default: int) -> int:
-    """The override, else the integer in environment variable name, else
-    default."""
-    if override is not None:
-        return int(override)
+def _cap(name: str, default: int) -> int:
+    """The integer in environment variable name, else default."""
     text = os.environ.get(name)
     if text is None:
         return default
@@ -20,11 +17,13 @@ def _cap(override: int | None, name: str, default: int) -> int:
         raise ValueError(f"{name} must be an integer, got {text!r}") from None
 
 
-def point_cap(override: int | None = None) -> int:
-    """Maximum number of evaluation points q^n for exhaustive operations."""
-    return _cap(override, "FFPERM_POINT_CAP", DEFAULT_POINT_CAP)
+def point_cap() -> int:
+    """Maximum number of evaluation points q^n for exhaustive operations
+    (FFPERM_POINT_CAP)."""
+    return _cap("FFPERM_POINT_CAP", DEFAULT_POINT_CAP)
 
 
-def scan_cap(override: int | None = None) -> int:
-    """Maximum number of value tables a scan may enumerate."""
-    return _cap(override, "FFPERM_SCAN_CAP", DEFAULT_SCAN_CAP)
+def scan_cap() -> int:
+    """Maximum number of value tables a scan may enumerate
+    (FFPERM_SCAN_CAP)."""
+    return _cap("FFPERM_SCAN_CAP", DEFAULT_SCAN_CAP)

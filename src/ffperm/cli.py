@@ -10,7 +10,9 @@ scan       exhaustively scan all n-variable permutation polynomials for the
            degree bound
 
 Exit codes: 0 = pass, 1 = a checked claim failed, 2 = usage or precondition
-error (including exceeded caps outside of suite rows).
+error (including exceeded caps outside of suite rows).  The point and scan
+caps are set by the environment variables FFPERM_POINT_CAP and
+FFPERM_SCAN_CAP.
 """
 
 import argparse
@@ -86,11 +88,10 @@ def cmd_verify(args) -> int:
         with open(args.input, "r", encoding="utf-8") as fh:
             text = fh.read()
     f = poly_from_json(text)
-    cap = args.point_cap
     if args.pp:
-        rep = vf.is_pp(f, cap=cap)
+        rep = vf.is_pp(f)
     elif args.lpp:
-        rep = vf.is_lpp(f, cap=cap)
+        rep = vf.is_lpp(f)
     else:
         rep = vf.assert_degree(f, args.degree)
     print(_dump(rep.to_json()))
@@ -151,8 +152,7 @@ def cmd_field(args) -> int:
 
 def cmd_scan(args) -> int:
     field = _field_arg(args)
-    rep = vf.scan_pp_degree_bound(field, args.n, cap=args.point_cap,
-                                  table_cap=args.scan_cap)
+    rep = vf.scan_pp_degree_bound(field, args.n)
     print(_dump(rep.to_json()))
     return 0 if rep.ok else 1
 
@@ -190,10 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="local permutation check")
     v.add_argument("--degree", type=int, default=None,
                    help="assert exact total degree")
-    v.add_argument("--point-cap", type=int, default=None,
-                   help="lower the point cap for this check; it cannot "
-                        "raise FFPERM_POINT_CAP, which reading the input "
-                        "already enforces")
     v.set_defaults(func=cmd_verify)
 
     k = sub.add_parser("check", help="run a named verification suite")
@@ -215,8 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("scan", help="scan all n-variable PPs for the degree "
                                     "bound")
     _add_field_args(s, n_default=2)
-    s.add_argument("--point-cap", type=int, default=None)
-    s.add_argument("--scan-cap", type=int, default=None)
     s.set_defaults(func=cmd_scan)
     return parser
 

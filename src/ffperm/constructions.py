@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import (BadDegree, FieldMismatch, NotMaxLpp, NoValidB,
                      UnsupportedField)
-from .gf import Field
+from .gf import Field, exact_int
 from .mvpoly import (FuncTable, MultiPoly, _check_points, _need_a_variable,
                      compose_univariate, extend, interpolate)
 from .univ import dickson, is_univariate_pp, t_poly, transposition
@@ -221,11 +221,12 @@ def lpp_power(field: Field, b: int, k: int = 1) -> MultiPoly:
     the finished polynomial would.
     """
     p, q = field.p, field.q
-    if not (isinstance(b, int) and 1 < b < p - 1):
+    b, k = exact_int(b, "b"), exact_int(k, "k")
+    if not 1 < b < p - 1:
         raise NoValidB(f"b={b} violates 1 < b < p-1 (p={p})")
     if gcd(b, q - 1) != 1:
         raise NoValidB(f"gcd({b}, {q - 1}) != 1")
-    if not (isinstance(k, int) and k >= 1):
+    if k < 1:
         raise ValueError("k must be a positive integer")
     _guard(field, b)
     f = _prod_sum(field, b, _univariate(field, []),
@@ -382,7 +383,6 @@ FAMILY_TAGS = ("pp_hn", "pp_monomial", "pp_dickson", "pp_alpha4", "pp_qnr",
 
 def build_family(tag: str, field: Field, n: int | None = None,
                  b: int | None = None, k: int | None = None,
-                 variant: str | None = None,
                  alpha_rank: int | None = None) -> tuple[MultiPoly, dict]:
     """Dispatch a family tag to its builder; returns (poly, resolved params).
 
@@ -390,14 +390,6 @@ def build_family(tag: str, field: Field, n: int | None = None,
     errors for predicate failures.
     """
     tag = tag.lower()
-    if tag == "pp_product":
-        if variant is None:
-            raise ValueError("pp_product needs variant qnr|noncube|mersenne")
-        tag = "pp_" + variant.lower()
-    if tag == "lpp_three":
-        if variant is None:
-            raise ValueError("lpp_three needs variant a|b|c")
-        tag = "lpp_3var_" + variant.lower()
     if tag not in FAMILY_TAGS:
         raise ValueError(f"unknown family {tag!r}")
 

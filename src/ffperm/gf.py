@@ -199,7 +199,7 @@ class Field:
     # -- scalar arithmetic on ranks ---------------------------------------
 
     def _check(self, a: int) -> int:
-        a = int(a)
+        a = exact_int(a, "rank")
         if not 0 <= a < self.q:
             raise ValueError(f"rank {a} outside field of order {self.q}")
         return a

@@ -57,12 +57,12 @@ def _exponents(nz: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 _WIDE = 1 << 63
 
 
-def _check_points(field: Field, n: int, cap: int | None = None) -> int:
+def _check_points(field: Field, n: int) -> int:
     """q^n for a variable count n whose q^n points fit under the point cap;
     raises before anything of that size is allocated."""
     if n < 0:
         raise ValueError("variable count must be nonnegative")
-    limit = point_cap(cap)
+    limit = point_cap()
     # q >= 2, so n >= bit_length(limit) puts q^n over the cap without
     # building a huge q^n first
     if n >= limit.bit_length() or field.q**n > limit:
@@ -647,9 +647,9 @@ def _transform(field: Field, arr: np.ndarray, inverse: bool,
     return np.ascontiguousarray(t.transpose(back)).reshape(batch + (q,) * k)
 
 
-def to_table(f: MultiPoly, cap: int | None = None) -> FuncTable:
+def to_table(f: MultiPoly) -> FuncTable:
     """Exhaustively evaluate f at every point of F_q^n."""
-    _check_points(f.field, f.n, cap)
+    _check_points(f.field, f.n)
     f._values()  # fills the cache
     return f._table
 

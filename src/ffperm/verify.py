@@ -45,19 +45,19 @@ def _finish(report: VerifyReport, points: int, t0: float) -> VerifyReport:
     return report
 
 
-def preimage_counts(f: MultiPoly, cap: int | None = None) -> dict[int, int]:
+def preimage_counts(f: MultiPoly) -> dict[int, int]:
     """Map each field element to its number of preimages under f."""
-    vals = to_table(f, cap).values
+    vals = to_table(f).values
     counts = np.bincount(vals, minlength=f.field.q)
     return {int(a): int(c) for a, c in enumerate(counts)}
 
 
-def is_pp(f: MultiPoly, cap: int | None = None) -> VerifyReport:
+def is_pp(f: MultiPoly) -> VerifyReport:
     """Pass iff every value has exactly q^(n-1) preimages."""
     t0 = time.perf_counter()
     q, n = f.field.q, f.n
     _need_a_variable(n)
-    vals = to_table(f, cap).values
+    vals = to_table(f).values
     counts = np.bincount(vals, minlength=q)
     want = q ** (n - 1)
     bad = np.flatnonzero(counts != want)
@@ -70,7 +70,7 @@ def is_pp(f: MultiPoly, cap: int | None = None) -> VerifyReport:
     return _finish(VerifyReport("PP", False, witness), q**n, t0)
 
 
-def is_lpp(f: MultiPoly, cap: int | None = None) -> VerifyReport:
+def is_lpp(f: MultiPoly) -> VerifyReport:
     """Pass iff fixing any n-1 variables leaves a univariate bijection.
 
     The scan walks coordinates in order and assignments in rank order, so a
@@ -80,7 +80,7 @@ def is_lpp(f: MultiPoly, cap: int | None = None) -> VerifyReport:
     t0 = time.perf_counter()
     q, n = f.field.q, f.n
     _need_a_variable(n)
-    tbl = to_table(f, cap).values
+    tbl = to_table(f).values
     axis, lo, hi = _kernels.lpp_scan(tbl, n, q)
     if axis < 0:
         return _finish(VerifyReport("LPP", True), q**n, t0)
@@ -170,18 +170,14 @@ def _balanced_count(size: int, part: int, cap: int) -> int:
     return total
 
 
-def scan_pp_degree_bound(field: Field, n: int, cap: int | None = None,
-                         table_cap: int | None = None) -> VerifyReport:
+def scan_pp_degree_bound(field: Field, n: int) -> VerifyReport:
     """Interpolate every balanced table of F_q^n and confirm the degree
-    bound n(q-1)-1; reports the PP count and the degree histogram.
-
-    ``cap`` overrides the point cap, ``table_cap`` the balanced-table cap.
-    """
+    bound n(q-1)-1; reports the PP count and the degree histogram."""
     t0 = time.perf_counter()
     _need_a_variable(n)
     q = field.q
-    size = _check_points(field, n, cap)
-    total = _balanced_count(size, size // q, scan_cap(table_cap))
+    size = _check_points(field, n)
+    total = _balanced_count(size, size // q, scan_cap())
     bound = n * (q - 1) - 1
     tables = _balanced_tables(q, n)
     # interpolate all tables at once, one coefficient row per table

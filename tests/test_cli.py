@@ -1,6 +1,8 @@
 """End-to-end CLI contract: pipelines, exit codes, deterministic output."""
 
+import argparse
 import importlib
+import inspect
 import json
 import os
 import shutil
@@ -288,9 +290,11 @@ def test_verify_huge_values():
 
 def test_verify_point_cap_exit_2():
     built = run("construct", "--family", "pp_hn", "--p", "5", "--n", "2")
-    res = run("verify", "--input", "-", "--pp", "--point-cap", "3",
-              input=built.stdout)
+    res = run("verify", "--input", "-", "--pp", input=built.stdout,
+              env_extra={"FFPERM_POINT_CAP": "3"})
     assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == "error: 5^2 points exceed the point cap\n"
 
 
 # -- check -----------------------------------------------------------------------
@@ -478,8 +482,10 @@ def test_scan_output_and_exit():
 def test_scan_cap_exit_2():
     res = run("scan", "--p", "5", "--n", "2")
     assert res.returncode == 2
-    res = run("scan", "--p", "3", "--n", "2", "--scan-cap", "10")
+    res = run("scan", "--p", "3", "--n", "2",
+              env_extra={"FFPERM_SCAN_CAP": "10"})
     assert res.returncode == 2
+    assert res.stderr == "error: 1680 balanced tables exceed the scan cap\n"
     # 2^20 points: the table count stops at 10^30 and stays readable
     res = run("scan", "--p", "2", "--n", "20")
     assert res.returncode == 2
@@ -493,6 +499,59 @@ def test_scan_needs_a_variable_exit_2(n):
     assert res.returncode == 2
     assert "Traceback" not in res.stderr
     assert "need at least one variable" in res.stderr
+
+
+# -- the knobs ----------------------------------------------------------------------
+# Each work limit has one knob, its environment variable.  These pins make
+# any new option or parameter a deliberate edit here.
+
+OPTIONS = {
+    "construct": ["--alpha-rank", "--b", "--family", "--format", "--help",
+                  "--k", "--n", "--p", "--r", "-h"],
+    "verify": ["--degree", "--help", "--input", "--lpp", "--pp", "-h"],
+    "check": ["--all", "--help", "--n", "--p", "--r", "--suite", "-h"],
+    "field": ["--format", "--help", "--p", "--r", "-h"],
+    "scan": ["--help", "--n", "--p", "--r", "-h"],
+}
+
+EMPTY = inspect.Parameter.empty
+SIGNATURES = {
+    "to_table": [("f", EMPTY)],
+    "preimage_counts": [("f", EMPTY)],
+    "is_pp": [("f", EMPTY)],
+    "is_lpp": [("f", EMPTY)],
+    "scan_pp_degree_bound": [("field", EMPTY), ("n", EMPTY)],
+    "build_family": [("tag", EMPTY), ("field", EMPTY), ("n", None),
+                     ("b", None), ("k", None), ("alpha_rank", None)],
+}
+
+
+def test_options_and_signatures_are_pinned():
+    from ffperm import cli
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {name: sorted(o for a in p._actions for o in a.option_strings)
+           for name, p in sub.choices.items()}
+    assert got == OPTIONS
+    ffperm = importlib.import_module("ffperm")
+    for name, want in SIGNATURES.items():
+        params = inspect.signature(getattr(ffperm, name)).parameters
+        assert [(p.name, p.default) for p in params.values()] == want, name
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--input", "-", "--pp", "--point-cap", "3"],
+    ["scan", "--p", "3", "--scan-cap", "10"],
+    ["scan", "--p", "3", "--point-cap", "3"],
+])
+def test_cap_flags_are_unrecognized_exit_2(capsys, argv):
+    from ffperm import cli
+    with pytest.raises(SystemExit) as stop:
+        cli.main(argv)
+    assert stop.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: " + " ".join(argv[-2:]) in err
 
 
 def test_usage_errors_exit_2():

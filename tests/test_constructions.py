@@ -347,6 +347,20 @@ def test_lpp_power_errors():
     from ffperm import CapExceeded
     with pytest.raises(CapExceeded):
         lpp_power(F5, 3, k=2)         # 5^9 points exceed the default cap
+    with pytest.raises(ValueError, match="b must be an integer"):
+        lpp_power(F5, 3.5)
+    with pytest.raises(ValueError, match="k must be an integer"):
+        lpp_power(F5, 3, k="1")
+
+
+def test_lpp_power_reads_numpy_b_and_k_exactly():
+    # b and k are read like every other integer argument: numpy integers
+    # and integral floats build the same polynomial as plain ints
+    want = lpp_power(F5, 3, 1)
+    for b, k in [(np.int64(3), 1), (3, np.int64(1)),
+                 (np.int32(3), np.uint8(1)), (3.0, 1.0)]:
+        assert lpp_power(F5, b, k) == want
+    assert lpp_power(F7, np.int64(5)) == lpp_power(F7, 5)
 
 
 # -- lpp_restrict -----------------------------------------------------------------
@@ -807,15 +821,7 @@ def test_build_family_all_tags():
         assert f.field is field
 
 
-def test_build_family_aliases_and_errors():
-    f1, _ = build_family("pp_product", F5, n=1, variant="qnr")
-    f2, _ = build_family("pp_qnr", F5, n=1)
-    assert f1 == f2
-    g1, _ = build_family("lpp_three", F5, variant="a")
-    g2, _ = build_family("lpp_3var_a", F5)
-    assert g1 == g2
-    with pytest.raises(ValueError):
-        build_family("pp_product", F5, n=1)          # missing variant
+def test_build_family_errors():
     with pytest.raises(ValueError):
         build_family("nonsense", F5, n=1)
     with pytest.raises(ValueError):
@@ -826,9 +832,6 @@ def test_build_family_aliases_and_errors():
         build_family("lpp_power", F5, b=3, n=5)      # n inconsistent with b^k
     with pytest.raises(ValueError):
         build_family("lpp_3var_a", F5, n=2)          # fixed at 3 variables
-    with pytest.raises(ValueError) as err:
-        build_family("lpp_three", F5)                # missing variant
-    assert str(err.value) == "lpp_three needs variant a|b|c"
 
 
 def test_build_family_mersenne_params():

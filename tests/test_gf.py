@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ffperm import (CapExceeded, Field, FieldMismatch, NotPrime,
-                    field_from_json, make_field)
+                    field_from_json, make_field, poly_build, transposition)
 from ffperm import gf
 from ffperm.mvpoly import _dense_matrix
 from oracle import NaiveField
@@ -350,6 +350,26 @@ def test_make_field_refuses_what_int_would_change(args, message):
     with pytest.raises(ValueError) as err:
         make_field(*args)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("bad", [2.7, 0.5, "3", None])
+def test_ranks_are_read_exactly(bad):
+    # int() would read 2.7 as 2, 0.5 as 0 and '3' as 3
+    F5 = make_field(5)
+    f = poly_build(F5, 2, [((1, 2), 1), ((3, 0), 2)])
+    g = poly_build(F5, 1, [((1,), 1)])
+    for call in (lambda: F5.add(bad, 1), lambda: f.evaluate([bad, 1]),
+                 lambda: f.substitute(0, bad), lambda: f.scale(bad),
+                 lambda: transposition(F5, bad, 1)):
+        with pytest.raises(ValueError, match="rank must be an integer"):
+            call()
+    # integral floats and numpy integers are the ranks they equal
+    assert F5.add(2.0, np.int64(1)) == 3
+    assert f.evaluate([np.int64(2), 1.0]) == f.evaluate([2, 1])
+    assert f.substitute(0, np.int32(4)) == f.substitute(0, 4)
+    assert f.scale(np.uint8(3)) == f.scale(3)
+    assert transposition(F5, 0.0, np.int64(1)) == transposition(F5, 0, 1)
+    assert g.substitute(0, 3.0).evaluate([]) == 3
 
 
 def test_large_field_exceeds_table_cap(monkeypatch):

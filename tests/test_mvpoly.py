@@ -582,11 +582,13 @@ def test_large_field_dense_roundtrip():
     assert np.array_equal(back.values, vals)
 
 
-def test_table_cap():
+def test_table_cap(monkeypatch):
     field = make_field(5)
-    f = variable(field, 3, 0)
-    with pytest.raises(CapExceeded):
-        to_table(f, cap=100)         # 125 points > 100
+    f = variable(field, 3, 0)        # build before tightening the cap
+    monkeypatch.setenv("FFPERM_POINT_CAP", "100")
+    with pytest.raises(CapExceeded, match=r"^5\^3 points exceed"):
+        to_table(f)                  # 125 points > 100
+    monkeypatch.delenv("FFPERM_POINT_CAP")
     with pytest.raises(CapExceeded):
         poly_build(field, 10**12, [])  # refused before 5^n is built
 

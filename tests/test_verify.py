@@ -273,11 +273,13 @@ def test_balanced_tables_match_the_recursive_enumeration(q, n):
     assert got.dtype == np.int64 and np.array_equal(got, want)
 
 
-def test_scan_cap():
+def test_scan_cap(monkeypatch):
     with pytest.raises(CapExceeded):
         scan_pp_degree_bound(F5, 2)         # 623e9 tables >> default cap
-    with pytest.raises(CapExceeded):
-        scan_pp_degree_bound(F3, 2, table_cap=100)
+    monkeypatch.setenv("FFPERM_SCAN_CAP", "100")
+    with pytest.raises(CapExceeded, match="^1680 balanced tables exceed"):
+        scan_pp_degree_bound(F3, 2)
+    monkeypatch.delenv("FFPERM_SCAN_CAP")
     with pytest.raises(CapExceeded):
         scan_pp_degree_bound(F3, 10**12)    # refused before 3^n is built
     # 2^20 points fit the point cap; the count of 2^20-point tables stops
@@ -484,13 +486,15 @@ def test_conjecture_label_and_result():
 
 # -- caps --------------------------------------------------------------------------------
 
-def test_point_cap_respected():
-    f = poly_build(F5, 3, [((1, 1, 1), 1)])
+def test_point_cap_respected(monkeypatch):
+    f = poly_build(F5, 3, [((1, 1, 1), 1)])  # build before tightening the cap
+    monkeypatch.setenv("FFPERM_POINT_CAP", "100")
     with pytest.raises(CapExceeded):
-        is_pp(f, cap=100)
+        is_pp(f)
     with pytest.raises(CapExceeded):
-        is_lpp(f, cap=100)
-    assert is_pp(f, cap=125).to_json()["verdict"] == "fail"
+        is_lpp(f)
+    monkeypatch.setenv("FFPERM_POINT_CAP", "125")
+    assert is_pp(f).to_json()["verdict"] == "fail"
 
 
 def test_env_cap_override(monkeypatch):
