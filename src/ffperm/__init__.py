@@ -11,11 +11,12 @@ Quick start::
 """
 
 from .caps import DEFAULT_POINT_CAP, DEFAULT_SCAN_CAP
-from .constructions import (FAMILY_TAGS, build_family, indicator_poly,
-                            lpp_beta, lpp_chain, lpp_indicator, lpp_linear,
-                            lpp_max, lpp_power, lpp_restrict, lpp_three,
-                            pp_alpha4, pp_dickson, pp_hn, pp_monomial,
-                            pp_product)
+from .constructions import (FAMILY_TAGS, build_family, dickson, h_polys,
+                            indicator_poly, is_univariate_pp, lpp_beta,
+                            lpp_chain, lpp_indicator, lpp_linear, lpp_max,
+                            lpp_power, lpp_restrict, lpp_three, pp_alpha4,
+                            pp_dickson, pp_hn, pp_monomial, pp_product,
+                            t_poly, transposition)
 from .errors import (BadDegree, CapExceeded, DivisionByZero, EqualPoints,
                      FFPermError, FieldMismatch, IndexOutOfRange,
                      NoIrreducibleFound, NoNonResidue, NoValidB, NotMaxLpp,
@@ -24,7 +25,6 @@ from .gf import Field, field_from_json, make_field
 from .mvpoly import (FuncTable, MultiPoly, compose_univariate, interpolate,
                      points, poly_build, poly_from_json, poly_to_json,
                      to_table)
-from .univ import dickson, h_polys, is_univariate_pp, t_poly, transposition
 from .verify import (VerifyReport, assert_degree, check_identities,
                      check_lemma_deg, conjecture_fn, is_lpp, is_pp,
                      preimage_counts, scan_pp_degree_bound)

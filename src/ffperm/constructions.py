@@ -1,4 +1,6 @@
-"""Builders for the permutation and local-permutation families.
+"""Builders for the permutation and local-permutation families, and the
+univariate gadgets (t, h and hbar, transpositions, Dickson polynomials)
+they are made from.
 
 Every builder is deterministic: free choices (a non-residue, the element
 beta outside the prime subfield, restriction constants) are always resolved
@@ -7,26 +9,28 @@ polynomial.  Applicability predicates raise UnsupportedField (or the more
 specific error named in the docstring) instead of returning wrong output.
 """
 
-from math import gcd
+from math import comb, gcd
 
 import numpy as np
 
-from .errors import (BadDegree, FieldMismatch, NotMaxLpp, NoValidB,
-                     UnsupportedField)
+from . import _kernels
+from .errors import (BadDegree, EqualPoints, FieldMismatch, NotMaxLpp,
+                     NoValidB, UnsupportedField, VariableCountMismatch)
 from .gf import Field, exact_int
 from .mvpoly import (FuncTable, MultiPoly, _check_points, _need_a_variable,
-                     compose_univariate, extend, interpolate)
-from .univ import dickson, is_univariate_pp, t_poly, transposition
-from .verify import is_lpp
+                     compose_univariate, extend, interpolate, poly_build,
+                     to_table)
 
 
-def _guard(field: Field, n: int, extra: int = 0) -> None:
-    """Refuse n < 1, then q^n and q^(n+extra) points over the point cap,
-    before anything of size n is built."""
+def _guard(field: Field, n: int, extra: int = 0) -> int:
+    """n read exactly, after refusing n < 1, then q^n and q^(n+extra)
+    points over the point cap, before anything of size n is built."""
+    n = exact_int(n, "n")
     _need_a_variable(n)
     _check_points(field, n)
     if extra:
         _check_points(field, n + extra)
+    return n
 
 
 def _univariate(field: Field, exps, c: int = 1) -> MultiPoly:
@@ -62,12 +66,71 @@ def _prod_sum(field: Field, n: int, a: MultiPoly, b: MultiPoly) -> MultiPoly:
 
 
 # ---------------------------------------------------------------------------
+# univariate gadgets
+
+def t_poly(field: Field) -> MultiPoly:
+    """The bijection swapping 0 and 1 and fixing everything else,
+    x + sum_{k=0}^{q-2} x^k, reduced."""
+    q = field.q
+    terms = [((k,), 1) for k in range(q - 1)]
+    terms.append(((1,), 1))
+    return poly_build(field, 1, terms)
+
+
+def h_polys(field: Field) -> tuple[MultiPoly, MultiPoly]:
+    """(h, hbar): h = sum_{k=0}^{q-3} (k+1) x^k and its twist
+    hbar = 1 + x + sum_{k=0}^{q-2} (-k) x^k, with integer weights mod p."""
+    q = field.q
+    h = poly_build(field, 1,
+                   [((k,), field.from_int(k + 1)) for k in range(q - 2)])
+    terms = [((0,), 1), ((1,), 1)]
+    terms += [((k,), field.from_int(-k)) for k in range(q - 1)]
+    hbar = poly_build(field, 1, terms)
+    return h, hbar
+
+
+def transposition(field: Field, a: int, b: int) -> MultiPoly:
+    """The reduced polynomial swapping the elements of ranks a and b."""
+    a, b = field._check(a), field._check(b)
+    if a == b:
+        raise EqualPoints("transposition needs two distinct elements")
+    vals = np.arange(field.q, dtype=np.int64)
+    vals[a], vals[b] = b, a
+    return interpolate(FuncTable(field, 1, vals))
+
+
+def dickson(field: Field, k: int, a: int) -> MultiPoly:
+    """Degree-k Dickson polynomial g_k(x, a) with parameter a, satisfying
+    g_k(y + a/y) = y^k + (a/y)^k; g_0 = 2."""
+    if k < 0:
+        raise ValueError("Dickson degree must be nonnegative")
+    a = field._check(a)
+    if k == 0:
+        return poly_build(field, 1, [((0,), field.from_int(2))])
+    terms = []
+    for j in range(k // 2 + 1):
+        # integer weight k/(k-j) * C(k-j, j), always integral
+        w = k * comb(k - j, j) // (k - j)
+        c = field.mul(field.from_int(w), field.pow(field.neg(a), j))
+        terms.append(((k - 2 * j,), c))
+    return poly_build(field, 1, terms)
+
+
+def is_univariate_pp(f: MultiPoly) -> bool:
+    """True when the univariate f permutes F_q."""
+    if f.n != 1:
+        raise VariableCountMismatch("expected a univariate polynomial")
+    vals = to_table(f).values
+    return bool(np.all(np.bincount(vals, minlength=f.field.q) == 1))
+
+
+# ---------------------------------------------------------------------------
 # permutation families
 
 def pp_hn(field: Field, n: int) -> MultiPoly:
     """x_1^{q-1}..x_{n-1}^{q-1}(t(x_n) - x_n) + x_n: a PP for every q whose
     degree is n(q-1)-1 whenever q > 2."""
-    _guard(field, n)
+    n = _guard(field, n)
     # t(x) - x = 1 + x + .. + x^{q-2}
     below_top = _univariate(field, range(field.q - 1))
     return _head_tail(field, n, below_top, _univariate(field, [1]))
@@ -77,7 +140,7 @@ def pp_monomial(field: Field, n: int) -> MultiPoly:
     """x_1^{q-1}..x_{n-1}^{q-1}x_n^{q-2} + x_n^{q-2}, a PP for odd p."""
     if field.p == 2:
         raise UnsupportedField("this family needs odd characteristic")
-    _guard(field, n)
+    n = _guard(field, n)
     inv_mono = _univariate(field, [field.q - 2])
     return _head_tail(field, n, inv_mono, inv_mono)
 
@@ -89,7 +152,7 @@ def pp_dickson(field: Field, n: int) -> MultiPoly:
     q = field.q
     if field.p != 2 or field.r % 2 or q <= 4:
         raise UnsupportedField("this family needs q = 4^s > 4")
-    _guard(field, n)
+    n = _guard(field, n)
     square = _univariate(field, [2])
     return _head_tail(field, n, dickson(field, q - 2, 1) - square, square)
 
@@ -99,7 +162,7 @@ def pp_alpha4(field: Field, n: int) -> MultiPoly:
     total degree <= 3n-1, plus x_1.  A PP of degree 3n-1."""
     if field.q != 4:
         raise UnsupportedField("this family lives over F_4")
-    _guard(field, n)
+    n = _guard(field, n)
     out = np.ones((4,) * n, dtype=np.int64)
     out[(3,) * n] = 0  # the one monomial of degree 3n
     out[(1,) + (0,) * (n - 1)] = 0  # x_1 + x_1 = 0 in characteristic 2
@@ -169,13 +232,13 @@ def pp_product(field: Field, n: int, variant: str,
         if (fy.n != 1 or fy.total_degree != q - 2
                 or not is_univariate_pp(fy)):
             raise BadDegree("f(y) must be a univariate PP of degree q-2")
+    n = _guard(field, n, 1)
     if g is not None:
         if g.n != n:
             raise BadDegree(f"g must have {n} variables")
         want = n * (q - 1) // d
         if g.total_degree != want:
             raise BadDegree(f"g must have total degree {want}")
-    _guard(field, n, 1)
     c = a if d is None else field.neg(a)
     if g is None:
         factor = _head_tail(field, n, _univariate(field, [q - 1]),
@@ -199,7 +262,7 @@ def lpp_beta(field: Field, n: int) -> MultiPoly:
     q = field.q
     if field.p != 2 or q <= 2:
         raise UnsupportedField("this family needs q = 2^r > 2")
-    _guard(field, n)
+    n = _guard(field, n)
     return _prod_sum(field, n, _univariate(field, range(1, q - 1)),
                      _univariate(field, [1]))
 
@@ -250,7 +313,8 @@ def lpp_restrict(f: MultiPoly) -> MultiPoly:
     degree = f.total_degree
     if degree != n * (q - 2):
         raise NotMaxLpp(f"degree {degree} is not the maximum {n * (q - 2)}")
-    if not is_lpp(f).ok:
+    # the line scan is_lpp runs: a nonnegative axis holds a failing line
+    if _kernels.lpp_scan(to_table(f).values, n, q)[0] >= 0:
         raise NotMaxLpp("input is not a local permutation polynomial")
     target = (n - 1) * (q - 2)
     for alpha in field.elements():
@@ -287,7 +351,7 @@ def lpp_indicator(field: Field, n: int) -> MultiPoly:
     p, q = field.p, field.q
     if p == 2 or q <= 3:
         raise UnsupportedField("needs odd p and q > 3")
-    _guard(field, n)
+    n = _guard(field, n)
     if field.r == 1:
         b = block_sizes(field)[0]
         k = 1
@@ -308,7 +372,7 @@ def lpp_chain(field: Field, n: int) -> MultiPoly:
     q = field.q
     if q <= 3:
         raise UnsupportedField("the recurrence needs q > 3")
-    _guard(field, n)
+    n = _guard(field, n)
     t = t_poly(field)
     inv_mono = _univariate(field, [q - 2])
     f = extend(_univariate(field, [1]), n, 0)
@@ -357,7 +421,7 @@ def lpp_linear(field: Field, n: int) -> MultiPoly:
     canonical maximal one."""
     if field.q not in (2, 3):
         raise UnsupportedField("reserved for q in {2, 3}")
-    _guard(field, n)
+    n = _guard(field, n)
     return _prod_sum(field, n, _univariate(field, []),
                      _univariate(field, [1]))
 
@@ -410,7 +474,10 @@ def build_family(tag: str, field: Field, n: int | None = None,
     if tag == "lpp_power":
         if b is None:
             raise ValueError("lpp_power needs --b")
-        kk = 1 if k is None else k
+        b = exact_int(b, "b")
+        kk = 1 if k is None else exact_int(k, "k")
+        if n is not None:
+            n = exact_int(n, "n")
         # |b|^k >= 2^(k (bit_length(b) - 1)) > |n| once that exponent
         # reaches bit_length(n), so b^k is built only when it is near n;
         # k < 1 is left to lpp_power to refuse

@@ -337,9 +337,9 @@ make_field.cache_clear = _make_field.cache_clear
 
 def field_from_json(data: dict) -> Field:
     """Rebuild a field from its JSON form, insisting on the canonical modulus."""
-    field = make_field(int(data["p"]), int(data.get("r", 1)))
+    field = make_field(data["p"], data.get("r", 1))
     if "modulus" in data and data["modulus"] is not None:
-        given = tuple(int(c) for c in data["modulus"])
+        given = tuple(exact_int(c, "modulus entry") for c in data["modulus"])
         if field.r == 1:
             if given != (0, 1) and len(given) != 0:
                 raise FieldMismatch("prime fields carry no modulus")

@@ -226,6 +226,7 @@ class MultiPoly:
         """Replace x_{i+1} (0-based slot i) by a field element rank or a
         univariate MultiPoly; constants drop the variable, polynomials keep n."""
         field = self.field
+        i = exact_int(i, "variable index")
         if not 0 <= i < self.n:
             raise IndexOutOfRange(f"variable index {i} outside [0, {self.n})")
         tensor = self._values().reshape((field.q,) * self.n)
@@ -366,29 +367,13 @@ def poly_build(field: Field, n: int, terms) -> MultiPoly:
     return _sum_terms(field, n, exps, ranks)
 
 
-def zero(field: Field, n: int) -> MultiPoly:
-    return poly_build(field, n, [])
-
-
-def constant(field: Field, n: int, c: int) -> MultiPoly:
-    return poly_build(field, n, [((0,) * n, c)])
-
-
-def variable(field: Field, n: int, i: int) -> MultiPoly:
-    """The monomial x_{i+1} (0-based slot i) in n variables."""
-    if not 0 <= i < n:
-        raise IndexOutOfRange(f"variable index {i} outside [0, {n})")
-    exps = [0] * n
-    exps[i] = 1
-    return poly_build(field, n, [(tuple(exps), 1)])
-
-
 def monomial(field: Field, n: int, exps, c: int = 1) -> MultiPoly:
     return poly_build(field, n, [(tuple(exps), c)])
 
 
 def extend(f: MultiPoly, n: int, offset: int) -> MultiPoly:
     """Embed f into n >= f.n variables, its old x_{j} becoming x_{offset+j}."""
+    n, offset = exact_int(n, "variable count"), exact_int(offset, "offset")
     if offset < 0 or offset + f.n > n:
         raise IndexOutOfRange(
             f"cannot place {f.n} variables at offset {offset} inside {n}")

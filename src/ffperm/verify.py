@@ -10,12 +10,12 @@ import numpy as np
 
 from . import _kernels
 from .caps import scan_cap
+from .constructions import h_polys, lpp_chain, t_poly, transposition
 from .errors import CapExceeded, UnsupportedField
 from .gf import Field
 from .mvpoly import (MultiPoly, _check_points, _dense_matrix, _exponents,
                      _need_a_variable, _transform, compose_univariate,
                      monomial, to_table)
-from .univ import h_polys, t_poly, transposition
 
 
 @dataclass
@@ -285,7 +285,6 @@ def conjecture_fn(field: Field, n: int) -> VerifyReport:
     """Build the chain recurrence f_n and compare its degree to n(q-2).
     Evidence only: the result is labeled accordingly and never asserted;
     lpp_chain refuses an n over the point cap before it builds anything."""
-    from .constructions import lpp_chain
     t0 = time.perf_counter()
     q = field.q
     if field.p == 2 or q <= 3:

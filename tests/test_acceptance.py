@@ -14,7 +14,7 @@ import pytest
 
 from ffperm import (is_lpp, is_pp, lpp_three, make_field, poly_build,
                     pp_alpha4, preimage_counts)
-from ffperm.mvpoly import variable
+from ffperm.mvpoly import monomial
 
 
 @pytest.fixture()
@@ -210,7 +210,7 @@ def test_criterion_11_negative_controls(announce):
         f = poly_build(field, 2, [((q - 1, 0), 1), ((0, 1), 1)])
         rep_pp, rep_lpp = is_pp(f), is_lpp(f)
         ok = ok and rep_pp.ok and not rep_lpp.ok and rep_lpp.witness is not None
-    x = variable(make_field(5), 1, 0)
+    x = monomial(make_field(5), 1, (1,))
     ok = ok and preimage_counts(x * x) == {0: 1, 1: 2, 2: 0, 3: 0, 4: 2}
     assert announce(11, "controls: x1^(q-1)+x2 passes PP and fails LPP with "
                         "a witness; the x^2 preimage histogram is exact", ok)

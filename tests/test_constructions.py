@@ -363,6 +363,42 @@ def test_lpp_power_reads_numpy_b_and_k_exactly():
     assert lpp_power(F7, np.int64(5)) == lpp_power(F7, 5)
 
 
+# (builder, field, n) for every family that takes a variable count
+N_BUILDERS = [(pp_hn, F5, 2), (pp_monomial, F5, 2), (pp_dickson, F16, 1),
+              (pp_alpha4, F4, 2), (lpp_beta, F4, 2), (lpp_indicator, F5, 2),
+              (lpp_indicator, F9, 2), (lpp_chain, F5, 2), (lpp_linear, F3, 2),
+              (lpp_max, F7, 3),
+              (lambda field, n: pp_product(field, n, "QNR"), F5, 1)]
+
+
+@pytest.mark.parametrize("builder,field,n", N_BUILDERS,
+                         ids=[f"{b.__name__}-{f.q}" for b, f, _ in N_BUILDERS])
+def test_families_read_n_exactly(builder, field, n):
+    # n is read once, by the size guard, and every family builds with that
+    # int: integral floats and numpy integers give the plain-int polynomial
+    want = builder(field, n)
+    for alt in (float(n), np.int64(n), np.uint8(n)):
+        got = builder(field, alt)
+        assert got == want and type(got.n) is int
+    with pytest.raises(ValueError, match="^n must be an integer, not 2.5$"):
+        builder(field, 2.5)
+
+
+def test_build_family_reads_lpp_power_arguments_exactly():
+    # the n-vs-b^k check reads n, b and k exactly before it uses them
+    want, params = build_family("lpp_power", F5, b=3, n=3)
+    assert params == {"b": 3, "k": 1}
+    for b, n, k in [(3.0, 3, None), (np.int64(3), np.int64(3), np.int64(1)),
+                    (3, 3.0, 1.0)]:
+        f, params = build_family("lpp_power", F5, b=b, n=n, k=k)
+        assert f == want and params == {"b": 3, "k": 1}
+        assert all(type(v) is int for v in params.values())
+    for name, kwargs in [("b", {"b": 3.5}), ("n", {"b": 3, "n": 2.5}),
+                         ("k", {"b": 3, "k": 1.5})]:
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            build_family("lpp_power", F5, **kwargs)
+
+
 # -- lpp_restrict -----------------------------------------------------------------
 
 def test_lpp_restrict_chain():

@@ -11,7 +11,7 @@ import pytest
 from ffperm import (CapExceeded, Field, FieldMismatch, NotPrime,
                     field_from_json, make_field, poly_build, transposition)
 from ffperm import gf
-from ffperm.mvpoly import _dense_matrix
+from ffperm.mvpoly import _dense_matrix, extend
 from oracle import NaiveField
 
 # canonical modulus = first monic irreducible in base-p rank order
@@ -372,6 +372,25 @@ def test_ranks_are_read_exactly(bad):
     assert g.substitute(0, 3.0).evaluate([]) == 3
 
 
+def test_indices_and_counts_are_read_exactly():
+    # substitute's variable index and extend's count and offset are read
+    # like ranks: 1.5 and '1' are refused, 1.0 and numpy integers pass
+    F5 = make_field(5)
+    f = poly_build(F5, 2, [((1, 2), 1), ((3, 0), 2)])
+    g = poly_build(F5, 1, [((1,), 1)])
+    for call, what in [(lambda: f.substitute(1.5, 1), "variable index"),
+                       (lambda: f.substitute("1", 1), "variable index"),
+                       (lambda: extend(g, 3.5, 0), "variable count"),
+                       (lambda: extend(g, 3, 0.5), "offset")]:
+        with pytest.raises(ValueError, match=f"^{what} must be an integer"):
+            call()
+    assert f.substitute(1.0, 1) == f.substitute(1, 1)
+    assert f.substitute(np.int64(0), 2) == f.substitute(0, 2)
+    for n, offset in [(3.0, 0), (np.int64(3), np.uint8(2))]:
+        h = extend(g, n, offset)
+        assert h == extend(g, 3, int(offset)) and type(h.n) is int
+
+
 def test_large_field_exceeds_table_cap(monkeypatch):
     # fields stop at the dense-table cap, whatever the point cap says
     assert make_field(2, 10).q == 1024
@@ -448,6 +467,9 @@ def test_field_json_roundtrip():
     for (p, r) in [(5, 1), (3, 2), (2, 4)]:
         field = make_field(p, r)
         assert field_from_json(field.to_json()) is field
+    # integral floats and numpy integers read as the ints they equal
+    doc = {"p": 3.0, "r": np.int64(2), "modulus": [1.0, 0, np.int8(1)]}
+    assert field_from_json(doc) is make_field(3, 2)
     with pytest.raises(FieldMismatch):
         field_from_json({"p": 2, "r": 2, "modulus": [1, 0, 1]})  # reducible
     # a prime field accepts the modulus x ([0, 1]) or none ([]) only
@@ -458,6 +480,22 @@ def test_field_json_roundtrip():
         with pytest.raises(FieldMismatch) as err:
             field_from_json({"p": 5, "modulus": modulus})
         assert str(err.value) == "prime fields carry no modulus"
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"p": 5.5}, "characteristic must be an integer, not 5.5"),
+    ({"p": "5", "r": 2}, "characteristic must be an integer, not '5'"),
+    ({"p": 5, "r": 2.9}, "extension degree must be an integer, not 2.9"),
+    ({"p": 3, "r": 2, "modulus": [1.5, 0, 1]},
+     "modulus entry must be an integer, not 1.5"),
+    ({"p": 3, "r": 2, "modulus": ["1", 0, "1"]},
+     "modulus entry must be an integer, not '1'"),
+])
+def test_field_from_json_refuses_what_int_would_change(doc, message):
+    # int() would read 5.5 as 5, 2.9 as 2 and the moduli as F_9's [1, 0, 1]
+    with pytest.raises(ValueError) as err:
+        field_from_json(doc)
+    assert str(err.value) == message
 
 
 def test_field_json_rejects_garbage():

@@ -1,5 +1,7 @@
 """Every name a package module imports is used in that module (stdlib ast
-only; __init__.py re-exports its imports and is left out)."""
+only; __init__.py re-exports its imports and is left out), every import
+sits at module level, and the package's modules import one another
+without a cycle."""
 
 import ast
 from pathlib import Path
@@ -103,9 +105,60 @@ def test_local_imports_are_found():
 
 
 def test_imports_sit_at_module_level():
-    # verify and constructions import each other, so conjecture_fn's
-    # import of lpp_chain is the one that must wait for the call
     found = {path.name: local_imports(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE.glob("*.py"))}
-    assert {name: f for name, f in found.items() if f} == {
-        "verify.py": [("conjecture_fn", "from .constructions import lpp_chain")]}
+    assert {name: f for name, f in found.items() if f} == {}
+
+
+def relative_imports(source: str) -> set[str]:
+    """The package modules that source imports, at module level or inside a
+    function: `from .x import y` names x, `from . import x` names x."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                found.add(node.module.split(".")[0])
+            else:
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+def import_cycle(graph: dict[str, set[str]]) -> list[str]:
+    """One cycle of graph as a closed path [a, .., a], or [] if it has none
+    (depth first, in name order)."""
+    path, done = [], set()
+
+    def visit(node):
+        if node in path:
+            return path[path.index(node):] + [node]
+        if node in done:
+            return []
+        path.append(node)
+        for succ in sorted(graph.get(node, ())):
+            cycle = visit(succ)
+            if cycle:
+                return cycle
+        path.pop()
+        done.add(node)
+        return []
+
+    for node in sorted(graph):
+        cycle = visit(node)
+        if cycle:
+            return cycle
+    return []
+
+
+def test_import_cycles_are_found():
+    source = ("from . import a as x\nfrom .b import c\nimport os\n"
+              "from os import path\n\ndef f():\n    from .d.e import g\n")
+    assert relative_imports(source) == {"a", "b", "d"}
+    assert import_cycle({"a": {"b"}, "b": {"c"}, "c": set()}) == []
+    assert import_cycle({"a": {"b"}, "b": {"c"}, "c": {"b"}}) \
+        == ["b", "c", "b"]
+
+
+def test_import_graph_has_no_cycle():
+    graph = {path.stem: relative_imports(path.read_text(encoding="utf-8"))
+             for path in PACKAGE.glob("*.py")}
+    assert import_cycle(graph) == []

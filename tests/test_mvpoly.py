@@ -14,8 +14,7 @@ from ffperm import (CapExceeded, FieldMismatch, IndexOutOfRange, MultiPoly,
                     points, poly_build, poly_from_json, poly_to_json, t_poly,
                     to_table)
 from ffperm.constructions import lpp_beta
-from ffperm.mvpoly import (FuncTable, _transform, constant, extend,
-                           fold_exp, monomial, variable, zero)
+from ffperm.mvpoly import FuncTable, _transform, extend, fold_exp, monomial
 from oracle import (SMALL_FIELDS, NaiveField, naive_eval, naive_poly_build,
                     naive_poly_mul, naive_transform_matrices)
 
@@ -260,11 +259,11 @@ def test_pow_is_repeated_mul():
     field = make_field(3, 2)
     rng = np.random.default_rng(11)
     f = random_poly(rng, field, 2)
-    acc = constant(field, 2, 1)
+    acc = monomial(field, 2, (0, 0))
     for k in range(5):
         assert f**k == acc
         acc = acc * f
-    assert f**0 == constant(field, 2, 1)
+    assert f**0 == monomial(field, 2, (0, 0))
 
 
 @pytest.mark.parametrize("p,r", SMALL_FIELDS)
@@ -295,7 +294,7 @@ def test_exponents_are_read_as_integers(p, r):
     field = make_field(p, r)
     q = field.q
     f = t_poly(field)
-    one = constant(field, 1, 1)
+    one = monomial(field, 1, (0,))
     assert f**True == f and f**False == one
     assert f**np.int64(2) == f * f and f**np.int64(q) == f
     assert f**(2**70) == f**fold_exp(2**70, q)
@@ -313,11 +312,11 @@ def test_exponents_are_read_as_integers(p, r):
 
 def test_cross_field_and_arity_errors():
     f5, f7 = make_field(5), make_field(7)
-    a = variable(f5, 1, 0)
-    b = variable(f7, 1, 0)
+    a = monomial(f5, 1, (1,))
+    b = monomial(f7, 1, (1,))
     with pytest.raises(FieldMismatch):
         _ = a + b
-    c = variable(f5, 2, 0)
+    c = monomial(f5, 2, (1, 0))
     with pytest.raises(VariableCountMismatch):
         _ = a + c
     with pytest.raises(TypeError) as err:
@@ -340,21 +339,19 @@ X = poly_build(F5, 2, [((1, 1), 1)])            # x1 x2 over F_5
 MISUSE = [
     ("substitute index", lambda: X.substitute(2, 1), IndexOutOfRange,
      "variable index 2 outside [0, 2)"),
-    ("substitute field", lambda: X.substitute(0, variable(F7, 1, 0)),
+    ("substitute field", lambda: X.substitute(0, monomial(F7, 1, (1,))),
      FieldMismatch, "substituted polynomial field differs"),
     ("substitute multivariate", lambda: X.substitute(0, X),
      VariableCountMismatch, "substituted polynomial must be univariate"),
     ("evaluate arity", lambda: X.evaluate([1]), VariableCountMismatch,
      "point has 1 coordinates, poly has 2"),
-    ("variable index", lambda: variable(F5, 3, 3), IndexOutOfRange,
-     "variable index 3 outside [0, 3)"),
     ("extend past the end", lambda: extend(X, 3, 2), IndexOutOfRange,
      "cannot place 2 variables at offset 2 inside 3"),
     ("extend negative offset", lambda: extend(X, 3, -1), IndexOutOfRange,
      "cannot place 2 variables at offset -1 inside 3"),
     ("compose multivariate outer", lambda: compose_univariate(X, X),
      VariableCountMismatch, "outer polynomial must be univariate"),
-    ("compose field", lambda: compose_univariate(variable(F7, 1, 0), X),
+    ("compose field", lambda: compose_univariate(monomial(F7, 1, (1,)), X),
      FieldMismatch, "operands live in different fields"),
     ("table size", lambda: FuncTable(F5, 2, np.zeros(24)), ValueError,
      "expected 25 values, got 24"),
@@ -584,7 +581,7 @@ def test_large_field_dense_roundtrip():
 
 def test_table_cap(monkeypatch):
     field = make_field(5)
-    f = variable(field, 3, 0)        # build before tightening the cap
+    f = monomial(field, 3, (1, 0, 0))  # build before tightening the cap
     monkeypatch.setenv("FFPERM_POINT_CAP", "100")
     with pytest.raises(CapExceeded, match=r"^5\^3 points exceed"):
         to_table(f)                  # 125 points > 100
@@ -597,11 +594,11 @@ def test_table_cap(monkeypatch):
 
 def test_degree_conventions():
     field = make_field(5)
-    z = zero(field, 2)
+    z = monomial(field, 2, (0, 0), 0)
     total, per_var = z.degrees()
     assert total == -1 and per_var == (-1, -1)
     assert z.total_degree == -1
-    c = constant(field, 2, 3)
+    c = monomial(field, 2, (0, 0), 3)
     assert c.total_degree == 0 and c.degrees()[1] == (0, 0)
     f = poly_build(field, 2, [((2, 3), 1), ((4, 0), 2)])
     total, per_var = f.degrees()
@@ -800,7 +797,7 @@ def test_compose_univariate_is_formal_sum():
             g = random_poly(rng, field, 1, density=0.5)
             f = random_poly(rng, field, 2, density=0.3)
             via_table = compose_univariate(g, f)
-            formal = zero(field, 2)
+            formal = monomial(field, 2, (0, 0), 0)
             for (e,), c in g.terms():
                 formal = formal + (f**e).scale(c)
             assert via_table == formal

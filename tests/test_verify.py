@@ -9,8 +9,7 @@ from ffperm import (CapExceeded, MultiPoly, UnsupportedField, assert_degree,
                     is_pp, lpp_beta, make_field, poly_build, points, pp_hn,
                     preimage_counts, scan_pp_degree_bound, t_poly, to_table)
 from ffperm import mvpoly, verify
-from ffperm.mvpoly import (FuncTable, _dense_matrix, constant, interpolate,
-                           monomial, variable)
+from ffperm.mvpoly import FuncTable, _dense_matrix, interpolate, monomial
 from oracle import (NaiveField, naive_balanced_tables, naive_degree,
                     naive_eval, naive_interp_univariate)
 
@@ -43,13 +42,13 @@ def test_report_json_shape():
 # -- is_pp -------------------------------------------------------------------------
 
 def test_is_pp_constant_witness():
-    rep = is_pp(constant(F3, 2, 2))
+    rep = is_pp(monomial(F3, 2, (0, 0), 2))
     assert not rep.ok
     assert rep.witness == {"value": 2, "count": 9, "expected": 3}
 
 
 def test_is_pp_square_histogram():
-    x = variable(F5, 1, 0)
+    x = monomial(F5, 1, (1,))
     assert preimage_counts(x * x) == {0: 1, 1: 2, 2: 0, 3: 0, 4: 2}
     rep = is_pp(x * x)
     assert not rep.ok
