@@ -7,6 +7,10 @@ beta outside the prime subfield, restriction constants) are always resolved
 to the smallest rank that works, so a given (q, n) yields one fixed
 polynomial.  Applicability predicates raise UnsupportedField (or the more
 specific error named in the docstring) instead of returning wrong output.
+Each family reads n with mvpoly._check_points after its field checks,
+refusing n < 1 and an n over the point cap before anything of size q^n is
+built; pp_product also checks its n + 1 variables, and lpp_power the b
+variables of its seed.
 """
 
 from math import comb, gcd
@@ -17,20 +21,8 @@ from . import _kernels
 from .errors import (BadDegree, EqualPoints, FieldMismatch, NotMaxLpp,
                      NoValidB, UnsupportedField, VariableCountMismatch)
 from .gf import Field, exact_int
-from .mvpoly import (FuncTable, MultiPoly, _check_points, _need_a_variable,
-                     compose_univariate, extend, interpolate, poly_build,
-                     to_table)
-
-
-def _guard(field: Field, n: int, extra: int = 0) -> int:
-    """n read exactly, after refusing n < 1, then q^n and q^(n+extra)
-    points over the point cap, before anything of size n is built."""
-    n = exact_int(n, "n")
-    _need_a_variable(n)
-    _check_points(field, n)
-    if extra:
-        _check_points(field, n + extra)
-    return n
+from .mvpoly import (FuncTable, MultiPoly, _check_points, compose_univariate,
+                     extend, interpolate, poly_build, to_table)
 
 
 def _univariate(field: Field, exps, c: int = 1) -> MultiPoly:
@@ -102,6 +94,7 @@ def transposition(field: Field, a: int, b: int) -> MultiPoly:
 def dickson(field: Field, k: int, a: int) -> MultiPoly:
     """Degree-k Dickson polynomial g_k(x, a) with parameter a, satisfying
     g_k(y + a/y) = y^k + (a/y)^k; g_0 = 2."""
+    k = exact_int(k, "k")
     if k < 0:
         raise ValueError("Dickson degree must be nonnegative")
     a = field._check(a)
@@ -130,7 +123,7 @@ def is_univariate_pp(f: MultiPoly) -> bool:
 def pp_hn(field: Field, n: int) -> MultiPoly:
     """x_1^{q-1}..x_{n-1}^{q-1}(t(x_n) - x_n) + x_n: a PP for every q whose
     degree is n(q-1)-1 whenever q > 2."""
-    n = _guard(field, n)
+    n = _check_points(field, n, 1, "n")
     # t(x) - x = 1 + x + .. + x^{q-2}
     below_top = _univariate(field, range(field.q - 1))
     return _head_tail(field, n, below_top, _univariate(field, [1]))
@@ -140,7 +133,7 @@ def pp_monomial(field: Field, n: int) -> MultiPoly:
     """x_1^{q-1}..x_{n-1}^{q-1}x_n^{q-2} + x_n^{q-2}, a PP for odd p."""
     if field.p == 2:
         raise UnsupportedField("this family needs odd characteristic")
-    n = _guard(field, n)
+    n = _check_points(field, n, 1, "n")
     inv_mono = _univariate(field, [field.q - 2])
     return _head_tail(field, n, inv_mono, inv_mono)
 
@@ -152,7 +145,7 @@ def pp_dickson(field: Field, n: int) -> MultiPoly:
     q = field.q
     if field.p != 2 or field.r % 2 or q <= 4:
         raise UnsupportedField("this family needs q = 4^s > 4")
-    n = _guard(field, n)
+    n = _check_points(field, n, 1, "n")
     square = _univariate(field, [2])
     return _head_tail(field, n, dickson(field, q - 2, 1) - square, square)
 
@@ -162,7 +155,7 @@ def pp_alpha4(field: Field, n: int) -> MultiPoly:
     total degree <= 3n-1, plus x_1.  A PP of degree 3n-1."""
     if field.q != 4:
         raise UnsupportedField("this family lives over F_4")
-    n = _guard(field, n)
+    n = _check_points(field, n, 1, "n")
     out = np.ones((4,) * n, dtype=np.int64)
     out[(3,) * n] = 0  # the one monomial of degree 3n
     out[(1,) + (0,) * (n - 1)] = 0  # x_1 + x_1 = 0 in characteristic 2
@@ -232,7 +225,8 @@ def pp_product(field: Field, n: int, variant: str,
         if (fy.n != 1 or fy.total_degree != q - 2
                 or not is_univariate_pp(fy)):
             raise BadDegree("f(y) must be a univariate PP of degree q-2")
-    n = _guard(field, n, 1)
+    n = _check_points(field, n, 1, "n")
+    _check_points(field, n + 1)
     if g is not None:
         if g.n != n:
             raise BadDegree(f"g must have {n} variables")
@@ -262,7 +256,7 @@ def lpp_beta(field: Field, n: int) -> MultiPoly:
     q = field.q
     if field.p != 2 or q <= 2:
         raise UnsupportedField("this family needs q = 2^r > 2")
-    n = _guard(field, n)
+    n = _check_points(field, n, 1, "n")
     return _prod_sum(field, n, _univariate(field, range(1, q - 1)),
                      _univariate(field, [1]))
 
@@ -291,7 +285,7 @@ def lpp_power(field: Field, b: int, k: int = 1) -> MultiPoly:
         raise NoValidB(f"gcd({b}, {q - 1}) != 1")
     if k < 1:
         raise ValueError("k must be a positive integer")
-    _guard(field, b)
+    _check_points(field, b)
     f = _prod_sum(field, b, _univariate(field, []),
                   _univariate(field, [q - 2]))**b
     for level in range(1, k):
@@ -351,7 +345,7 @@ def lpp_indicator(field: Field, n: int) -> MultiPoly:
     p, q = field.p, field.q
     if p == 2 or q <= 3:
         raise UnsupportedField("needs odd p and q > 3")
-    n = _guard(field, n)
+    n = _check_points(field, n, 1, "n")
     if field.r == 1:
         b = block_sizes(field)[0]
         k = 1
@@ -372,7 +366,7 @@ def lpp_chain(field: Field, n: int) -> MultiPoly:
     q = field.q
     if q <= 3:
         raise UnsupportedField("the recurrence needs q > 3")
-    n = _guard(field, n)
+    n = _check_points(field, n, 1, "n")
     t = t_poly(field)
     inv_mono = _univariate(field, [q - 2])
     f = extend(_univariate(field, [1]), n, 0)
@@ -421,7 +415,7 @@ def lpp_linear(field: Field, n: int) -> MultiPoly:
     canonical maximal one."""
     if field.q not in (2, 3):
         raise UnsupportedField("reserved for q in {2, 3}")
-    n = _guard(field, n)
+    n = _check_points(field, n, 1, "n")
     return _prod_sum(field, n, _univariate(field, []),
                      _univariate(field, [1]))
 

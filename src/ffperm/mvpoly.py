@@ -31,6 +31,16 @@ a coefficient rank array, with no Python object per term, and one array
 routine (_sum_terms) checks, folds and sums them.  JSON text whose terms are
 written in the form `ffperm construct` or json.dump gives them is read
 straight from its bytes (_read_text); json.loads parses everything else.
+
+Every variable count that sizes work, here and in the families and
+checkers, is read by _check_points: exactly (2.0 and numpy integers pass,
+2.5 does not), with a least value of 0 or 1, and under the point cap
+before anything of size q^n exists.  to_table checks the cap again before
+it evaluates, and so does the first read of a held table's coefficients
+before it interpolates, since the cap may have been tightened since the
+build.  Neither FuncTable, which checks only that the values it is given
+fit its n, nor points, which reads its n exactly and makes the points one
+at a time, is capped.
 """
 
 import itertools
@@ -57,22 +67,21 @@ def _exponents(nz: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 _WIDE = 1 << 63
 
 
-def _check_points(field: Field, n: int) -> int:
-    """q^n for a variable count n whose q^n points fit under the point cap;
-    raises before anything of that size is allocated."""
-    if n < 0:
-        raise ValueError("variable count must be nonnegative")
+def _check_points(field: Field, n, least: int = 0,
+                  what: str = "variable count") -> int:
+    """The variable count n read exactly (as what), after refusing n < least
+    (least is 0 or 1) and q^n points over the point cap; it raises before
+    anything of size q^n is allocated.  Every count is read here."""
+    n = exact_int(n, what)
+    if n < least:
+        raise ValueError("need at least one variable" if least
+                         else "variable count must be nonnegative")
     limit = point_cap()
     # q >= 2, so n >= bit_length(limit) puts q^n over the cap without
     # building a huge q^n first
     if n >= limit.bit_length() or field.q**n > limit:
         raise CapExceeded(f"{field.q}^{n} points exceed the point cap")
-    return field.q**n
-
-
-def _need_a_variable(n: int) -> None:
-    if n < 1:
-        raise ValueError("need at least one variable")
+    return n
 
 
 class MultiPoly:
@@ -102,6 +111,7 @@ class MultiPoly:
         """Read-only coefficient tensor of shape (q,)*n."""
         if self._coeffs is None:
             field = self.field
+            _check_points(field, self.n)
             arr = self._table.values.reshape((field.q,) * self.n)
             arr = _transform(field, arr, True, self.n)
             arr.setflags(write=False)
@@ -259,11 +269,12 @@ class MultiPoly:
 # ---------------------------------------------------------------------------
 # constructors
 
-def _sum_terms(field: Field, n: int, exps: np.ndarray,
+def _sum_terms(field: Field, exps: np.ndarray,
                ranks: np.ndarray) -> MultiPoly:
     """Sum the terms given as an (N, n) int64 exponent array and an (N,)
-    coefficient rank array into reduced form; exps is folded in place.
-    The caller has checked n and the arity with _exponent_array.
+    coefficient rank array into a polynomial in n variables, in reduced
+    form; exps is folded in place.  The caller has read n with
+    _check_points (through _exponent_array or itself).
 
     Terms whose slots are all distinct are written as they are.  Otherwise
     the distinct slots are numbered in the result tensor itself, so no other
@@ -272,7 +283,7 @@ def _sum_terms(field: Field, n: int, exps: np.ndarray,
     exact since N * (p - 1) < 2^53, and the sums are taken mod p and
     recombined with p_pows.
     """
-    q, p = field.q, field.p
+    q, p, n = field.q, field.p, exps.shape[1]
     # as unsigned a negative value is huge, so one comparison finds both
     # the exponents to fold and the negative ones
     high = exps.view(np.uint64) >= q
@@ -321,11 +332,11 @@ def _int64s(values, count: int, wide) -> np.ndarray:
         return np.fromiter(map(wide, values()), np.int64, count)
 
 
-def _exponent_array(field: Field, n: int, rows: list) -> np.ndarray:
+def _exponent_array(field: Field, n, rows: list) -> np.ndarray:
     """The exponent sequences rows as an (N, n) int64 array; an exponent
-    beyond int64 is folded first (or made -1 when negative).  n is checked
+    beyond int64 is folded first (or made -1 when negative).  n is read
     first, so a huge n is refused and never shapes an array."""
-    _check_points(field, n)
+    n = _check_points(field, n)
     if not set(map(len, rows)) <= {n}:
         bad = next(k for k in map(len, rows) if k != n)
         raise VariableCountMismatch(
@@ -364,7 +375,7 @@ def poly_build(field: Field, n: int, terms) -> MultiPoly:
     exps = _exponent_array(field, n,
                            list(map(tuple, map(itemgetter(0), terms))))
     ranks = _rank_array(field, lambda: map(itemgetter(1), terms), len(terms))
-    return _sum_terms(field, n, exps, ranks)
+    return _sum_terms(field, exps, ranks)
 
 
 def monomial(field: Field, n: int, exps, c: int = 1) -> MultiPoly:
@@ -373,11 +384,10 @@ def monomial(field: Field, n: int, exps, c: int = 1) -> MultiPoly:
 
 def extend(f: MultiPoly, n: int, offset: int) -> MultiPoly:
     """Embed f into n >= f.n variables, its old x_{j} becoming x_{offset+j}."""
-    n, offset = exact_int(n, "variable count"), exact_int(offset, "offset")
+    n, offset = _check_points(f.field, n), exact_int(offset, "offset")
     if offset < 0 or offset + f.n > n:
         raise IndexOutOfRange(
             f"cannot place {f.n} variables at offset {offset} inside {n}")
-    _check_points(f.field, n)
     q = f.field.q
     shape = (1,) * offset + (q,) * f.n + (1,) * (n - offset - f.n)
     return f._tabled(np.broadcast_to(f._values().reshape(shape), (q,) * n), n)
@@ -418,8 +428,9 @@ class FuncTable:
 
 
 def points(field: Field, n: int):
-    """All points of F_q^n in rank order."""
-    return itertools.product(field.elements(), repeat=n)
+    """All points of F_q^n in rank order, made as they are read."""
+    return itertools.product(field.elements(),
+                             repeat=exact_int(n, "variable count"))
 
 
 # The multi-stage plan runs only where it saves at least this many lookups
@@ -805,8 +816,7 @@ def _read_text(text: str) -> MultiPoly | None:
         doc = json.loads(text[:cut] + _TERMS + "]}")
         _check_poly_json(doc)
         field = field_from_json(doc["field"])
-        n = int(doc["n"])
-        _check_points(field, n)
+        n = _check_points(field, doc["n"])
     except (ValueError, FFPermError, RecursionError):
         return None
     body = text[cut + len(_TERMS) - 1:end - 1]  # from "[" through "]"
@@ -844,7 +854,7 @@ def _read_text(text: str) -> MultiPoly | None:
         exps, coeff = rows[:, :n], rows[:, n:]
     if coeff.max() >= field.p:  # the general path words the error
         return None
-    return _sum_terms(field, n, exps, coeff @ field.p_pows)
+    return _sum_terms(field, exps, coeff @ field.p_pows)
 
 
 def poly_from_json(data: dict | str) -> MultiPoly:
@@ -865,9 +875,8 @@ def poly_from_json(data: dict | str) -> MultiPoly:
             raise ValueError("JSON input is nested too deeply") from None
     _check_poly_json(data)
     field = field_from_json(data["field"])
-    n = int(data["n"])
     terms = data["terms"]
     ranks = _json_ranks(field, terms)
-    return _sum_terms(field, n,
-                      _exponent_array(field, n, list(_at(terms, "exps"))),
-                      ranks)
+    return _sum_terms(
+        field, _exponent_array(field, data["n"], list(_at(terms, "exps"))),
+        ranks)

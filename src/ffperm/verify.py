@@ -12,10 +12,9 @@ from . import _kernels
 from .caps import scan_cap
 from .constructions import h_polys, lpp_chain, t_poly, transposition
 from .errors import CapExceeded, UnsupportedField
-from .gf import Field
+from .gf import Field, exact_int
 from .mvpoly import (MultiPoly, _check_points, _dense_matrix, _exponents,
-                     _need_a_variable, _transform, compose_univariate,
-                     monomial, to_table)
+                     _transform, compose_univariate, monomial, to_table)
 
 
 @dataclass
@@ -55,8 +54,7 @@ def preimage_counts(f: MultiPoly) -> dict[int, int]:
 def is_pp(f: MultiPoly) -> VerifyReport:
     """Pass iff every value has exactly q^(n-1) preimages."""
     t0 = time.perf_counter()
-    q, n = f.field.q, f.n
-    _need_a_variable(n)
+    q, n = f.field.q, _check_points(f.field, f.n, 1)
     vals = to_table(f).values
     counts = np.bincount(vals, minlength=q)
     want = q ** (n - 1)
@@ -78,8 +76,7 @@ def is_lpp(f: MultiPoly) -> VerifyReport:
     (1-based), the assignment to the other variables, and a colliding pair.
     """
     t0 = time.perf_counter()
-    q, n = f.field.q, f.n
-    _need_a_variable(n)
+    q, n = f.field.q, _check_points(f.field, f.n, 1)
     tbl = to_table(f).values
     axis, lo, hi = _kernels.lpp_scan(tbl, n, q)
     if axis < 0:
@@ -108,14 +105,15 @@ def assert_degree(f: MultiPoly, expected: int) -> VerifyReport:
     reading them (a PP of degree n(q-1)-1 is found in the 2^n top corner
     of a large tensor).  The zero polynomial measures -1."""
     t0 = time.perf_counter()
+    expected = exact_int(expected, "expected degree")
     lead = f.leading_terms()
     total = sum(lead[0][0]) if lead else -1
     leading = [{"exps": list(e), "coeff": f.field.coeffs_of(c)}
                for e, c in lead]
-    detail = {"measured": total, "expected": int(expected),
+    detail = {"measured": total, "expected": expected,
               "leading_terms": leading}
     ok = total == expected
-    witness = None if ok else {"measured": total, "expected": int(expected)}
+    witness = None if ok else {"measured": total, "expected": expected}
     return _finish(VerifyReport("DEGREE", ok, witness, detail=detail), 0, t0)
 
 
@@ -174,9 +172,9 @@ def scan_pp_degree_bound(field: Field, n: int) -> VerifyReport:
     """Interpolate every balanced table of F_q^n and confirm the degree
     bound n(q-1)-1; reports the PP count and the degree histogram."""
     t0 = time.perf_counter()
-    _need_a_variable(n)
+    n = _check_points(field, n, 1)
     q = field.q
-    size = _check_points(field, n)
+    size = q**n
     total = _balanced_count(size, size // q, scan_cap())
     bound = n * (q - 1) - 1
     tables = _balanced_tables(q, n)

@@ -3,21 +3,22 @@ permutation properties cross-checked against the naive oracle, and the
 predicate errors for unusable fields."""
 
 import itertools
+import tracemalloc
 from math import comb
 
 import numpy as np
 import pytest
 
-from ffperm import (BadDegree, FFPermError, FieldMismatch, MultiPoly,
-                    NoValidB, NotMaxLpp, UnsupportedField, assert_degree,
-                    build_family, indicator_poly, interpolate, is_lpp, is_pp,
-                    lpp_beta,
+from ffperm import (BadDegree, CapExceeded, FFPermError, FieldMismatch,
+                    MultiPoly, NoValidB, NotMaxLpp, UnsupportedField,
+                    assert_degree, build_family, dickson, indicator_poly,
+                    interpolate, is_lpp, is_pp, lpp_beta,
                     lpp_chain, lpp_indicator, lpp_linear, lpp_max, lpp_power,
                     lpp_restrict, lpp_three, make_field, poly_build,
                     pp_alpha4, pp_dickson, pp_hn, pp_monomial, pp_product,
-                    t_poly, to_table, transposition)
+                    scan_pp_degree_bound, t_poly, to_table, transposition)
 from ffperm.constructions import FAMILY_TAGS, block_sizes
-from ffperm.mvpoly import FuncTable, monomial, points
+from ffperm.mvpoly import FuncTable, extend, monomial, points
 from oracle import (SMALL_FIELDS, NaiveField, all_points,
                     naive_interp_univariate, naive_is_lpp, naive_is_pp,
                     naive_poly_build, naive_poly_mul)
@@ -397,6 +398,84 @@ def test_build_family_reads_lpp_power_arguments_exactly():
                          ("k", {"b": 3, "k": 1.5})]:
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             build_family("lpp_power", F5, **kwargs)
+
+
+BIG = 10**12
+# (label, call, field, name in the message, a count that works, a count over
+# the point cap or None where there is no cap, the least count or None) for
+# every entry that reads a count: the families, lpp_power's block size b
+# (the seed's variable count), dickson's degree k, the mvpoly builders,
+# points and the scan; is_pp and is_lpp read the n of the polynomial
+COUNT_ENTRIES = [
+    ("pp_hn", pp_hn, F5, "n", 2, BIG, 1),
+    ("pp_monomial", pp_monomial, F5, "n", 2, BIG, 1),
+    ("pp_dickson", pp_dickson, F16, "n", 1, BIG, 1),
+    ("pp_alpha4", pp_alpha4, F4, "n", 2, BIG, 1),
+    ("pp_qnr", lambda F, n: pp_product(F, n, "QNR"), F5, "n", 1, BIG, 1),
+    ("pp_noncube", lambda F, n: pp_product(F, n, "NONCUBE"), F4, "n", 1, BIG,
+     1),
+    ("pp_mersenne", lambda F, n: pp_product(F, n, "MERSENNE"), F8, "n", 1,
+     BIG, 1),
+    ("lpp_beta", lpp_beta, F4, "n", 2, BIG, 1),
+    ("lpp_indicator", lpp_indicator, F5, "n", 2, BIG, 1),
+    ("lpp_indicator-9", lpp_indicator, F9, "n", 2, BIG, 1),
+    ("lpp_chain", lpp_chain, F5, "n", 2, BIG, 1),
+    ("lpp_linear", lpp_linear, F3, "n", 2, BIG, 1),
+    ("lpp_max", lpp_max, F7, "n", 3, BIG, 1),
+    # a b of 10**12 breaks b < p-1 first; 11^7 points are over the cap
+    ("lpp_power b", lpp_power, F11, "b", 3, 7, None),
+    ("poly_build", lambda F, n: poly_build(F, n, []), F5, "variable count",
+     2, BIG, 0),
+    ("monomial", lambda F, n: monomial(F, n, (1, 2)), F5, "variable count",
+     2, BIG, 0),
+    ("extend", lambda F, n: extend(monomial(F, 1, (1,)), n, 0), F5,
+     "variable count", 2, BIG, 0),
+    ("points", lambda F, n: list(points(F, n)), F5, "variable count", 2,
+     None, None),
+    ("dickson k", lambda F, k: dickson(F, k, 1), F5, "k", 2, None, None),
+    ("scan_pp_degree_bound", lambda F, n: scan_pp_degree_bound(F, n).detail,
+     make_field(2), "variable count", 2, BIG, 1),
+    ("is_pp", lambda F, n: is_pp(poly_build(F, n, [])), F5, None, None,
+     None, 1),
+    ("is_lpp", lambda F, n: is_lpp(poly_build(F, n, [])), F5, None, None,
+     None, 1),
+]
+
+
+@pytest.mark.parametrize("label,call,field,what,good,over,least",
+                         COUNT_ENTRIES, ids=[e[0] for e in COUNT_ENTRIES])
+def test_counts_are_read_exactly_and_capped(label, call, field, what, good,
+                                            over, least):
+    # every count is read exactly: an integral float or a numpy integer
+    # gives what the int gives, a fraction is a ValueError naming the
+    # argument, a count under the least is refused, and a count over the
+    # point cap is refused before anything of its size is allocated
+    if good is not None:
+        want = call(field, good)
+        for alt in (float(good), np.int64(good)):
+            got = call(field, alt)
+            assert got == want
+            assert type(getattr(got, "n", 0)) is int    # a polynomial's n
+        with pytest.raises(ValueError,
+                           match=f"^{what} must be an integer, not "
+                                 rf"{good}\.5$"):
+            call(field, good + 0.5)
+    if least is not None:
+        message = ("need at least one variable" if least
+                   else "variable count must be nonnegative")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(field, least - 1)
+    if over is not None:
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceeded,
+                               match=rf"^{field.q}\^{over} points exceed "
+                                     "the point cap$"):
+                call(field, over)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 # -- lpp_restrict -----------------------------------------------------------------

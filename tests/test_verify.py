@@ -170,6 +170,19 @@ def test_assert_degree_leaves_coefficients_cached(monkeypatch):
         assert shapes == [(q, q)] * f.n
 
 
+def test_assert_degree_reads_expected_exactly():
+    # a fractional expected degree is refused, not reported as a failure
+    # whose witness shows no difference
+    f = pp_hn(F5, 2)                                         # degree 7
+    with pytest.raises(ValueError, match=r"^expected degree must be an "
+                                         r"integer, not 7\.5$"):
+        assert_degree(f, 7.5)
+    for expected in (7.0, np.int64(7)):
+        rep = assert_degree(f, expected)
+        assert rep.ok and rep.detail["expected"] == 7
+        assert type(rep.detail["expected"]) is int
+
+
 def test_zero_variables():
     c = poly_build(F5, 0, [((), 3)])
     z = poly_build(F5, 0, [])
@@ -494,6 +507,19 @@ def test_point_cap_respected(monkeypatch):
         is_lpp(f)
     monkeypatch.setenv("FFPERM_POINT_CAP", "125")
     assert is_pp(f).to_json()["verdict"] == "fail"
+
+
+def test_interpolation_is_capped(monkeypatch):
+    # a held table is interpolated only under the point cap, as to_table
+    # evaluates only under it
+    monkeypatch.setenv("FFPERM_POINT_CAP", "3")
+    f = interpolate(FuncTable(F5, 2, list(range(5)) * 5))    # f = x2
+    with pytest.raises(CapExceeded,
+                       match=r"^5\^2 points exceed the point cap$"):
+        assert_degree(f, 1)
+    assert f._coeffs is None
+    monkeypatch.delenv("FFPERM_POINT_CAP")
+    assert assert_degree(f, 1).ok
 
 
 def test_env_cap_override(monkeypatch):
