@@ -11,9 +11,10 @@ each other, so a MultiPoly lives in two domains and holds either or both:
 
 Whichever is missing is computed on first use (one transform per axis: a
 DFT over F_q^*, or the dense q x q gather that is its one-stage plan; on a
-tensor of at least _SPARSE_MIN entries the axes go densest first and only
-the nonzero columns of each are transformed, which spares most of the
-work on a sparse polynomial such as pp_hn; see _transform) and cached.
+tensor of at least _SPARSE_MIN entries only its support box, the product of
+each axis's nonzero rows, is transformed, largest support first, and of
+each step only the nonzero columns, which spares most of the work on a
+sparse polynomial such as pp_hn; see _transform) and cached.
 This module alone knows the interpolation formula: _dense_matrix makes
 both one-stage matrices, or the columns of them an axis reads, from the
 field's exp and log on each call, and _dft runs the same maps stage by
@@ -447,14 +448,10 @@ _DFT_MIN = 1 << 12
 # Fitted on whole dense axes, where it keeps q = 7, 9, 13 and 17 (radices
 # of 2 and 3 only) on the gather, which was as fast or faster there.
 _STAGE_ROWS = 3
-# _transform orders the axes and skips zero columns, and leading_terms
-# grows its corner from the top, only on tensors of at least this many
-# entries: on smaller ones the reductions cost more than they save.
+# _transform slices the support box and skips zero columns, and
+# leading_terms grows its corner from the top, only on tensors of at least
+# this many entries: on smaller ones the reductions cost more than they save.
 _SPARSE_MIN = 1 << 14
-# From this q on, a dense gather whose axis has at most q / 4 nonzero rows
-# makes only the matrix columns it reads; at smaller q making the whole
-# matrix costs less than the extra calls.
-_PARTIAL_Q = 64
 
 
 def _radices(m: int) -> list[int]:
@@ -561,24 +558,22 @@ def _dft(field: Field, A: np.ndarray, inverse: bool,
     return out
 
 
-def _densest_first(arr: np.ndarray, k: int) -> list[int]:
-    """The first k axes of arr, those with the most nonzero rows first and
-    ties in axis order."""
+def _support(arr: np.ndarray, k: int) -> list[np.ndarray]:
+    """The nonzero rows of each of the first k axes of arr, read from one
+    bool mask with the other axes reduced away."""
     live = arr.any(axis=tuple(range(k, arr.ndim)))
-    rows = [np.count_nonzero(live.any(axis=tuple(j for j in range(k)
-                                                 if j != i)))
+    return [np.flatnonzero(live.any(axis=tuple(j for j in range(k) if j != i)))
             for i in range(k)]
-    return sorted(range(k), key=lambda i: -rows[i])
 
 
 def _few_columns(t: np.ndarray) -> np.ndarray | None:
     """The flat indices of the nonzero columns of t (axis 0 its rows, the
     other axes its columns in C order) when they are under a quarter of
-    the columns; None otherwise, and always for a lone column (t 1-D)."""
+    the columns; None otherwise, so always for one nonzero column (t 1-D,
+    which _transform never hands in all zero)."""
     live = t.any(axis=0)
-    if live.ndim and 4 * np.count_nonzero(live) < live.size:
-        return np.flatnonzero(live)
-    return None
+    cols = np.flatnonzero(live)
+    return cols if 4 * cols.size < live.size else None
 
 
 def _transform(field: Field, arr: np.ndarray, inverse: bool,
@@ -587,59 +582,69 @@ def _transform(field: Field, arr: np.ndarray, inverse: bool,
     matrix of _dense_matrix along the first nvars axes of a
     (q,)*nvars + batch tensor; returns the batch + (q,)*nvars result.
 
-    Each step transforms one axis, as a (q, R) array A whose rows are the
-    axis and whose columns are all other entries, and moves it to the back.
-    A zero column of A stays zero under any per-axis map, so on a tensor
-    of at least _SPARSE_MIN entries the steps take the axes densest first
-    (most nonzero rows, ties in axis order), and a step whose nonzero
-    columns are under a quarter of R transforms only those and scatters
-    them into zeros.  Smaller tensors take the axes in order and every
-    column, as the reductions would cost more than they save.
+    Each step transforms one axis, seen as an (s, R) array A: its rows are
+    the s rows of the axis taken, its columns all other entries.  The step
+    writes the q rows of the result and moves the axis to the back.  A zero
+    row of A adds nothing and a zero column stays zero, so on a tensor of
+    at least _SPARSE_MIN entries the steps start from the support box: one
+    bool mask gives each axis's nonzero rows (_support), the tensor is
+    sliced to their product (np.ix_; batch axes stay whole), and the axes
+    are taken largest support first, ties in axis order.  The tensor then
+    grows only as each axis fills, and as each axis map is invertible, a
+    row taken stays nonzero.  A step whose nonzero columns are under a
+    quarter of R transforms only those and scatters them into zeros, as
+    interpolating a dense table can turn it sparse mid-transform.  Smaller
+    tensors take the axes in order and every row and column, as the
+    reductions would cost more than they save.  An all-zero tensor maps to
+    zeros.
 
     An axis runs as the mixed-radix DFT _dft when q-1 is composite and the
-    DFT saves at least _DFT_MIN lookups: the dense gather costs q per
-    nonzero row and column of A (of the columns transformed), the DFT
-    sum(p + _STAGE_ROWS) rows over its radices p.  Otherwise the axis
-    takes one dense mat_apply: of the whole matrix, made at most once per
-    call, or, when q >= _PARTIAL_Q and at most q / 4 rows of A are
-    nonzero, of only the matrix columns those rows meet.  The one copy at
-    the end puts the transformed axes back in their original order."""
+    DFT saves at least _DFT_MIN lookups: the dense gather costs q per row
+    and column of A (of the columns transformed), the DFT
+    sum(p + _STAGE_ROWS) rows over its radices p, and it runs on A with
+    the missing rows filled with zeros.  Otherwise the axis takes one dense
+    mat_apply: of the whole matrix when s = q, made at most once per call,
+    or of the s matrix columns its rows meet.  The one copy at the end puts
+    the transformed axes back in their original order."""
     k = arr.ndim if nvars is None else nvars
     batch = arr.shape[k:]
     q = field.q
     radices = _radices(q - 1)
     cost = sum(radices) + _STAGE_ROWS * len(radices)
-    dense = None
+    dense = []                  # the whole matrix, made on first use
 
-    def step(A):
-        nonlocal dense
-        live = A.any(axis=1)
-        nz = np.count_nonzero(live)
-        if len(radices) > 1 and (nz - cost) * A.size >= _DFT_MIN:
+    def step(A, at):
+        s, R = A.shape
+        if len(radices) > 1 and (s - cost) * q * R >= _DFT_MIN:
+            if s < q:
+                full = np.zeros((q, R), dtype=np.int64)
+                full[at] = A
+                A = full
             return _dft(field, A, inverse, radices)
-        if q >= _PARTIAL_Q and 4 * nz <= q:
-            at = np.flatnonzero(live)
-            return _kernels.mat_apply(_dense_matrix(field, inverse, at),
-                                      A[at], field.add_t, field.mul_t)
-        if dense is None:
-            dense = _dense_matrix(field, inverse)
-        return _kernels.mat_apply(dense, A, field.add_t, field.mul_t)
+        if s == q and not dense:
+            dense.append(_dense_matrix(field, inverse))
+        M = dense[0] if s == q else _dense_matrix(field, inverse, at)
+        return _kernels.mat_apply(M, A, field.add_t, field.mul_t)
 
     sparse = arr.size >= _SPARSE_MIN
-    order = _densest_first(arr, k) if sparse and k > 1 else list(range(k))
+    rows = _support(arr, k) if sparse else [np.arange(q)] * k
+    if any(at.size == 0 for at in rows):        # arr is all zero
+        return np.zeros(batch + (q,) * k, dtype=np.int64)
+    if any(at.size < q for at in rows):
+        arr = arr[np.ix_(*rows)]
+    order = sorted(range(k), key=lambda i: -arr.shape[i])
     t = arr.transpose(order + list(range(k, arr.ndim)))
-    for _ in range(k):
-        rest = t.shape[1:]
+    for at in [rows[i] for i in order]:
+        s, rest = t.shape[0], t.shape[1:]
         cols = _few_columns(t) if sparse else None
         if cols is not None:
-            vals = step(t[(slice(None),) + np.unravel_index(cols, rest)])
+            vals = step(t[(slice(None),) + np.unravel_index(cols, rest)], at)
             del t               # so that old and new never coexist
             t = np.zeros(rest + (q,), dtype=np.int64)
             t.reshape(-1, q)[cols] = vals.T
             continue
-        t = step(t.reshape(q, -1)).T.reshape(rest + (q,))
-    back = list(range(len(batch))) + [len(batch) + order.index(i)
-                                      for i in range(k)]
+        t = step(t.reshape(s, -1), at).T.reshape(rest + (q,))
+    back = [*range(len(batch)), *(len(batch) + np.array(order).argsort())]
     return np.ascontiguousarray(t.transpose(back)).reshape(batch + (q,) * k)
 
 

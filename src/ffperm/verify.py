@@ -282,16 +282,17 @@ def check_identities(field: Field) -> VerifyReport:
 def conjecture_fn(field: Field, n: int) -> VerifyReport:
     """Build the chain recurrence f_n and compare its degree to n(q-2).
     Evidence only: the result is labeled accordingly and never asserted;
-    lpp_chain refuses an n over the point cap before it builds anything."""
+    lpp_chain reads n exactly, as f.n, and refuses an n over the point cap
+    before it builds anything."""
     t0 = time.perf_counter()
     q = field.q
     if field.p == 2 or q <= 3:
         raise UnsupportedField("the conjecture concerns odd q > 3")
     f = lpp_chain(field, n)
-    expected = n * (q - 2)
+    expected = f.n * (q - 2)
     measured = f.total_degree
     detail = {"measured": measured, "expected": expected}
     witness = None if measured == expected else detail.copy()
     return _finish(VerifyReport("CONJECTURE", measured == expected, witness,
                                 label="conjecture evidence", detail=detail),
-                   q**n, t0)
+                   q**f.n, t0)

@@ -3,6 +3,7 @@ and the per-axis transform (dense gather or mixed-radix DFT) against
 them.  The reference matrices are built by repeated multiplication, never
 from the field's exp and log."""
 
+import gc
 import tracemalloc
 
 import numpy as np
@@ -149,10 +150,10 @@ def test_sparse_columns_match_the_dense_gather_on_every_field(monkeypatch):
     # with no size gate, an input with two nonzero columns among nine has
     # just those two transformed and scattered into zeros, where a linear
     # map sends the other seven: a random pair, and a pair with two
-    # nonzero rows, which from q = _PARTIAL_Q on reads only the two matrix
-    # columns those rows meet.  Those partial matrices are a column slice
-    # of the full one for any sorted set of columns.  The reference is the
-    # dense gather of the two columns alone
+    # nonzero rows, whose support box reads only the two matrix columns
+    # those rows meet, at every q.  Those partial matrices are a column
+    # slice of the full one for any sorted set of columns.  The reference
+    # is the dense gather of the two columns alone
     monkeypatch.setattr(mvpoly, "_SPARSE_MIN", 0)
     live = [2, 7]
     for p, r in PRIME_POWERS:
@@ -293,7 +294,10 @@ def test_dft_temporaries_are_bounded(staged, p, r, R):
 
 
 def peak_bytes(run):
-    """The tracemalloc peak of run()."""
+    """The tracemalloc peak of run(), measured after a full collection:
+    it empties the interpreter's free lists, so that the small objects
+    run() makes are allocated, and counted, the same way on every call."""
+    gc.collect()
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -315,6 +319,52 @@ def test_sparse_path_peaks_no_higher_than_every_column(monkeypatch):
     assert np.array_equal(_transform(F, coeffs, False, 4), want)
     every = peak_bytes(lambda: _transform(F, coeffs, False, 4))
     assert sparse <= every, (sparse, every)
+
+
+def test_sparse_evaluation_applies_the_support_columns(monkeypatch):
+    # pp_hn q=32 n=4 is x1^31 x2^31 x3^31 (1 + x4 + ... + x4^30) + x4: its
+    # support box has 31 rows on x4 and 2 on each other axis.  q - 1 = 31
+    # is prime, so every axis is one dense mat_apply, largest support
+    # first, of the matrix columns of those rows alone
+    F = make_field(2, 5)
+    coeffs = np.array(pp_hn(F, 4).coeffs)
+    want = reference_matrices(F)[0]
+    applied = []
+    real = _kernels.mat_apply
+
+    def recording(M, A, add_t, mul_t):
+        applied.append(M)
+        return real(M, A, add_t, mul_t)
+
+    monkeypatch.setattr(_kernels, "mat_apply", recording)
+    got = _transform(F, coeffs, False, 4)
+    assert [M.shape for M in applied] == [(32, 31), (32, 2), (32, 2),
+                                          (32, 2)]
+    assert np.array_equal(applied[0], want[:, :31])
+    assert all(np.array_equal(M, want[:, [0, 31]]) for M in applied[1:])
+    monkeypatch.setattr(_kernels, "mat_apply", real)
+    monkeypatch.setattr(mvpoly, "_SPARSE_MIN", coeffs.size + 1)
+    assert np.array_equal(got, _transform(F, coeffs, False, 4))
+
+
+@pytest.mark.parametrize("p,r,n,batch", [(2, 5, 3, ()), (2, 4, 4, (3,)),
+                                         (7, 1, 5, ()), (2, 7, 2, (2,))])
+def test_all_zero_tensor_over_the_gate_is_zero(monkeypatch, p, r, n, batch):
+    # the support box of zeros is empty: the result is zeros of the output
+    # shape, and no matrix is applied
+    F = make_field(p, r)
+    arr = np.zeros((F.q,) * n + batch, dtype=np.int64)
+    assert arr.size >= mvpoly._SPARSE_MIN
+
+    def no_transform(*args):
+        raise AssertionError("unexpected transform")
+
+    monkeypatch.setattr(_kernels, "mat_apply", no_transform)
+    monkeypatch.setattr(mvpoly, "_dft", no_transform)
+    for inverse in (False, True):
+        got = _transform(F, arr, inverse, n)
+        assert got.shape == batch + (F.q,) * n and got.dtype == np.int64
+        assert got.flags.c_contiguous and not got.any()
 
 
 def test_size_gate_allocates_nothing_extra(monkeypatch):

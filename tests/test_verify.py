@@ -496,6 +496,18 @@ def test_conjecture_label_and_result():
         conjecture_fn(F5, 10**12)           # refused before 5^n is built
 
 
+def test_conjecture_reads_n_exactly():
+    # n is read once as an int, so a float count that is whole gives the
+    # same report as the int, with an int expected degree; 2.5 is refused
+    rep = conjecture_fn(F5, 2.0)
+    assert rep.detail == {"measured": 6, "expected": 6}
+    assert type(rep.detail["expected"]) is int
+    assert rep.stats["points"] == 25
+    assert conjecture_fn(F5, np.int64(2)).detail == rep.detail
+    with pytest.raises(ValueError, match="n must be an integer"):
+        conjecture_fn(F5, 2.5)
+
+
 # -- caps --------------------------------------------------------------------------------
 
 def test_point_cap_respected(monkeypatch):
