@@ -21,8 +21,9 @@ from . import _kernels
 from .errors import (BadDegree, EqualPoints, FieldMismatch, NotMaxLpp,
                      NoValidB, UnsupportedField, VariableCountMismatch)
 from .gf import Field, exact_int
-from .mvpoly import (FuncTable, MultiPoly, _check_points, compose_univariate,
-                     extend, interpolate, poly_build, to_table)
+from .mvpoly import (FuncTable, MultiPoly, _check_points, _func_table,
+                     compose_univariate, extend, interpolate, poly_build,
+                     to_table)
 
 
 def _univariate(field: Field, exps, c: int = 1) -> MultiPoly:
@@ -36,7 +37,9 @@ def _univariate(field: Field, exps, c: int = 1) -> MultiPoly:
 def _head_tail(field: Field, n: int, a: MultiPoly, b: MultiPoly) -> MultiPoly:
     """x_1^{q-1}..x_{n-1}^{q-1} a(x_n) + b(x_n) for univariate a and b: a's
     coefficients fill the x_n row at x_1 = .. = x_{n-1} = q-1, and b's are
-    added to the x_n row at the origin (the same row when n = 1)."""
+    added to the x_n row at the origin (the same row when n = 1).  Only
+    the coefficients are built: a table made here as well gained no
+    benchmark workload time and raised construct's peak RSS."""
     q = field.q
     out = np.zeros((q,) * n, dtype=np.int64)
     out[(q - 1,) * (n - 1)] = a.coeffs
@@ -45,16 +48,40 @@ def _head_tail(field: Field, n: int, a: MultiPoly, b: MultiPoly) -> MultiPoly:
     return MultiPoly(field, n, out)
 
 
-def _prod_sum(field: Field, n: int, a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """prod_i a(x_i) + sum_i b(x_i) for univariate a and b: the outer
-    product of a's coefficients, with b's added along each axis."""
-    out = np.array(a.coeffs)
+def _outer(rows: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """The n-fold outer product of the length-q vector v under an operation
+    given by rows[u, j] = u op v[j], as a flat C-order array of q^n entries:
+    each step is a row gather, copying the one contiguous row of rows that
+    every entry so far selects."""
+    out = np.array(v)
     for _ in range(1, n):
-        out = field.mul_t[out[..., None], a.coeffs]
+        out = rows.take(out, axis=0).reshape(-1)
+    return out
+
+
+def _prod_sum(field: Field, n: int, a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    """prod_i a(x_i) + sum_i b(x_i) for univariate a and b, born in both
+    domains, each outer product built by row gathers (_outer).
+
+    Coefficients: the outer product of a's through mul_t, with b's added
+    along each axis at the origin.  Values: P + S, where P is the outer
+    product of a's values through mul_t and S the Kronecker sum of b's
+    values through add_t.  S splits as S'(x_1..x_(n-1)) + b(x_n), and each
+    part is added to P in place through add_t, so no q^n array beyond the
+    coefficients and the table is made."""
+    q, add_t, mul_t = field.q, field.add_t, field.mul_t
+    out = _outer(mul_t[:, a.coeffs], a.coeffs, n).reshape((q,) * n)
     for i in range(n):
         axis = (0,) * i + (slice(None),) + (0,) * (n - 1 - i)
-        out[axis] = field.add_t[out[axis], b.coeffs]
-    return MultiPoly(field, n, out)
+        out[axis] = add_t[out[axis], b.coeffs]
+    av, bv = a._values(), b._values()
+    P = _outer(mul_t[:, av], av, n).reshape(-1, q)
+    head = _outer(add_t[:, bv], bv, n - 1)[:, None] if n > 1 else 0
+    for part in (head, bv):
+        P *= q
+        P += part
+        add_t.ravel().take(P, out=P, mode="clip")
+    return MultiPoly(field, n, out, _func_table(field, n, P))
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +238,10 @@ def pp_product(field: Field, n: int, variant: str,
     The default g is x_1^{(q-1)/d}..x_n^{(q-1)/d}, so every default factor
     is x_1^{q-1}..x_n^{q-1} + c with c = alpha or -a.  The factor and f(y)
     share no variable, so the product is an outer product of their
-    coefficients and of their values, and holds both domains.
+    coefficients and of their values, and holds both domains.  Each outer
+    product is a row gather: every entry u of the factor copies the row
+    u * f(y) of mul_t, one contiguous run of q products, instead of
+    looking each product up on its own.
     """
     q = field.q
     d, a = _product_constant(field, variant, a_or_alpha)
@@ -242,9 +272,9 @@ def pp_product(field: Field, n: int, variant: str,
         shift = _univariate(field, [d]) + _univariate(field, [0], c)
         factor = compose_univariate(shift, g)
     mul_t = field.mul_t
-    return MultiPoly(field, n + 1, mul_t[factor.coeffs[..., None], fy.coeffs],
-                     FuncTable(field, n + 1,
-                               mul_t[factor._values()[:, None], fy._values()]))
+    coeffs = mul_t[:, fy.coeffs].take(factor.coeffs.reshape(-1), axis=0)
+    values = mul_t[:, fy._values()].take(factor._values(), axis=0)
+    return MultiPoly(field, n + 1, coeffs, _func_table(field, n + 1, values))
 
 
 # ---------------------------------------------------------------------------

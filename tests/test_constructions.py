@@ -800,6 +800,25 @@ def test_pp_product_domains_agree_with_custom_pieces():
     assert_domains_agree(pp_product(F16, 4, "NONCUBE"))   # 2^20 points
 
 
+def test_prod_sum_domains_agree_at_the_cap():
+    assert_domains_agree(lpp_beta(make_field(2, 4), 5))     # 2^20 points
+
+
+def test_lpp_beta_build_holds_no_more_than_three_tables():
+    # at the cap, lpp_beta(F_16, 5) holds its coefficients and its table,
+    # and may make one more array of q^n entries on the way
+    field = make_field(2, 4)
+    lpp_beta(field, 2)          # the univariate pieces' first use is over
+    tracemalloc.start()
+    try:
+        f = lpp_beta(field, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f._coeffs is not None and f._table is not None
+    assert peak <= 3 * 8 * field.q**5, peak
+
+
 @pytest.fixture
 def applied(monkeypatch):
     """(M, shape of A) for every field matrix the transform applies."""
@@ -863,6 +882,23 @@ def test_product_families_verify_without_a_transform(applied, tag, p, r, n):
     assert is_pp(f).ok
     is_lpp(f)
     assert assert_degree(f, (n + 1) * (q - 1) - 1).ok
+    assert applied == []
+
+
+@pytest.mark.parametrize("tag,p,r,n", [("lpp_beta", 2, 4, 3),
+                                       ("lpp_linear", 3, 1, 4),
+                                       ("lpp_indicator", 3, 2, 2)])
+def test_prod_sum_families_verify_without_a_transform(applied, tag, p, r, n):
+    # prod a(x_i) + sum b(x_i) is built in both domains from its univariate
+    # pieces: only they are transformed, and checking it transforms nothing
+    field = make_field(p, r)
+    q = field.q
+    f, _ = build_family(tag, field, n=n)
+    assert applied and all(cols == 1 for _, (_, cols) in applied)
+    applied.clear()
+    assert is_pp(f).ok and is_lpp(f).ok
+    to_table(f)
+    assert assert_degree(f, 1 if q == 3 else n * (q - 2)).ok  # q=3: linear
     assert applied == []
 
 

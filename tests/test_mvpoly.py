@@ -368,6 +368,17 @@ MISUSE = [
      "table values must be element ranks"),
     ("table value -1", lambda: FuncTable(F5, 1, [0, 1, 2, 3, -1]),
      ValueError, "table values must be element ranks"),
+    # a value that int64 would change is refused, not truncated or parsed
+    ("table value 1.5", lambda: FuncTable(F5, 1, [1.5, 0, 2, 3, 4]),
+     ValueError, "table values must be element ranks"),
+    ("table value '1'", lambda: FuncTable(F5, 1, ["1", "0", "2", "3", "4"]),
+     ValueError, "table values must be element ranks"),
+    ("table value nan", lambda: FuncTable(F5, 1, [np.nan, 0, 2, 3, 4]),
+     ValueError, "table values must be element ranks"),
+    ("table value 10^30", lambda: FuncTable(F5, 1, [10**30, 0, 2, 3, 4]),
+     ValueError, "table values must be element ranks"),
+    ("table value None", lambda: FuncTable(F5, 1, [None, 0, 2, 3, 4]),
+     ValueError, "table values must be element ranks"),
 ]
 
 
@@ -388,6 +399,17 @@ def test_func_table_equality_and_repr():
     assert t != FuncTable(field, 0, [2])
     assert t != [2, 0, 1]
     assert repr(t) == "FuncTable(q=3, n=1)"
+
+
+def test_func_table_reads_integral_values_exactly():
+    want = FuncTable(F5, 1, [4, 0, 2, 3, 1])
+    for values in ([4.0, 0.0, 2.0, 3.0, 1.0],
+                   [np.int32(4), np.uint8(0), 2, np.int64(3), 1],
+                   np.array([4, 0, 2, 3, 1], dtype=np.uint16)):
+        t = FuncTable(F5, 1, values)
+        assert t == want and t.values.dtype == np.int64
+    assert FuncTable(F5, 1, [True, False, 0, 0, 1]).values.tolist() == [
+        1, 0, 0, 0, 1]
 
 
 def test_func_table_reads_an_integral_n_as_an_int():

@@ -521,6 +521,25 @@ def test_point_cap_respected(monkeypatch):
     assert is_pp(f).to_json()["verdict"] == "fail"
 
 
+def test_is_pp_and_is_lpp_read_the_point_cap_once(monkeypatch):
+    # each checker reads its variable count, and with it the cap, once; the
+    # table it then reads is not capped a second time
+    reads = []
+    real = mvpoly.point_cap
+
+    def counting():
+        reads.append(1)
+        return real()
+
+    monkeypatch.setattr(mvpoly, "point_cap", counting)
+    for f in (poly_build(F5, 3, [((1, 1, 1), 1)]),     # coefficients only
+              interpolate(FuncTable(F5, 2, list(range(5)) * 5))):  # table
+        for check in (is_pp, is_lpp):
+            reads.clear()
+            check(f)
+            assert len(reads) == 1, check.__name__
+
+
 def test_interpolation_is_capped(monkeypatch):
     # a held table is interpolated only under the point cap, as to_table
     # evaluates only under it
