@@ -21,9 +21,8 @@ from . import _kernels
 from .errors import (BadDegree, EqualPoints, FieldMismatch, NotMaxLpp,
                      NoValidB, UnsupportedField, VariableCountMismatch)
 from .gf import Field, exact_int
-from .mvpoly import (FuncTable, MultiPoly, _check_points, _func_table,
-                     compose_univariate, extend, interpolate, poly_build,
-                     to_table)
+from .mvpoly import (MultiPoly, _check_points, compose_univariate, extend,
+                     poly_build, to_table)
 
 
 def _univariate(field: Field, exps, c: int = 1) -> MultiPoly:
@@ -81,7 +80,7 @@ def _prod_sum(field: Field, n: int, a: MultiPoly, b: MultiPoly) -> MultiPoly:
         P *= q
         P += part
         add_t.ravel().take(P, out=P, mode="clip")
-    return MultiPoly(field, n, out, _func_table(field, n, P))
+    return MultiPoly(field, n, out, values=P)
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +114,7 @@ def transposition(field: Field, a: int, b: int) -> MultiPoly:
         raise EqualPoints("transposition needs two distinct elements")
     vals = np.arange(field.q, dtype=np.int64)
     vals[a], vals[b] = b, a
-    return interpolate(FuncTable(field, 1, vals))
+    return MultiPoly(field, 1, values=vals)
 
 
 def dickson(field: Field, k: int, a: int) -> MultiPoly:
@@ -274,7 +273,7 @@ def pp_product(field: Field, n: int, variant: str,
     mul_t = field.mul_t
     coeffs = mul_t[:, fy.coeffs].take(factor.coeffs.reshape(-1), axis=0)
     values = mul_t[:, fy._values()].take(factor._values(), axis=0)
-    return MultiPoly(field, n + 1, coeffs, _func_table(field, n + 1, values))
+    return MultiPoly(field, n + 1, coeffs, values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +357,7 @@ def indicator_poly(field: Field) -> MultiPoly:
     vals = np.zeros(q, dtype=np.int64)
     vals[:p - 1] = 1
     vals[p] = 1
-    return interpolate(FuncTable(field, 1, vals))
+    return MultiPoly(field, 1, values=vals)
 
 
 def lpp_indicator(field: Field, n: int) -> MultiPoly:

@@ -243,7 +243,7 @@ class Field:
 
     def from_int(self, m: int) -> int:
         """Embed an ordinary integer as the constant m mod p."""
-        return m % self.p
+        return exact_int(m, "constant") % self.p
 
     # -- encodings ---------------------------------------------------------
 
@@ -257,7 +257,7 @@ class Field:
             raise ValueError(f"coefficient vector must have length {self.r}")
         rank = 0
         for i, c in enumerate(coeffs):
-            c = int(c)
+            c = exact_int(c, "coefficient")
             if not 0 <= c < self.p:
                 raise ValueError(f"coefficient {c} outside [0, {self.p})")
             rank += c * self.p**i

@@ -1,13 +1,14 @@
 """Dense polynomials over F_q[x_1..x_n] reduced modulo x_i^q - x_i.
 
 A reduced polynomial and the function F_q^n -> F_q it defines determine
-each other, so a MultiPoly lives in two domains and holds either or both:
+each other, so a MultiPoly lives in two domains and holds either or both,
+each as a read-only array:
 
 - the coefficient domain, a (q, ..., q) int64 tensor whose axis i carries
   the exponent of x_{i+1}, so the C-order flat index of a term is its rank
   with the x_1 exponent most significant;
-- the value-table domain, a FuncTable listing f at every point of F_q^n in
-  the same rank order.
+- the value-table domain, a flat int64 array listing f at every point of
+  F_q^n in the same rank order.
 
 Whichever is missing is computed on first use (one transform per axis: a
 DFT over F_q^*, or the dense q x q gather that is its one-stage plan; on a
@@ -41,9 +42,11 @@ it evaluates, and so does the first read of a held table's coefficients
 before it interpolates, since the cap may have been tightened since the
 build.  Neither FuncTable, which checks only that the values it is given
 are element ranks that fit its n, nor points, which reads its n exactly
-and makes the points one at a time, is capped.  Tables that ffperm
-computes itself through the field's tables are ranks by construction and
-skip that check (_func_table).
+and makes the points one at a time, is capped.  A FuncTable is made only
+at the public edge: to_table wraps a polynomial's cached values through
+FuncTable's checks on each call, and interpolate holds a FuncTable's
+values without a copy.  Tables that ffperm computes itself through the
+field's tables are ranks by construction and stay plain arrays.
 """
 
 import itertools
@@ -87,47 +90,52 @@ def _check_points(field: Field, n, least: int = 0,
     return n
 
 
+def _frozen(arr, shape) -> np.ndarray:
+    """arr as a read-only contiguous int64 array of the given shape, copied
+    only when it is not one already."""
+    arr = np.ascontiguousarray(arr, dtype=np.int64).reshape(shape)
+    arr.setflags(write=False)
+    return arr
+
+
 class MultiPoly:
     """Immutable reduced polynomial holding its coefficient tensor, its value
-    table, or both; build via poly_build, interpolate or the helpers.
+    table, or both, as read-only int64 arrays; build via poly_build,
+    interpolate or the helpers.
 
-    ``coeffs`` is interpolated from the table on first access, and the table
-    is evaluated from ``coeffs`` on first use; both are then cached.
+    ``coeffs`` is a (q,)*n tensor and ``values`` a flat table in point-rank
+    order; neither is checked, so both must hold element ranks.  ``coeffs``
+    is interpolated from the table on first access, and the table is
+    evaluated from ``coeffs`` on first use; both are then cached.
     """
 
-    __slots__ = ("field", "n", "_coeffs", "_table")
+    __slots__ = ("field", "n", "_coeffs", "_vals")
 
     def __init__(self, field: Field, n: int, coeffs: np.ndarray | None = None,
-                 table: "FuncTable | None" = None):
+                 values: np.ndarray | None = None):
         self.field = field
         self.n = n
-        self._coeffs = None
-        self._table = table
-        if coeffs is not None:
-            arr = np.ascontiguousarray(coeffs, dtype=np.int64)
-            arr = arr.reshape((field.q,) * n)
-            arr.setflags(write=False)
-            self._coeffs = arr
+        shape = (field.q,) * n
+        self._coeffs = None if coeffs is None else _frozen(coeffs, shape)
+        self._vals = None if values is None else _frozen(values, -1)
 
     @property
     def coeffs(self) -> np.ndarray:
         """Read-only coefficient tensor of shape (q,)*n."""
         if self._coeffs is None:
-            field = self.field
-            _check_points(field, self.n)
-            arr = self._table.values.reshape((field.q,) * self.n)
-            arr = _transform(field, arr, True, self.n)
-            arr.setflags(write=False)
-            self._coeffs = arr
+            field, n = self.field, self.n
+            _check_points(field, n)
+            shape = (field.q,) * n
+            self._coeffs = _frozen(
+                _transform(field, self._vals.reshape(shape), True, n), shape)
         return self._coeffs
 
     def _values(self) -> np.ndarray:
         """Flat value table in point-rank order, evaluated on first use."""
-        if self._table is None:
-            field = self.field
-            vals = _transform(field, self._coeffs, False, self.n)
-            self._table = _func_table(field, self.n, vals)
-        return self._table.values
+        if self._vals is None:
+            self._vals = _frozen(
+                _transform(self.field, self._coeffs, False, self.n), -1)
+        return self._vals
 
     # -- metadata ----------------------------------------------------------
 
@@ -196,9 +204,8 @@ class MultiPoly:
                 f"operands have {self.n} and {other.n} variables")
 
     def _tabled(self, values, n: int | None = None) -> "MultiPoly":
-        n = self.n if n is None else n
-        return MultiPoly(self.field, n,
-                         table=_func_table(self.field, n, values))
+        return MultiPoly(self.field, self.n if n is None else n,
+                         values=values)
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         self._compat(other)
@@ -449,18 +456,6 @@ def _integral(values) -> np.ndarray:
     raise ValueError("table values must be element ranks")
 
 
-def _func_table(field: Field, n: int, values: np.ndarray) -> FuncTable:
-    """The FuncTable of values that ffperm computed itself through the
-    field's tables, so that they are ranks of the right count by
-    construction: made without the constructor's checks, whose min/max
-    scan costs about 0.7 ms per 2^20 values."""
-    tbl = FuncTable.__new__(FuncTable)
-    vals = np.ascontiguousarray(values, dtype=np.int64).reshape(-1)
-    vals.setflags(write=False)
-    tbl.field, tbl.n, tbl.values = field, n, vals
-    return tbl
-
-
 def points(field: Field, n: int):
     """All points of F_q^n in rank order, made as they are read."""
     return itertools.product(field.elements(),
@@ -682,16 +677,19 @@ def _transform(field: Field, arr: np.ndarray, inverse: bool,
 
 
 def to_table(f: MultiPoly) -> FuncTable:
-    """Exhaustively evaluate f at every point of F_q^n."""
+    """Exhaustively evaluate f at every point of F_q^n, under the point cap.
+
+    f caches its values, so each call returns a new FuncTable, equal to the
+    last and sharing its values, made through FuncTable's checks."""
     _check_points(f.field, f.n)
-    f._values()  # fills the cache
-    return f._table
+    return FuncTable(f.field, f.n, f._values())
 
 
 def interpolate(tbl: FuncTable) -> MultiPoly:
-    """The unique reduced polynomial realizing the table; its coefficients
-    are computed when first read."""
-    return MultiPoly(tbl.field, tbl.n, table=tbl)
+    """The unique reduced polynomial realizing the table; it holds the
+    table's values without a copy, and its coefficients are computed when
+    first read."""
+    return MultiPoly(tbl.field, tbl.n, values=tbl.values)
 
 
 def compose_univariate(g: MultiPoly, f: MultiPoly) -> MultiPoly:

@@ -815,7 +815,7 @@ def test_lpp_beta_build_holds_no_more_than_three_tables():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert f._coeffs is not None and f._table is not None
+    assert f._coeffs is not None and f._vals is not None
     assert peak <= 3 * 8 * field.q**5, peak
 
 

@@ -444,14 +444,24 @@ def test_rank_coeff_roundtrip():
     assert field.from_int(-1) == field.neg(1)
     assert field.from_int(3) == 0            # integers map into the prime subfield
     assert field.from_int(-4) == field.neg(1)
-    for coeffs, message in (([1], "coefficient vector must have length 2"),
-                            ([1, 0, 0], "coefficient vector must have "
-                                        "length 2"),
-                            ([3, 0], "coefficient 3 outside [0, 3)"),
-                            ([0, -1], "coefficient -1 outside [0, 3)")):
+    # integral floats and numpy integers are read exactly
+    assert field.rank_of([2.0, np.int64(1)]) == 5
+    assert field.from_int(np.int64(-4)) == field.from_int(-4.0) == 2
+    f5 = make_field(5)
+    for fld, coeffs, message in (
+            (field, [1], "coefficient vector must have length 2"),
+            (field, [1, 0, 0], "coefficient vector must have length 2"),
+            (field, [3, 0], "coefficient 3 outside [0, 3)"),
+            (field, [0, -1], "coefficient -1 outside [0, 3)"),
+            (f5, [2.7], "coefficient must be an integer, not 2.7"),
+            (f5, ["3"], "coefficient must be an integer, not '3'"),
+            (field, [1, 2.9], "coefficient must be an integer, not 2.9")):
         with pytest.raises(ValueError) as err:
-            field.rank_of(coeffs)
+            fld.rank_of(coeffs)
         assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
+        f5.from_int(2.5)
+    assert str(err.value) == "constant must be an integer, not 2.5"
 
 
 def test_element_str():

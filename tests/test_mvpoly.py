@@ -792,9 +792,32 @@ def test_substitute_and_extend_match_naive_eval(p, r):
                 f_at[pt[offset:offset + 2]]
 
 
+def test_to_table_wraps_the_cached_values_through_the_checks(monkeypatch):
+    made = []
+    real = FuncTable.__init__
+
+    def counting(self, *args):
+        made.append(args)
+        real(self, *args)
+
+    f = lpp_beta(make_field(2, 2), 3)      # holds its table from the build
+    monkeypatch.setattr(FuncTable, "__init__", counting)
+    tbl = to_table(f)
+    assert len(made) == 1
+    assert np.shares_memory(tbl.values, f._values())
+    assert to_table(f) == tbl and len(made) == 2
+
+
+def test_interpolate_holds_the_table_without_a_copy():
+    field = make_field(2)
+    tbl = FuncTable(field, 20, np.arange(2**20) % 2)    # 2^20 points
+    g = interpolate(tbl)
+    assert np.shares_memory(g._values(), tbl.values)
+
+
 def test_table_paths_do_no_transform(monkeypatch):
-    # interpolate wraps its table, to_table hands it back, and ring
-    # operations on table-held polynomials stay in the table domain
+    # interpolate holds its table's values, to_table hands them back, and
+    # ring operations on table-held polynomials stay in the table domain
     from ffperm import _kernels
 
     def no_transform(*args):
