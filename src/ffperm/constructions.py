@@ -136,11 +136,11 @@ def dickson(field: Field, k: int, a: int) -> MultiPoly:
 
 
 def is_univariate_pp(f: MultiPoly) -> bool:
-    """True when the univariate f permutes F_q."""
+    """True when the univariate f permutes F_q: its table, one line, passes
+    _kernels.lpp_scan, the test is_lpp applies to every line."""
     if f.n != 1:
         raise VariableCountMismatch("expected a univariate polynomial")
-    vals = to_table(f).values
-    return bool(np.all(np.bincount(vals, minlength=f.field.q) == 1))
+    return _kernels.lpp_scan(to_table(f).values, 1, f.field.q)[0] < 0
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +218,8 @@ def _product_constant(field: Field, variant: str,
         return d, min(set(field.elements()) - powers)
     a = field._check(a_or_alpha)
     if a in powers:
-        raise ValueError(f"{a} is a {d}-th power, not usable here")
+        power = "a square" if d == 2 else "a cube"
+        raise ValueError(f"{a} is {power}, not usable here")
     return d, a
 
 
@@ -405,38 +406,37 @@ def lpp_chain(field: Field, n: int) -> MultiPoly:
     return f
 
 
+# Theorem 5.4's variants, each sigma(t(x1^a + x2^b) + x3^c): the field test
+# on (p, q), its refusal, (a, b, c) from q, and sigma from the field
+_THREE = {
+    "A": (lambda p, q: p >= 5, "variant A needs p >= 5",
+          lambda q: (q - 2, q - 2, q - 2), t_poly),
+    "B": (lambda p, q: p == 3 and q > 3, "variant B needs q = 3^r > 3",
+          lambda q: (q - 4, q - 2, q - 2), t_poly),
+    "C": (lambda p, q: p == 2 and q > 2, "variant C needs q = 2^r > 2",
+          lambda q: (q - 2, q // 2 - 1, q // 2 - 1),
+          lambda field: _univariate(field, [field.q - 2])),
+}
+
+
 def lpp_three(field: Field, variant: str) -> MultiPoly:
-    """Three-variable LPP families, one per characteristic: A for p >= 5 and
-    B for q = 3^r > 3 reach degree 3(q-2); C accepts q = 2^r > 2 and reaches
+    """Three-variable LPP families, one per characteristic, all of the shape
+    sigma(t(x1^a + x2^b) + x3^c) with t the 0 <-> 1 swap (_THREE holds each
+    variant's field test, exponents and sigma): A for p >= 5 and B for
+    q = 3^r > 3 reach degree 3(q-2); C accepts q = 2^r > 2 and reaches
     3(q-2) for q >= 8.  At q = 4, C returns the degree-2 LPP
     1 + x1^2 + x2 + x3^2: every permutation of F_4 is F_2-affine, so no
-    composition of the shape C uses can exceed degree 2."""
-    q = field.q
-    p = field.p
+    composition of this shape can exceed degree 2."""
     variant = variant.upper()
-    t = t_poly(field)
-
-    def mono3(i: int, e: int) -> MultiPoly:
-        return extend(_univariate(field, [e]), 3, i)
-
-    if variant == "A":
-        if p in (2, 3):
-            raise UnsupportedField("variant A needs p >= 5")
-        f2 = compose_univariate(t, mono3(0, q - 2) + mono3(1, q - 2))
-        return compose_univariate(t, f2 + mono3(2, q - 2))
-    if variant == "B":
-        if p != 3 or q <= 3:
-            raise UnsupportedField("variant B needs q = 3^r > 3")
-        fbar2 = compose_univariate(t, mono3(0, q - 4) + mono3(1, q - 2))
-        return compose_univariate(t, fbar2 + mono3(2, q - 2))
-    if variant == "C":
-        if p != 2 or q <= 2:
-            raise UnsupportedField("variant C needs q = 2^r > 2")
-        s = (q - 2) // 2
-        h2 = compose_univariate(t, mono3(0, q - 2) + mono3(1, s))
-        inv_mono = _univariate(field, [q - 2])
-        return compose_univariate(inv_mono, h2 + mono3(2, s))
-    raise ValueError(f"unknown variant {variant!r}")
+    if variant not in _THREE:
+        raise ValueError(f"unknown variant {variant!r}")
+    fits, refusal, exps, sigma = _THREE[variant]
+    if not fits(field.p, field.q):
+        raise UnsupportedField(refusal)
+    x1, x2, x3 = (extend(_univariate(field, [e]), 3, i)
+                  for i, e in enumerate(exps(field.q)))
+    return compose_univariate(
+        sigma(field), compose_univariate(t_poly(field), x1 + x2) + x3)
 
 
 def lpp_linear(field: Field, n: int) -> MultiPoly:

@@ -631,15 +631,14 @@ def _transform(field: Field, arr: np.ndarray, inverse: bool,
     and column of A (of the columns transformed), the DFT
     sum(p + _STAGE_ROWS) rows over its radices p, and it runs on A with
     the missing rows filled with zeros.  Otherwise the axis takes one dense
-    mat_apply: of the whole matrix when s = q, made at most once per call,
-    or of the s matrix columns its rows meet.  The one copy at the end puts
-    the transformed axes back in their original order."""
+    mat_apply of the s matrix columns its rows meet (all q when the axis is
+    whole).  The one copy at the end puts the transformed axes back in
+    their original order."""
     k = arr.ndim if nvars is None else nvars
     batch = arr.shape[k:]
     q = field.q
     radices = _radices(q - 1)
     cost = sum(radices) + _STAGE_ROWS * len(radices)
-    dense = []                  # the whole matrix, made on first use
 
     def step(A, at):
         s, R = A.shape
@@ -649,10 +648,8 @@ def _transform(field: Field, arr: np.ndarray, inverse: bool,
                 full[at] = A
                 A = full
             return _dft(field, A, inverse, radices)
-        if s == q and not dense:
-            dense.append(_dense_matrix(field, inverse))
-        M = dense[0] if s == q else _dense_matrix(field, inverse, at)
-        return _kernels.mat_apply(M, A, field.add_t, field.mul_t)
+        return _kernels.mat_apply(_dense_matrix(field, inverse, at), A,
+                                  field.add_t, field.mul_t)
 
     sparse = arr.size >= _SPARSE_MIN
     rows = _support(arr, k) if sparse else [np.arange(q)] * k
@@ -721,14 +718,6 @@ def poly_to_json(f: MultiPoly) -> dict:
 _INTS = (int, np.integer)
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, _INTS) and not isinstance(x, bool)
-
-
-def _is_int_list(x) -> bool:
-    return isinstance(x, list) and all(_is_int(v) for v in x)
-
-
 def _all_types(values, kinds) -> bool:
     """Whether every value is an instance of kinds but not a bool, checked
     once per distinct type."""
@@ -759,12 +748,14 @@ def _check_poly_json(data) -> None:
     fdoc = data.get("field")
     if not isinstance(fdoc, dict):
         raise ValueError('"field" must be an object')
-    if not _is_int(fdoc.get("p")) or not _is_int(fdoc.get("r", 1)):
+    if not _all_types([fdoc.get("p"), fdoc.get("r", 1)], _INTS):
         raise ValueError('"field" needs an integer "p" and an optional '
                          'integer "r"')
-    if fdoc.get("modulus") is not None and not _is_int_list(fdoc["modulus"]):
+    modulus = fdoc.get("modulus")
+    if modulus is not None and not (isinstance(modulus, list)
+                                    and _all_types(modulus, _INTS)):
         raise ValueError('"modulus" must be a list of integers')
-    if not _is_int(data.get("n")):
+    if not _all_types([data.get("n")], _INTS):
         raise ValueError('"n" must be an integer')
     terms = data.get("terms")
     if not isinstance(terms, list):

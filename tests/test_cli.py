@@ -70,6 +70,17 @@ def test_construct_predicate_error_exit_2():
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["pp_qnr", "--p", "5", "--alpha-rank", "4"],
+     "4 is a square, not usable here"),
+    (["pp_noncube", "--p", "2", "--r", "2", "--alpha-rank", "1"],
+     "1 is a cube, not usable here")], ids=["square", "cube"])
+def test_construct_power_constant_is_refused_by_name(argv, message):
+    res = run("construct", "--family", *argv, "--n", "1")
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr == f"error: {message}\n"
+
+
 def test_construct_usage_error_exit_2():
     res = run("construct", "--family", "no_such_family", "--p", "5", "--n", "1")
     assert res.returncode == 2          # argparse rejects unknown choice

@@ -652,6 +652,44 @@ def test_lpp_three_c_including_q4_degeneration():
         lpp_three(F5, "D")
 
 
+def three_table(field, exps, sigma_is_t):
+    """sigma(t(x1^a + x2^b) + x3^c) on every point, from the field tables:
+    t swaps 0 and 1, and sigma is t or x^(q-2)."""
+    q = field.q
+    t = np.arange(q)
+    t[[0, 1]] = [1, 0]
+    sigma = t if sigma_is_t else field.powers(np.arange(q), q - 2)
+    xa, xb, xc = (field.powers(np.arange(q), e) for e in exps)
+    inner = t[field.add_t[xa[:, None], xb[None, :]]]
+    return sigma[field.add_t[inner[:, :, None], xc]].reshape(-1)
+
+
+@pytest.mark.parametrize("variant,p,r,exps", [
+    ("A", 7, 1, (5, 5, 5)), ("B", 3, 2, (5, 7, 7)),
+    ("C", 2, 3, (6, 3, 3)), ("C", 2, 6, (62, 31, 31))])
+def test_lpp_three_is_the_composition_of_theorem_5_4(variant, p, r, exps):
+    field = make_field(p, r)
+    want = three_table(field, exps, variant != "C")
+    assert np.array_equal(to_table(lpp_three(field, variant)).values, want)
+
+
+@pytest.mark.parametrize("variant,p,r,message", [
+    ("A", 2, 2, "variant A needs p >= 5"),
+    ("A", 3, 2, "variant A needs p >= 5"),
+    ("B", 5, 1, "variant B needs q = 3^r > 3"),
+    ("B", 3, 1, "variant B needs q = 3^r > 3"),
+    ("C", 5, 1, "variant C needs q = 2^r > 2"),
+    ("C", 2, 1, "variant C needs q = 2^r > 2")])
+def test_lpp_three_refusals_are_pinned(variant, p, r, message):
+    with pytest.raises(UnsupportedField) as err:
+        lpp_three(make_field(p, r), variant)
+    assert str(err.value) == message
+    for name in ("D", "d"):
+        with pytest.raises(ValueError) as err:
+            lpp_three(make_field(p, r), name)
+        assert str(err.value) == "unknown variant 'D'"
+
+
 # -- lpp_linear / lpp_max ------------------------------------------------------------
 
 def test_lpp_linear():

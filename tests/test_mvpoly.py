@@ -145,6 +145,37 @@ def test_single_faults_are_pinned(label, n, terms, doc_terms, want, doc_want):
         assert str(err.value) == detail
 
 
+FIELD_KEYS = '"field" needs an integer "p" and an optional integer "r"'
+MODULUS = '"modulus" must be a list of integers'
+# Single faults in the header of a document over F_9 (modulus [1, 0, 1]):
+# the top-level n, or a key of "field", with the message each gets
+HEADER_FAULTS = [
+    ("bool n", "n", True, '"n" must be an integer'),
+    ("float n", "n", 2.0, '"n" must be an integer'),
+    ("bool p", "p", True, FIELD_KEYS),
+    ("float p", "p", 3.0, FIELD_KEYS),
+    ("bool r", "r", True, FIELD_KEYS),
+    ("float r", "r", 2.0, FIELD_KEYS),
+    ("bool modulus entry", "modulus", [1, 0, True], MODULUS),
+    ("float modulus entry", "modulus", [1.0, 0, 1], MODULUS),
+    ("string modulus", "modulus", "x^2 + 1", MODULUS),
+    ("int modulus", "modulus", 5, MODULUS),
+]
+
+
+@pytest.mark.parametrize("label,key,value,message", HEADER_FAULTS,
+                         ids=[case[0] for case in HEADER_FAULTS])
+def test_header_faults_are_pinned(label, key, value, message):
+    """As a document, and as JSON text exps first and coeff first."""
+    doc = {"field": make_field(3, 2).to_json(), "n": 2,
+           "terms": [{"exps": [1, 1], "coeff": [1, 0]}]}
+    (doc if key == "n" else doc["field"])[key] = value
+    for data in (doc, json.dumps(doc), json.dumps(doc, sort_keys=True)):
+        with pytest.raises(ValueError) as err:
+            poly_from_json(data)
+        assert str(err.value) == message
+
+
 # q <= 13, then two fields at the table cap's end
 BUILD_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
                 (11, 1), (13, 1), (3, 6), (2, 10)]

@@ -150,6 +150,9 @@ def test_is_univariate_pp():
     assert is_univariate_pp(t_poly(f5))
     for (p, r) in FIELDS:
         assert is_univariate_pp(t_poly(make_field(p, r)))
+    # q > 64: the line is sorted, not read as bits
+    assert is_univariate_pp(poly_build(make_field(2, 7), 1, [((5,), 1)]))
+    assert not is_univariate_pp(poly_build(make_field(3, 6), 1, [((2,), 1)]))
     with pytest.raises(VariableCountMismatch) as err:
         is_univariate_pp(poly_build(f5, 2, [((1, 0), 1)]))
     assert str(err.value) == "expected a univariate polynomial"

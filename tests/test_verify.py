@@ -397,15 +397,18 @@ def test_lagrange_rows_meet_the_lemma(p, r):
 def spoil(monkeypatch):
     """spoil(*entries) adds 1 at each (row, rank) of every interpolation
     matrix that mvpoly._dense_matrix makes, where check_lemma_deg and the
-    transform read it."""
+    transform read it: in the column of that rank, also when the matrix
+    holds only the columns cols."""
     real = mvpoly._dense_matrix
 
     def apply(*entries):
-        def spoiled(field, inverse):
-            M = real(field, inverse)
+        def spoiled(field, inverse, cols=None):
+            M = real(field, inverse, cols)
+            at = np.arange(field.q) if cols is None else cols
             if inverse:
                 for e, c in entries:
-                    M[e, c] = field.add(int(M[e, c]), 1)
+                    for j in np.flatnonzero(at == c):
+                        M[e, j] = field.add(int(M[e, j]), 1)
             return M
 
         monkeypatch.setattr(mvpoly, "_dense_matrix", spoiled)
