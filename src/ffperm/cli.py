@@ -16,6 +16,7 @@ FFPERM_SCAN_CAP.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -165,7 +166,10 @@ def _add_field_args(sub, n_default=None):
                          help="number of variables / family parameter")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once: parsing leaves it unchanged, so every
+    main call reuses it."""
     parser = argparse.ArgumentParser(
         prog="ffperm",
         description="permutation and local permutation polynomials over "

@@ -9,8 +9,9 @@ polynomial.  Applicability predicates raise UnsupportedField (or the more
 specific error named in the docstring) instead of returning wrong output.
 Each family reads n with mvpoly._check_points after its field checks,
 refusing n < 1 and an n over the point cap before anything of size q^n is
-built; pp_product also checks its n + 1 variables, and lpp_power the b
-variables of its seed.
+built; pp_product also checks its n + 1 variables, lpp_power the b
+variables of its seed and the variables of each level, and lpp_three its
+three variables.
 """
 
 from math import comb, gcd
@@ -21,7 +22,7 @@ from . import _kernels
 from .errors import (BadDegree, EqualPoints, FieldMismatch, NotMaxLpp,
                      NoValidB, UnsupportedField, VariableCountMismatch)
 from .gf import Field, exact_int
-from .mvpoly import (MultiPoly, _check_points, compose_univariate, extend,
+from .mvpoly import (MultiPoly, _check_points, compose_univariate,
                      poly_build, to_table)
 
 
@@ -48,10 +49,10 @@ def _head_tail(field: Field, n: int, a: MultiPoly, b: MultiPoly) -> MultiPoly:
 
 
 def _outer(rows: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
-    """The n-fold outer product of the length-q vector v under an operation
-    given by rows[u, j] = u op v[j], as a flat C-order array of q^n entries:
-    each step is a row gather, copying the one contiguous row of rows that
-    every entry so far selects."""
+    """The n-fold outer product of the vector v under an operation given by
+    rows[u, j] = u op v[j] (q rows, one per element), as a flat C-order
+    array of len(v)^n entries: each step is a row gather, copying the one
+    contiguous row of rows that every entry so far selects."""
     out = np.array(v)
     for _ in range(1, n):
         out = rows.take(out, axis=0).reshape(-1)
@@ -236,12 +237,14 @@ def pp_product(field: Field, n: int, variant: str,
     FieldMismatch before any degree is read.
 
     The default g is x_1^{(q-1)/d}..x_n^{(q-1)/d}, so every default factor
-    is x_1^{q-1}..x_n^{q-1} + c with c = alpha or -a.  The factor and f(y)
-    share no variable, so the product is an outer product of their
-    coefficients and of their values, and holds both domains.  Each outer
-    product is a row gather: every entry u of the factor copies the row
-    u * f(y) of mul_t, one contiguous run of q products, instead of
-    looking each product up on its own.
+    is x_1^{q-1}..x_n^{q-1} + c with c = alpha or -a: its coefficients are
+    written head and tail (_head_tail), and its values are c plus the
+    n-fold outer product of the indicator of F_q^* through mul_t, so no
+    transform evaluates it.  The factor and f(y) share no variable, so the
+    product is an outer product of their coefficients and of their values,
+    and holds both domains.  Each outer product is a row gather: every
+    entry u of the factor copies the row u * f(y) of mul_t, one contiguous
+    run of q products, instead of looking each product up on its own.
     """
     q = field.q
     d, a = _product_constant(field, variant, a_or_alpha)
@@ -264,14 +267,19 @@ def pp_product(field: Field, n: int, variant: str,
         if g.total_degree != want:
             raise BadDegree(f"g must have total degree {want}")
     c = a if d is None else field.neg(a)
+    mul_t = field.mul_t
     if g is None:
-        factor = _head_tail(field, n, _univariate(field, [q - 1]),
-                            _univariate(field, [0], c))
+        # x^{q-1} is the indicator of F_q^*, so the factor's values are
+        # the outer product of that indicator through mul_t, plus c
+        ind = np.minimum(np.arange(q), 1)
+        head = _head_tail(field, n, _univariate(field, [q - 1]),
+                          _univariate(field, [0], c))
+        factor = MultiPoly(field, n, head.coeffs, values=field.add_t[c].take(
+            _outer(mul_t[:, ind], ind, n)))
     else:
         # g^d - a, the univariate x^d - a applied to g's values
         shift = _univariate(field, [d]) + _univariate(field, [0], c)
         factor = compose_univariate(shift, g)
-    mul_t = field.mul_t
     coeffs = mul_t[:, fy.coeffs].take(factor.coeffs.reshape(-1), axis=0)
     values = mul_t[:, fy._values()].take(factor._values(), axis=0)
     return MultiPoly(field, n + 1, coeffs, values=values)
@@ -305,7 +313,10 @@ def lpp_power(field: Field, b: int, k: int = 1) -> MultiPoly:
     gcd(b, q-1) = 1.  x^{q-2} is the inverse map on F_q (0 to 0), and ring
     operations act pointwise on value tables, so inverting the coordinates
     in the seed gives the function that substituting y_i := x_i^{q-2} into
-    the finished polynomial would.
+    the finished polynomial would.  A level's sum of b copies of f, each on
+    its own block of variables, is the b-fold outer product of f's table
+    through add_t (_outer), so it writes only the new table; the result
+    holds its table only.
     """
     p, q = field.p, field.q
     b, k = exact_int(b, "b"), exact_int(k, "k")
@@ -318,13 +329,11 @@ def lpp_power(field: Field, b: int, k: int = 1) -> MultiPoly:
     _check_points(field, b)
     f = _prod_sum(field, b, _univariate(field, []),
                   _univariate(field, [q - 2]))**b
-    for level in range(1, k):
-        m = b**level
-        nv = b * m
-        s = extend(f, nv, 0)
-        for j in range(1, b):
-            s = s + extend(f, nv, j * m)
-        f = s**b
+    for _ in range(1, k):
+        nv = _check_points(field, b * f.n)
+        fv = f._values()
+        s = _outer(field.add_t[:, fv], fv, b)
+        f = MultiPoly(field, nv, values=field.powers(s, b))
     return f
 
 
@@ -392,18 +401,22 @@ def lpp_indicator(field: Field, n: int) -> MultiPoly:
 
 def lpp_chain(field: Field, n: int) -> MultiPoly:
     """The recurrence f_1 = x_1, f_i = t(f_{i-1}^{q-2} + x_i^{q-2}): an LPP
-    for every q > 3; maximum degree n(q-2) proven only for small n, odd p."""
+    for every q > 3; maximum degree n(q-2) proven only for small n, odd p.
+
+    Each step appends x_i through the q x q table step[u, v] =
+    t(u^{q-2} + v^{q-2}): every entry of f_{i-1} selects one row of it, so
+    step i writes q^i entries and nothing of size q^n is made but the
+    result, which holds its table only."""
     q = field.q
     if q <= 3:
         raise UnsupportedField("the recurrence needs q > 3")
     n = _check_points(field, n, 1, "n")
-    t = t_poly(field)
-    inv_mono = _univariate(field, [q - 2])
-    f = extend(_univariate(field, [1]), n, 0)
-    for i in range(1, n):
-        g = compose_univariate(inv_mono, f) + extend(inv_mono, n, i)
-        f = compose_univariate(t, g)
-    return f
+    inv = field.powers(np.arange(q), q - 2)
+    step = t_poly(field)._values()[field.add_t[:, inv]]
+    f = np.arange(q)
+    for _ in range(1, n):
+        f = step.take(inv[f], axis=0).reshape(-1)
+    return MultiPoly(field, n, values=f)
 
 
 # Theorem 5.4's variants, each sigma(t(x1^a + x2^b) + x3^c): the field test
@@ -426,17 +439,23 @@ def lpp_three(field: Field, variant: str) -> MultiPoly:
     q = 3^r > 3 reach degree 3(q-2); C accepts q = 2^r > 2 and reaches
     3(q-2) for q >= 8.  At q = 4, C returns the degree-2 LPP
     1 + x1^2 + x2 + x3^2: every permutation of F_4 is F_2-affine, so no
-    composition of this shape can exceed degree 2."""
+    composition of this shape can exceed degree 2.
+
+    The table grows one variable per row gather: the q x q table
+    t(u + x2^b) gives the q^2 inner values, and the q x q table
+    sigma(u + x3^c) the q^3 result, which holds its table only."""
     variant = variant.upper()
     if variant not in _THREE:
         raise ValueError(f"unknown variant {variant!r}")
     fits, refusal, exps, sigma = _THREE[variant]
     if not fits(field.p, field.q):
         raise UnsupportedField(refusal)
-    x1, x2, x3 = (extend(_univariate(field, [e]), 3, i)
-                  for i, e in enumerate(exps(field.q)))
-    return compose_univariate(
-        sigma(field), compose_univariate(t_poly(field), x1 + x2) + x3)
+    _check_points(field, 3)
+    q, add_t = field.q, field.add_t
+    v1, v2, v3 = (field.powers(np.arange(q), e) for e in exps(q))
+    inner = t_poly(field)._values()[add_t[:, v2]].take(v1, axis=0)
+    outer = sigma(field)._values()[add_t[:, v3]]
+    return MultiPoly(field, 3, values=outer.take(inner.reshape(-1), axis=0))
 
 
 def lpp_linear(field: Field, n: int) -> MultiPoly:

@@ -261,9 +261,12 @@ def check_lemma_deg(field: Field) -> VerifyReport:
 def check_identities(field: Field) -> VerifyReport:
     """Exact reduced-polynomial identities tying h, hbar and t together:
     h(x^{q-2}) = hbar, hbar(t(x)) = hbar, and t equals the interpolated
-    transposition of 0 and 1."""
+    transposition of 0 and 1.  At q = 2, h is the empty sum and both
+    identities fail, so F_2 raises UnsupportedField."""
     t0 = time.perf_counter()
     q = field.q
+    if q < 3:
+        raise UnsupportedField("Lemma 2.2 needs q >= 3")
     h, hbar = h_polys(field)
     t = t_poly(field)
     inv_mono = monomial(field, 1, (q - 2,))

@@ -407,6 +407,13 @@ def test_check_override_without_a_row_exit_2(capsys, args):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_check_lemma22_on_f2_has_no_row_exit_2(capsys):
+    rc, out, err = check_main(capsys, "--suite", "lemma2.2", "--p", "2")
+    assert (rc, out) == (2, "")
+    assert err == ("error: suite lemma2.2 has no row on F_2 "
+                   "(identities: Lemma 2.2 needs q >= 3)\n")
+
+
 @pytest.mark.parametrize("p,n,hint", [("13", None, "try --n 5"),
                                       ("7", "3", "try --n 5"),
                                       ("3", None, "no n fits")])

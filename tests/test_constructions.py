@@ -17,8 +17,10 @@ from ffperm import (BadDegree, CapExceeded, FFPermError, FieldMismatch,
                     lpp_restrict, lpp_three, make_field, poly_build,
                     pp_alpha4, pp_dickson, pp_hn, pp_monomial, pp_product,
                     scan_pp_degree_bound, t_poly, to_table, transposition)
+from ffperm.caps import point_cap
 from ffperm.constructions import FAMILY_TAGS, block_sizes
-from ffperm.mvpoly import FuncTable, extend, monomial, points
+from ffperm.mvpoly import (FuncTable, compose_univariate, extend, monomial,
+                           points)
 from oracle import (SMALL_FIELDS, NaiveField, all_points,
                     naive_interp_univariate, naive_is_lpp, naive_is_pp,
                     naive_poly_build, naive_poly_mul)
@@ -690,6 +692,111 @@ def test_lpp_three_refusals_are_pinned(variant, p, r, message):
         assert str(err.value) == "unknown variant 'D'"
 
 
+# -- builds that add one variable at a time -------------------------------------------
+
+# every field with q <= 27
+FIELDS_TO_27 = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
+                (11, 1), (13, 1), (2, 4), (17, 1), (19, 1), (23, 1), (5, 2),
+                (3, 3)]
+
+
+def chain_by_public_ops(field, n):
+    """f_1 = x_1, f_i = t(f_{i-1}^{q-2} + x_i^{q-2}), each step on the full
+    n-variable table."""
+    q = field.q
+    t, inv = t_poly(field), monomial(field, 1, (q - 2,))
+    f = extend(monomial(field, 1, (1,)), n, 0)
+    for i in range(1, n):
+        f = compose_univariate(
+            t, compose_univariate(inv, f) + extend(inv, n, i))
+    return f
+
+
+@pytest.mark.parametrize("p,r", [(p, r) for p, r in FIELDS_TO_27
+                                 if p**r > 3])
+def test_lpp_chain_equals_its_recurrence_on_full_tables(p, r):
+    field = make_field(p, r)
+    n = 1
+    while field.q**n <= point_cap():
+        assert np.array_equal(lpp_chain(field, n)._values(),
+                              chain_by_public_ops(field, n)._values()), n
+        n += 1
+
+
+# Theorem 5.4's exponents (a, b, c) and whether sigma is t (else x^(q-2))
+THREE_SPECS = {"A": (lambda q: (q - 2, q - 2, q - 2), True),
+               "B": (lambda q: (q - 4, q - 2, q - 2), True),
+               "C": (lambda q: (q - 2, q // 2 - 1, q // 2 - 1), False)}
+
+
+@pytest.mark.parametrize("p,r", FIELDS_TO_27)
+def test_lpp_three_equals_its_composition_on_full_tables(p, r):
+    field = make_field(p, r)
+    q = field.q
+    built = 0
+    for variant, (exps, sigma_is_t) in THREE_SPECS.items():
+        try:
+            f = lpp_three(field, variant)
+        except UnsupportedField:
+            continue
+        t = t_poly(field)
+        sigma = t if sigma_is_t else monomial(field, 1, (q - 2,))
+        x1, x2, x3 = (extend(monomial(field, 1, (e,)), 3, i)
+                      for i, e in enumerate(exps(q)))
+        want = compose_univariate(sigma, compose_univariate(t, x1 + x2) + x3)
+        assert np.array_equal(f._values(), want._values()), variant
+        built += 1
+    assert built == (q > 3)     # q = 2, 3 have no variant
+
+
+def test_lpp_power_level_equals_the_sum_of_shifted_copies(monkeypatch):
+    # a second level needs q^(b^2) points: among the fields with q <= 27
+    # only F_5 with b = 3 fits, under a cap of 2^21
+    monkeypatch.setenv("FFPERM_POINT_CAP", str(1 << 21))
+    compared = []
+    for p, r in FIELDS_TO_27:
+        field = make_field(p, r)
+        for b in block_sizes(field):
+            nv = b * b
+            if field.q**nv > point_cap():
+                continue
+            f = lpp_power(field, b)
+            s = extend(f, nv, 0)
+            for j in range(1, b):
+                s = s + extend(f, nv, j * b)
+            assert np.array_equal(lpp_power(field, b, 2)._values(),
+                                  (s**b)._values())
+            compared.append((field.q, b))
+    assert compared == [(5, 3)]
+
+
+def test_lpp_chain_build_holds_under_two_tables():
+    # step i writes q^i entries, so the build peaks at its result plus
+    # two arrays of q^(n-1) entries
+    field = make_field(7)
+    lpp_chain(field, 2)         # the univariate pieces' first use is over
+    tracemalloc.start()
+    try:
+        f = lpp_chain(field, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f._coeffs is None
+    assert peak <= 2 * 8 * field.q**7, peak
+
+
+@pytest.mark.parametrize("p,r,cap", [(2, 7, None), (5, 1, 100)])
+def test_lpp_three_refuses_three_variables_over_the_cap(monkeypatch, p, r,
+                                                        cap):
+    if cap is not None:
+        monkeypatch.setenv("FFPERM_POINT_CAP", str(cap))
+    field = make_field(p, r)
+    variant = "C" if p == 2 else "A"
+    with pytest.raises(CapExceeded,
+                       match=rf"^{field.q}\^3 points exceed the point cap$"):
+        lpp_three(field, variant)
+
+
 # -- lpp_linear / lpp_max ------------------------------------------------------------
 
 def test_lpp_linear():
@@ -910,12 +1017,13 @@ def test_sparse_evaluation_applies_few_products(monkeypatch, products):
                                        ("pp_noncube", 2, 4, 2),
                                        ("pp_mersenne", 2, 3, 3)])
 def test_product_families_verify_without_a_transform(applied, tag, p, r, n):
-    # the product is built in both domains, and no transform touches an
-    # array of its q^(n+1) entries
+    # the product is built in both domains, and only its univariate pieces
+    # are transformed: the default factor's values are an outer product
     field = make_field(p, r)
     q = field.q
     f, _ = build_family(tag, field, n=n)
     assert all(rows * cols < q**(n + 1) for _, (rows, cols) in applied)
+    assert applied and all(cols == 1 for _, (_, cols) in applied)
     applied.clear()
     assert is_pp(f).ok
     is_lpp(f)
@@ -943,8 +1051,23 @@ def test_prod_sum_families_verify_without_a_transform(applied, tag, p, r, n):
 @pytest.mark.parametrize("variant,p,r", [("A", 7, 1), ("B", 3, 2),
                                          ("C", 2, 6)])
 def test_lpp_three_transforms_only_univariate_pieces(applied, variant, p, r):
-    lpp_three(make_field(p, r), variant)
+    f = lpp_three(make_field(p, r), variant)
     assert applied and all(cols == 1 for _, (_, cols) in applied)
+    assert f._coeffs is None
+
+
+@pytest.mark.parametrize("build", [
+    lambda: lpp_chain(F7, 5), lambda: lpp_chain(F16, 3),
+    lambda: lpp_power(F7, 5), lambda: lpp_power(F5, 3, 2)],
+    ids=["chain_q7_n5", "chain_q16_n3", "power_q7_b5", "power_q5_b3_k2"])
+def test_one_variable_builds_transform_only_univariate_pieces(
+        monkeypatch, applied, build):
+    # each variable enters through a q x q table: only the univariate
+    # pieces are transformed, and the result holds no coefficients
+    monkeypatch.setenv("FFPERM_POINT_CAP", str(1 << 21))   # 5^9 points
+    f = build()
+    assert applied and all(cols == 1 for _, (_, cols) in applied)
+    assert f._coeffs is None
 
 
 @pytest.fixture

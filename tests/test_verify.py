@@ -483,6 +483,12 @@ def test_identities(p, r):
                           "t_is_transposition": True}
 
 
+def test_identities_refuse_f2():
+    # at q = 2, h is the empty sum and both identities fail
+    with pytest.raises(UnsupportedField, match=r"^Lemma 2\.2 needs q >= 3$"):
+        check_identities(make_field(2))
+
+
 def test_conjecture_label_and_result():
     rep = conjecture_fn(F5, 2)
     assert rep.ok
