@@ -12,9 +12,13 @@ refusing n < 1 and an n over the point cap before anything of size q^n is
 built; pp_product also checks its n + 1 variables, lpp_power the b
 variables of its seed and the variables of each level, and lpp_three its
 three variables.
+
+A family table that gains variables (the chain, the block powers, Theorem
+5.4's compositions, prod a(x_i) + sum b(x_i) and the product PPs) gains
+each one through a q x q table, in one routine, _grow.
 """
 
-from math import comb, gcd
+from math import gcd
 
 import numpy as np
 
@@ -22,8 +26,7 @@ from . import _kernels
 from .errors import (BadDegree, EqualPoints, FieldMismatch, NotMaxLpp,
                      NoValidB, UnsupportedField, VariableCountMismatch)
 from .gf import Field, exact_int
-from .mvpoly import (MultiPoly, _check_points, compose_univariate,
-                     poly_build, to_table)
+from .mvpoly import MultiPoly, _check_points, compose_univariate, poly_build
 
 
 def _univariate(field: Field, exps, c: int = 1) -> MultiPoly:
@@ -48,20 +51,22 @@ def _head_tail(field: Field, n: int, a: MultiPoly, b: MultiPoly) -> MultiPoly:
     return MultiPoly(field, n, out)
 
 
-def _outer(rows: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
-    """The n-fold outer product of the vector v under an operation given by
-    rows[u, j] = u op v[j] (q rows, one per element), as a flat C-order
-    array of len(v)^n entries: each step is a row gather, copying the one
-    contiguous row of rows that every entry so far selects."""
-    out = np.array(v)
-    for _ in range(1, n):
+def _grow(start: np.ndarray, steps) -> np.ndarray:
+    """The table start with one variable appended per q x q table rows in
+    steps, as a new flat array in point-rank order.  Each new variable is
+    the last (least significant) coordinate, and the entry at (u, v), for
+    u an entry of the table so far, is rows[u, v]: each step is one row
+    gather, copying the one contiguous row of rows that every entry so far
+    selects.  Every family table that gains variables is grown here."""
+    out = np.array(start).reshape(-1)
+    for rows in steps:
         out = rows.take(out, axis=0).reshape(-1)
     return out
 
 
 def _prod_sum(field: Field, n: int, a: MultiPoly, b: MultiPoly) -> MultiPoly:
     """prod_i a(x_i) + sum_i b(x_i) for univariate a and b, born in both
-    domains, each outer product built by row gathers (_outer).
+    domains, each outer product grown one variable at a time (_grow).
 
     Coefficients: the outer product of a's through mul_t, with b's added
     along each axis at the origin.  Values: P + S, where P is the outer
@@ -70,13 +75,13 @@ def _prod_sum(field: Field, n: int, a: MultiPoly, b: MultiPoly) -> MultiPoly:
     part is added to P in place through add_t, so no q^n array beyond the
     coefficients and the table is made."""
     q, add_t, mul_t = field.q, field.add_t, field.mul_t
-    out = _outer(mul_t[:, a.coeffs], a.coeffs, n).reshape((q,) * n)
+    out = _grow(a.coeffs, [mul_t[:, a.coeffs]] * (n - 1)).reshape((q,) * n)
     for i in range(n):
         axis = (0,) * i + (slice(None),) + (0,) * (n - 1 - i)
         out[axis] = add_t[out[axis], b.coeffs]
     av, bv = a._values(), b._values()
-    P = _outer(mul_t[:, av], av, n).reshape(-1, q)
-    head = _outer(add_t[:, bv], bv, n - 1)[:, None] if n > 1 else 0
+    P = _grow(av, [mul_t[:, av]] * (n - 1)).reshape(-1, q)
+    head = _grow(bv, [add_t[:, bv]] * (n - 2))[:, None] if n > 1 else 0
     for part in (head, bv):
         P *= q
         P += part
@@ -120,20 +125,30 @@ def transposition(field: Field, a: int, b: int) -> MultiPoly:
 
 def dickson(field: Field, k: int, a: int) -> MultiPoly:
     """Degree-k Dickson polynomial g_k(x, a) with parameter a, satisfying
-    g_k(y + a/y) = y^k + (a/y)^k; g_0 = 2."""
+    g_k(y + a/y) = y^k + (a/y)^k; g_0 = 2.  Its table is read pointwise
+    from g_0 = 2, g_1 = x and g_j = x g_{j-1} - a g_{j-2}: (g_(k+1), g_k)
+    is M^k (x, 2) for the 2 x 2 matrix M = ((x, -a), (1, 0)) of q-entry
+    tables, raised by squaring, so any k costs O(q log k)."""
     k = exact_int(k, "k")
     if k < 0:
         raise ValueError("Dickson degree must be nonnegative")
     a = field._check(a)
-    if k == 0:
-        return poly_build(field, 1, [((0,), field.from_int(2))])
-    terms = []
-    for j in range(k // 2 + 1):
-        # integer weight k/(k-j) * C(k-j, j), always integral
-        w = k * comb(k - j, j) // (k - j)
-        c = field.mul(field.from_int(w), field.pow(field.neg(a), j))
-        terms.append(((k - 2 * j,), c))
-    return poly_build(field, 1, terms)
+    q, add_t, mul_t = field.q, field.add_t, field.mul_t
+
+    def times(A, B):    # [i, l, j, point] products, summed over l
+        prods = mul_t[A[:, :, None], B[None]]
+        return add_t[prods[:, 0], prods[:, 1]]
+
+    x = np.arange(q)
+    one, zero = np.ones_like(x), np.zeros_like(x)
+    M = np.array([[x, one * field.neg(a)], [one, zero]])
+    R = np.array([[one, zero], [zero, one]])
+    while k:
+        if k & 1:
+            R = times(R, M)
+        M, k = times(M, M), k >> 1
+    two = mul_t[R[1, 1], field.from_int(2)]
+    return MultiPoly(field, 1, values=add_t[mul_t[R[1, 0], x], two])
 
 
 def is_univariate_pp(f: MultiPoly) -> bool:
@@ -141,7 +156,8 @@ def is_univariate_pp(f: MultiPoly) -> bool:
     _kernels.lpp_scan, the test is_lpp applies to every line."""
     if f.n != 1:
         raise VariableCountMismatch("expected a univariate polynomial")
-    return _kernels.lpp_scan(to_table(f).values, 1, f.field.q)[0] < 0
+    _check_points(f.field, f.n)
+    return _kernels.lpp_scan(f._values(), 1, f.field.q)[0] < 0
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +258,9 @@ def pp_product(field: Field, n: int, variant: str,
     n-fold outer product of the indicator of F_q^* through mul_t, so no
     transform evaluates it.  The factor and f(y) share no variable, so the
     product is an outer product of their coefficients and of their values,
-    and holds both domains.  Each outer product is a row gather: every
-    entry u of the factor copies the row u * f(y) of mul_t, one contiguous
-    run of q products, instead of looking each product up on its own.
+    and holds both domains.  Every outer product is grown by _grow: y is
+    appended to the factor through the q x q table u * f(y) of mul_t, so
+    each entry u copies one contiguous run of q products.
     """
     q = field.q
     d, a = _product_constant(field, variant, a_or_alpha)
@@ -275,13 +291,13 @@ def pp_product(field: Field, n: int, variant: str,
         head = _head_tail(field, n, _univariate(field, [q - 1]),
                           _univariate(field, [0], c))
         factor = MultiPoly(field, n, head.coeffs, values=field.add_t[c].take(
-            _outer(mul_t[:, ind], ind, n)))
+            _grow(ind, [mul_t[:, ind]] * (n - 1))))
     else:
         # g^d - a, the univariate x^d - a applied to g's values
         shift = _univariate(field, [d]) + _univariate(field, [0], c)
         factor = compose_univariate(shift, g)
-    coeffs = mul_t[:, fy.coeffs].take(factor.coeffs.reshape(-1), axis=0)
-    values = mul_t[:, fy._values()].take(factor._values(), axis=0)
+    coeffs = _grow(factor.coeffs, [mul_t[:, fy.coeffs]])
+    values = _grow(factor._values(), [mul_t[:, fy._values()]])
     return MultiPoly(field, n + 1, coeffs, values=values)
 
 
@@ -312,11 +328,12 @@ def lpp_power(field: Field, b: int, k: int = 1) -> MultiPoly:
     copies and raise to the b-th power.  Needs 1 < b < p-1 and
     gcd(b, q-1) = 1.  x^{q-2} is the inverse map on F_q (0 to 0), and ring
     operations act pointwise on value tables, so inverting the coordinates
-    in the seed gives the function that substituting y_i := x_i^{q-2} into
-    the finished polynomial would.  A level's sum of b copies of f, each on
-    its own block of variables, is the b-fold outer product of f's table
-    through add_t (_outer), so it writes only the new table; the result
-    holds its table only.
+    gives the function that substituting y_i := x_i^{q-2} into the finished
+    polynomial would.  The seed is level 0 of the loop, on the values v of
+    x^{q-2}: a level's sum of b copies of v, each on its own block of
+    variables, is v grown through the q x q table add_t[:, v] b-1 times
+    (_grow), so each level writes only its new table, and no matrix is
+    applied; the result holds its table only.
     """
     p, q = field.p, field.q
     b, k = exact_int(b, "b"), exact_int(k, "k")
@@ -326,15 +343,11 @@ def lpp_power(field: Field, b: int, k: int = 1) -> MultiPoly:
         raise NoValidB(f"gcd({b}, {q - 1}) != 1")
     if k < 1:
         raise ValueError("k must be a positive integer")
-    _check_points(field, b)
-    f = _prod_sum(field, b, _univariate(field, []),
-                  _univariate(field, [q - 2]))**b
-    for _ in range(1, k):
-        nv = _check_points(field, b * f.n)
-        fv = f._values()
-        s = _outer(field.add_t[:, fv], fv, b)
-        f = MultiPoly(field, nv, values=field.powers(s, b))
-    return f
+    n, v = 1, field.powers(np.arange(q), q - 2)
+    for _ in range(k):
+        n = _check_points(field, b * n)
+        v = field.powers(_grow(v, [field.add_t[:, v]] * (b - 1)), b)
+    return MultiPoly(field, n, values=v)
 
 
 def lpp_restrict(f: MultiPoly) -> MultiPoly:
@@ -347,7 +360,8 @@ def lpp_restrict(f: MultiPoly) -> MultiPoly:
     if degree != n * (q - 2):
         raise NotMaxLpp(f"degree {degree} is not the maximum {n * (q - 2)}")
     # the line scan is_lpp runs: a nonnegative axis holds a failing line
-    if _kernels.lpp_scan(to_table(f).values, n, q)[0] >= 0:
+    _check_points(field, n)
+    if _kernels.lpp_scan(f._values(), n, q)[0] >= 0:
         raise NotMaxLpp("input is not a local permutation polynomial")
     target = (n - 1) * (q - 2)
     for alpha in field.elements():
@@ -403,20 +417,17 @@ def lpp_chain(field: Field, n: int) -> MultiPoly:
     """The recurrence f_1 = x_1, f_i = t(f_{i-1}^{q-2} + x_i^{q-2}): an LPP
     for every q > 3; maximum degree n(q-2) proven only for small n, odd p.
 
-    Each step appends x_i through the q x q table step[u, v] =
-    t(u^{q-2} + v^{q-2}): every entry of f_{i-1} selects one row of it, so
-    step i writes q^i entries and nothing of size q^n is made but the
+    The chain is x_1 grown n-1 times through the q x q table step[u, v] =
+    t(u^{q-2} + v^{q-2}) (_grow): every entry of f_{i-1} selects one row of
+    it, so step i writes q^i entries and nothing of size q^n is made but the
     result, which holds its table only."""
     q = field.q
     if q <= 3:
         raise UnsupportedField("the recurrence needs q > 3")
     n = _check_points(field, n, 1, "n")
     inv = field.powers(np.arange(q), q - 2)
-    step = t_poly(field)._values()[field.add_t[:, inv]]
-    f = np.arange(q)
-    for _ in range(1, n):
-        f = step.take(inv[f], axis=0).reshape(-1)
-    return MultiPoly(field, n, values=f)
+    step = t_poly(field)._values()[field.add_t[np.ix_(inv, inv)]]
+    return MultiPoly(field, n, values=_grow(np.arange(q), [step] * (n - 1)))
 
 
 # Theorem 5.4's variants, each sigma(t(x1^a + x2^b) + x3^c): the field test
@@ -441,9 +452,9 @@ def lpp_three(field: Field, variant: str) -> MultiPoly:
     1 + x1^2 + x2 + x3^2: every permutation of F_4 is F_2-affine, so no
     composition of this shape can exceed degree 2.
 
-    The table grows one variable per row gather: the q x q table
-    t(u + x2^b) gives the q^2 inner values, and the q x q table
-    sigma(u + x3^c) the q^3 result, which holds its table only."""
+    The table is x1^a grown by two q x q tables (_grow): t(u + x2^b) gives
+    the q^2 inner values, and sigma(u + x3^c) the q^3 result, which holds
+    its table only."""
     variant = variant.upper()
     if variant not in _THREE:
         raise ValueError(f"unknown variant {variant!r}")
@@ -453,9 +464,9 @@ def lpp_three(field: Field, variant: str) -> MultiPoly:
     _check_points(field, 3)
     q, add_t = field.q, field.add_t
     v1, v2, v3 = (field.powers(np.arange(q), e) for e in exps(q))
-    inner = t_poly(field)._values()[add_t[:, v2]].take(v1, axis=0)
-    outer = sigma(field)._values()[add_t[:, v3]]
-    return MultiPoly(field, 3, values=outer.take(inner.reshape(-1), axis=0))
+    return MultiPoly(field, 3, values=_grow(v1, [
+        t_poly(field)._values()[add_t[:, v2]],
+        sigma(field)._values()[add_t[:, v3]]]))
 
 
 def lpp_linear(field: Field, n: int) -> MultiPoly:

@@ -20,7 +20,7 @@ This module alone knows the interpolation formula: _dense_matrix makes
 both one-stage matrices, or the columns of them an axis reads, from the
 field's exp and log on each call, and _dft runs the same maps stage by
 stage.  Ring
-operations, substitution, extension and composition act pointwise on value
+operations, substitution and composition act pointwise on value
 tables and return table-only polynomials, and evaluate reads the table;
 poly_build, terms, degrees and JSON work on coefficients; leading_terms
 and total_degree scan top corners of the coefficient tensor, growing them
@@ -391,17 +391,6 @@ def poly_build(field: Field, n: int, terms) -> MultiPoly:
 
 def monomial(field: Field, n: int, exps, c: int = 1) -> MultiPoly:
     return poly_build(field, n, [(tuple(exps), c)])
-
-
-def extend(f: MultiPoly, n: int, offset: int) -> MultiPoly:
-    """Embed f into n >= f.n variables, its old x_{j} becoming x_{offset+j}."""
-    n, offset = _check_points(f.field, n), exact_int(offset, "offset")
-    if offset < 0 or offset + f.n > n:
-        raise IndexOutOfRange(
-            f"cannot place {f.n} variables at offset {offset} inside {n}")
-    q = f.field.q
-    shape = (1,) * offset + (q,) * f.n + (1,) * (n - offset - f.n)
-    return f._tabled(np.broadcast_to(f._values().reshape(shape), (q,) * n), n)
 
 
 # ---------------------------------------------------------------------------

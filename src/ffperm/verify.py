@@ -4,7 +4,6 @@ supporting identities, with machine-checkable reports."""
 import itertools
 import time
 from dataclasses import dataclass, field as dc_field
-from math import comb, prod
 
 import numpy as np
 
@@ -14,7 +13,7 @@ from .constructions import h_polys, lpp_chain, t_poly, transposition
 from .errors import CapExceeded, UnsupportedField
 from .gf import Field, exact_int
 from .mvpoly import (MultiPoly, _check_points, _dense_matrix, _exponents,
-                     _transform, compose_univariate, monomial, to_table)
+                     _transform, compose_univariate, monomial)
 
 
 @dataclass
@@ -46,8 +45,8 @@ def _finish(report: VerifyReport, points: int, t0: float) -> VerifyReport:
 
 def preimage_counts(f: MultiPoly) -> dict[int, int]:
     """Map each field element to its number of preimages under f."""
-    vals = to_table(f).values
-    counts = np.bincount(vals, minlength=f.field.q)
+    _check_points(f.field, f.n)
+    counts = np.bincount(f._values(), minlength=f.field.q)
     return {int(a): int(c) for a, c in enumerate(counts)}
 
 
@@ -123,9 +122,9 @@ def _combinations(m: int, k: int) -> np.ndarray:
     return np.fromiter(flat, np.int64).reshape(-1, k)
 
 
-def _balanced_tables(q: int, n: int) -> np.ndarray:
+def _balanced_tables(q: int, n: int, total: int) -> np.ndarray:
     """Every balanced value table of F_q^n, one per row, in lexicographic
-    order.
+    order; total is their count, as _balanced_count gives it.
 
     Value v takes part = q^(n-1) of the positions the values below it left
     free, as a combination of their relative indices; the tables are the
@@ -134,7 +133,6 @@ def _balanced_tables(q: int, n: int) -> np.ndarray:
     the free positions of each prefix are held beside the result."""
     size = q**n
     part = size // q
-    total = prod(comb(size - v * part, part) for v in range(q - 1))
     out = np.full((total, size), q - 1, dtype=np.int64)
     free = np.arange(size)[None]    # one row per prefix: its free positions
     for v in range(q - 1):
@@ -177,7 +175,7 @@ def scan_pp_degree_bound(field: Field, n: int) -> VerifyReport:
     size = q**n
     total = _balanced_count(size, size // q, scan_cap())
     bound = n * (q - 1) - 1
-    tables = _balanced_tables(q, n)
+    tables = _balanced_tables(q, n, total)
     # interpolate all tables at once, one coefficient row per table
     coeffs = _transform(field, tables.T.reshape((q,) * n + (total,)),
                         True, n).reshape(total, size)

@@ -3,9 +3,11 @@
 Everything here is deliberately naive and table-free: field arithmetic by
 polynomial long division on coefficient tuples, polynomial evaluation by
 repeated multiplication, permutation checks by literal set comparison.  No
-shared code paths with the package under test.  Only sort_lpp_scan uses
-numpy: it is the line scan by sorting, fast enough to be the reference on
-tables of up to 2^20 points.
+shared code paths with the package under test.  Only sort_lpp_scan and
+extend use numpy: the first is the line scan by sorting, fast enough to be
+the reference on tables of up to 2^20 points; extend embeds a package
+polynomial in more variables by broadcasting its table, the reference for
+the family tables that the package grows one variable at a time.
 """
 
 import itertools
@@ -248,3 +250,11 @@ def sort_lpp_scan(table, n: int, q: int):
         L *= q
         R //= q
     return -1, -1, -1
+
+
+def extend(f, n: int, offset: int):
+    """The package polynomial f embedded into n variables, its old x_j
+    becoming x_(offset+j): its table broadcast along the other axes."""
+    q = f.field.q
+    shape = (1,) * offset + (q,) * f.n + (1,) * (n - offset - f.n)
+    return f._tabled(np.broadcast_to(f._values().reshape(shape), (q,) * n), n)

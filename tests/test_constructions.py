@@ -19,9 +19,8 @@ from ffperm import (BadDegree, CapExceeded, FFPermError, FieldMismatch,
                     scan_pp_degree_bound, t_poly, to_table, transposition)
 from ffperm.caps import point_cap
 from ffperm.constructions import FAMILY_TAGS, block_sizes
-from ffperm.mvpoly import (FuncTable, compose_univariate, extend, monomial,
-                           points)
-from oracle import (SMALL_FIELDS, NaiveField, all_points,
+from ffperm.mvpoly import FuncTable, compose_univariate, monomial, points
+from oracle import (SMALL_FIELDS, NaiveField, all_points, extend,
                     naive_interp_univariate, naive_is_lpp, naive_is_pp,
                     naive_poly_build, naive_poly_mul)
 
@@ -430,8 +429,6 @@ COUNT_ENTRIES = [
      2, BIG, 0),
     ("monomial", lambda F, n: monomial(F, n, (1, 2)), F5, "variable count",
      2, BIG, 0),
-    ("extend", lambda F, n: extend(monomial(F, 1, (1,)), n, 0), F5,
-     "variable count", 2, BIG, 0),
     ("points", lambda F, n: list(points(F, n)), F5, "variable count", 2,
      None, None),
     ("dickson k", lambda F, k: dickson(F, k, 1), F5, "k", 2, None, None),
@@ -1056,17 +1053,22 @@ def test_lpp_three_transforms_only_univariate_pieces(applied, variant, p, r):
     assert f._coeffs is None
 
 
-@pytest.mark.parametrize("build", [
-    lambda: lpp_chain(F7, 5), lambda: lpp_chain(F16, 3),
-    lambda: lpp_power(F7, 5), lambda: lpp_power(F5, 3, 2)],
+@pytest.mark.parametrize("build,transformed", [
+    (lambda: lpp_chain(F7, 5), True), (lambda: lpp_chain(F16, 3), True),
+    (lambda: lpp_power(F7, 5), False), (lambda: lpp_power(F5, 3, 2), False)],
     ids=["chain_q7_n5", "chain_q16_n3", "power_q7_b5", "power_q5_b3_k2"])
 def test_one_variable_builds_transform_only_univariate_pieces(
-        monkeypatch, applied, build):
+        monkeypatch, applied, build, transformed):
     # each variable enters through a q x q table: only the univariate
-    # pieces are transformed, and the result holds no coefficients
+    # pieces are transformed (the chain's t; lpp_power reads x^(q-2) from
+    # the field's powers, so it applies no matrix at all), and the result
+    # holds no coefficients
     monkeypatch.setenv("FFPERM_POINT_CAP", str(1 << 21))   # 5^9 points
     f = build()
-    assert applied and all(cols == 1 for _, (_, cols) in applied)
+    if transformed:
+        assert applied and all(cols == 1 for _, (_, cols) in applied)
+    else:
+        assert applied == []
     assert f._coeffs is None
 
 
@@ -1086,10 +1088,10 @@ def transforms(monkeypatch):
 
 
 def test_lpp_power_build_interpolates_nothing(transforms):
-    # the univariate pieces are evaluated, and nothing is interpolated
+    # the values of x^(q-2) come from the field's powers, so nothing is
+    # evaluated or interpolated
     lpp_power(F7, 5)
-    assert transforms
-    assert all(not inverse for inverse, _ in transforms)
+    assert transforms == []
 
 
 def test_repr_interpolates_nothing(applied):

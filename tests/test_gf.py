@@ -11,7 +11,7 @@ import pytest
 from ffperm import (CapExceeded, Field, FieldMismatch, NotPrime,
                     field_from_json, make_field, poly_build, transposition)
 from ffperm import gf
-from ffperm.mvpoly import _dense_matrix, extend
+from ffperm.mvpoly import _dense_matrix
 from oracle import NaiveField
 
 # canonical modulus = first monic irreducible in base-p rank order
@@ -373,22 +373,16 @@ def test_ranks_are_read_exactly(bad):
 
 
 def test_indices_and_counts_are_read_exactly():
-    # substitute's variable index and extend's count and offset are read
-    # like ranks: 1.5 and '1' are refused, 1.0 and numpy integers pass
+    # substitute's variable index is read like a rank: 1.5 and '1' are
+    # refused, 1.0 and numpy integers pass
     F5 = make_field(5)
     f = poly_build(F5, 2, [((1, 2), 1), ((3, 0), 2)])
-    g = poly_build(F5, 1, [((1,), 1)])
     for call, what in [(lambda: f.substitute(1.5, 1), "variable index"),
-                       (lambda: f.substitute("1", 1), "variable index"),
-                       (lambda: extend(g, 3.5, 0), "variable count"),
-                       (lambda: extend(g, 3, 0.5), "offset")]:
+                       (lambda: f.substitute("1", 1), "variable index")]:
         with pytest.raises(ValueError, match=f"^{what} must be an integer"):
             call()
     assert f.substitute(1.0, 1) == f.substitute(1, 1)
     assert f.substitute(np.int64(0), 2) == f.substitute(0, 2)
-    for n, offset in [(3.0, 0), (np.int64(3), np.uint8(2))]:
-        h = extend(g, n, offset)
-        assert h == extend(g, 3, int(offset)) and type(h.n) is int
 
 
 def test_large_field_exceeds_table_cap(monkeypatch):

@@ -14,7 +14,7 @@ from ffperm import (CapExceeded, FieldMismatch, IndexOutOfRange, MultiPoly,
                     points, poly_build, poly_from_json, poly_to_json, t_poly,
                     to_table)
 from ffperm.constructions import lpp_beta
-from ffperm.mvpoly import FuncTable, _transform, extend, fold_exp, monomial
+from ffperm.mvpoly import FuncTable, _transform, fold_exp, monomial
 from oracle import (SMALL_FIELDS, NaiveField, naive_eval, naive_poly_build,
                     naive_poly_mul, naive_transform_matrices)
 
@@ -376,10 +376,6 @@ MISUSE = [
      VariableCountMismatch, "substituted polynomial must be univariate"),
     ("evaluate arity", lambda: X.evaluate([1]), VariableCountMismatch,
      "point has 1 coordinates, poly has 2"),
-    ("extend past the end", lambda: extend(X, 3, 2), IndexOutOfRange,
-     "cannot place 2 variables at offset 2 inside 3"),
-    ("extend negative offset", lambda: extend(X, 3, -1), IndexOutOfRange,
-     "cannot place 2 variables at offset -1 inside 3"),
     ("compose multivariate outer", lambda: compose_univariate(X, X),
      VariableCountMismatch, "outer polynomial must be univariate"),
     ("compose field", lambda: compose_univariate(monomial(F7, 1, (1,)), X),
@@ -786,18 +782,10 @@ def test_substitute_univariate_poly():
         assert g.evaluate(pt) == f.evaluate([inner, pt[1]])
 
 
-def test_extend_offsets_variables():
-    field = make_field(3)
-    f = poly_build(field, 1, [((2,), 2)])                   # 2x^2
-    g = extend(f, 3, 1)                                     # embeds as x2
-    assert g.n == 3
-    assert g.terms() == [((0, 2, 0), 2)]
-
-
 @pytest.mark.parametrize("p,r", SMALL_FIELDS)
 def test_substitute_and_extend_match_naive_eval(p, r):
     # the results' coefficients, read back through the oracle, must give
-    # the substituted or embedded function
+    # the substituted function
     field = make_field(p, r)
     ref = naive_of(field)
     rng = np.random.default_rng(31 + field.q)
@@ -816,11 +804,6 @@ def test_substitute_and_extend_match_naive_eval(p, r):
             inner = list(pt)
             inner[i] = u_at[pt[i]]
             assert naive_eval(ref, 2, g_terms, pt) == f_at[tuple(inner)]
-    for offset in (0, 1):
-        g_terms = extend(f, 3, offset).terms()
-        for pt in points(field, 3):
-            assert naive_eval(ref, 3, g_terms, pt) == \
-                f_at[pt[offset:offset + 2]]
 
 
 def test_to_table_wraps_the_cached_values_through_the_checks(monkeypatch):

@@ -253,6 +253,22 @@ def test_run_all_rows_are_pinned(capsys):
     assert len(rows) == 95
 
 
+def test_run_all_makes_no_func_table(monkeypatch):
+    # a FuncTable is made only at the public edge: the suites read the
+    # tables the package computed as plain arrays
+    from ffperm import mvpoly
+    made = []
+    real = mvpoly.FuncTable.__init__
+
+    def counting(self, *args):
+        made.append(args[:2])
+        real(self, *args)
+
+    monkeypatch.setattr(mvpoly.FuncTable, "__init__", counting)
+    suites.run_all()
+    assert made == []
+
+
 @pytest.mark.parametrize("args", list(PINNED_OVERRIDES))
 def test_override_output_is_pinned(capsys, args):
     rc, out, _ = _check(capsys, ["--suite", *args.split()])

@@ -128,6 +128,22 @@ def test_dickson_functional_equation(p, r, a, k):
         assert lhs == rhs
 
 
+@pytest.mark.parametrize("p,r", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
+                                 (2, 3), (3, 2), (2, 4)])
+def test_dickson_huge_degree(p, r):
+    # any k is read in O(log k) steps, into a table only.  For a != 0,
+    # x = y + a/y with y in F_(q^2)^*, so g_k = g_(k mod (q^2 - 1)); for
+    # a = 0, g_k = x^k
+    field = make_field(p, r)
+    q = field.q
+    assert repr(dickson(field, 10**30, 1)) == \
+        f"MultiPoly(q={q}, n=1, table only)"
+    for k in (10**30, 10**30 + 1, 3**70):
+        assert dickson(field, k, 0) == poly_build(field, 1, [((k,), 1)])
+        for a in range(1, q):
+            assert dickson(field, k, a) == dickson(field, k % (q * q - 1), a)
+
+
 def test_dickson_recurrence():
     # g_k = x g_{k-1} - a g_{k-2}
     field = make_field(3, 2)

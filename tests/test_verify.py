@@ -281,7 +281,7 @@ def test_balanced_tables_match_the_recursive_enumeration(q, n):
     # the same tables in the same order: the scan's witness is the first
     # failing table, so the order is part of its output
     want = np.array(list(naive_balanced_tables(q, n)), dtype=np.int64)
-    got = verify._balanced_tables(q, n)
+    got = verify._balanced_tables(q, n, len(want))
     assert got.dtype == np.int64 and np.array_equal(got, want)
 
 
