@@ -337,6 +337,11 @@ make_field.cache_clear = _make_field.cache_clear
 
 def field_from_json(data: dict) -> Field:
     """Rebuild a field from its JSON form, insisting on the canonical modulus."""
+    if not isinstance(data, dict):
+        raise ValueError("field JSON must be an object, not "
+                         f"{type(data).__name__}")
+    if "p" not in data:
+        raise ValueError('field JSON needs a characteristic "p"')
     field = make_field(data["p"], data.get("r", 1))
     if "modulus" in data and data["modulus"] is not None:
         given = tuple(exact_int(c, "modulus entry") for c in data["modulus"])

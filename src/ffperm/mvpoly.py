@@ -446,9 +446,9 @@ def _integral(values) -> np.ndarray:
 
 
 def points(field: Field, n: int):
-    """All points of F_q^n in rank order, made as they are read."""
-    return itertools.product(field.elements(),
-                             repeat=exact_int(n, "variable count"))
+    """All points of F_q^n in rank order, made as they are read; n is read
+    by _check_points, so a negative n or q^n over the point cap raises."""
+    return itertools.product(field.elements(), repeat=_check_points(field, n))
 
 
 # The multi-stage plan runs only where it saves at least this many lookups

@@ -502,6 +502,19 @@ def test_field_from_json_refuses_what_int_would_change(doc, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("data,message", [
+    (np.int64(3), "field JSON must be an object, not int64"),
+    ([1], "field JSON must be an object, not list"),
+    (None, "field JSON must be an object, not NoneType"),
+    ({}, 'field JSON needs a characteristic "p"'),
+    ({"r": 2, "modulus": [1, 0, 1]}, 'field JSON needs a characteristic "p"'),
+])
+def test_field_from_json_refuses_a_shape_by_name(data, message):
+    with pytest.raises(ValueError) as err:
+        field_from_json(data)
+    assert str(err.value) == message
+
+
 def test_field_json_rejects_garbage():
     with pytest.raises((KeyError, TypeError, ValueError, NotPrime)):
         field_from_json({"p": 6, "r": 1})

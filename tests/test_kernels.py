@@ -65,7 +65,8 @@ def test_mat_apply_matches_oracle(monkeypatch, p, r, block):
             assert got.tolist() == naive_mat_apply(nf, M.tolist(), A.tolist())
 
 
-@pytest.mark.parametrize("p,r,R", [(2, 4, 65536), (2, 6, 4096)])
+@pytest.mark.parametrize("p,r,R", [(2, 4, 65536), (2, 6, 4096), (3, 3, 1024),
+                                   (2, 6, 4095)])
 def test_mat_apply_temporaries_are_bounded(p, r, R):
     F = make_field(p, r)
     A = np.random.default_rng(R).integers(0, F.q, size=(F.q, R))
@@ -77,8 +78,14 @@ def test_mat_apply_temporaries_are_bounded(p, r, R):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # a full q x R int64 temporary alone is 32 * 65536 bytes at q=64
-    assert peak <= out.nbytes + 32 * max(R, _kernels._BLOCK)
+    # the first three cases take the fused update, which holds at most
+    # 2 * max(R, _BLOCK) values, as the docstring says (at q = 64, R = 4096
+    # a block's tables fill _BLOCK values); below the gate a full q x R
+    # int64 temporary alone is 32 * 65536 bytes at q = 64
+    fused = R >= max(F.q**2, _kernels._FUSED_MIN)
+    assert fused == (R != 4095)
+    per_value = 16 if fused else 32
+    assert peak <= out.nbytes + per_value * max(R, _kernels._BLOCK)
 
 
 # every field the tables admit: 198 prime powers, 192 of them with q - 1
@@ -86,6 +93,41 @@ def test_mat_apply_temporaries_are_bounded(p, r, R):
 PRIME_POWERS = [(p, r) for p in range(2, TABLE_CAP + 1) if _is_prime(p)
                 for r in range(1, TABLE_CAP.bit_length())
                 if p**r <= TABLE_CAP]
+
+
+@pytest.mark.parametrize("p,r", [f for f in PRIME_POWERS if f[0]**f[1] <= 64])
+def test_fused_mat_apply_matches_oracle(monkeypatch, p, r):
+    # R one below the gate takes the row-by-row loop, R at the gate the
+    # fused gather; _BLOCK = R gives blocks of one row, 3 R of three (a
+    # short last block unless 3 divides the rows) and the default of
+    # several.  M has an all-ones column, which meets a live row of A, and
+    # is also applied as row slices.  A column of out depends only on its
+    # column of A, so A's R columns are drawn from a pool of six, and the
+    # oracle sums the pool alone: rows 1.. of A (row 0 is zero, row q - 1
+    # meets the all-ones column), and one live row
+    F = make_field(p, r)
+    q = F.q
+    nf = NaiveField(p, None if F.modulus is None else tuple(F.modulus))
+    rng = np.random.default_rng(q)
+    M = rng.integers(0, q, size=(q, q))
+    M[:, q - 1] = 1
+    dense = rng.integers(0, q, size=(q, 6))
+    dense[0] = 0
+    dense[q - 1] = rng.integers(1, q, size=6)
+    one = np.zeros((q, 6), dtype=np.int64)
+    one[q // 2] = rng.integers(1, q, size=6)
+    gate = max(q * q, _kernels._FUSED_MIN)
+    for pool in (dense, one):
+        want = np.array(naive_mat_apply(nf, M.tolist(), pool.tolist()))
+        for R in (gate - 1, gate):
+            pick = rng.integers(0, 6, size=R)
+            A = pool[:, pick]
+            for block in (R, 3 * R, 1 << 16):
+                monkeypatch.setattr(_kernels, "_BLOCK", block)
+                for lo, hi in ((0, q), (1, min(q, 4)), (q - 1, q)):
+                    got = _kernels.mat_apply(M[lo:hi], A, F.add_t, F.mul_t)
+                    assert got.shape == (hi - lo, R) and got.dtype == np.int64
+                    assert np.array_equal(got, want[lo:hi, pick]), (R, block)
 
 
 def test_field_tables_match_digit_arithmetic_on_every_field():

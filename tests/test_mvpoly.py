@@ -406,6 +406,13 @@ MISUSE = [
      ValueError, "table values must be element ranks"),
     ("table value None", lambda: FuncTable(F5, 1, [None, 0, 2, 3, 4]),
      ValueError, "table values must be element ranks"),
+    # points reads n as every variable count is read, before itertools
+    ("points huge n", lambda: points(F5, 10**20), CapExceeded,
+     f"5^{10**20} points exceed the point cap"),
+    ("points negative n", lambda: points(F5, -1), ValueError,
+     "variable count must be nonnegative"),
+    ("points n 2.5", lambda: points(F5, 2.5), ValueError,
+     "variable count must be an integer, not 2.5"),
 ]
 
 
