@@ -12,9 +12,10 @@ _BLOCK = 1 << 16
 # mat_apply fuses each multiply-add into one gather only when R is at least
 # this and at least q^2, so that building a block's tables (b q^2 lookups)
 # costs no more than the gathers they replace.  Most of `ffperm check
-# --all`'s 259 calls are tiny; in process on a 2-core x86 VM (medians of
-# 20 alternating runs) it took 36.3 ms with the gate at q^2 alone, 35.0 ms
-# with this value (15 calls fused) and 35.4 ms with no call fused.
+# --all`'s 235 calls are tiny, and 15 are fused.  In process on a 2-core
+# x86 VM (medians of 20 alternating runs, measured when the run made 259
+# calls) it took 36.3 ms with the gate at q^2 alone, 35.0 ms with this
+# value and 35.4 ms with no call fused.
 _FUSED_MIN = 1024
 
 
@@ -38,10 +39,11 @@ def mat_apply(M, A, add_t, mul_t):
     and blk * q + A[a] indexes the stack directly; the offsets are set once
     per block and removed at its end.  The tables cost b q^2 <= b R lookups
     per row of A, and the fused update's temporaries hold at most
-    2 * max(R, _BLOCK) values.  Below the gate each row is a mul gather and
-    an add gather: the first nonzero row writes its products into out
-    instead of adding them to zeros, and a column of M whose entries are
-    all 1 (found once per call) adds its row of A without the mul gather.
+    2 * max(R, _BLOCK) values.  Below the gate each row is a mul gather,
+    taken in place into its index array, and an add gather: the first
+    nonzero row writes its products into out instead of adding them to
+    zeros, and a column of M whose entries are all 1 (found once per call)
+    adds its row of A without the mul gather.
     """
     q = add_t.shape[0]
     rows = M.shape[0]
@@ -81,7 +83,8 @@ def mat_apply(M, A, add_t, mul_t):
             if ones[i]:
                 prod = row
             else:
-                prod = mul_f.take(q * M[s:s + step, a, None] + row)
+                prod = q * M[s:s + step, a, None] + row
+                mul_f.take(prod, out=prod, mode="clip")
             if i == 0:
                 blk[...] = prod
                 continue

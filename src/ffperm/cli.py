@@ -34,9 +34,8 @@ def format_element(field, c: int) -> str:
 
 
 def format_poly(f: MultiPoly) -> str:
-    """Render with terms in descending exponent rank, e.g. x1^2*x2 + 2*x1."""
-    if f.is_zero():
-        return "0"
+    """Render with terms in descending exponent rank, e.g. x1^2*x2 + 2*x1;
+    the zero polynomial, which has no terms, renders as 0."""
     parts = []
     for exps, c in sorted(f.terms(), reverse=True):
         factors = []
@@ -52,19 +51,15 @@ def format_poly(f: MultiPoly) -> str:
             parts.append("*".join(factors))
         else:
             parts.append("*".join([cs] + factors))
-    return " + ".join(parts)
+    return " + ".join(parts) or "0"
 
 
 def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(", ", ": "))
 
 
-def _field_arg(args):
-    return make_field(args.p, args.r)
-
-
 def cmd_construct(args) -> int:
-    field = _field_arg(args)
+    field = make_field(args.p, args.r)
     f, params = cons.build_family(args.family, field, n=args.n, b=args.b,
                                   k=args.k, alpha_rank=args.alpha_rank)
     if args.format == "text":
@@ -124,7 +119,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_field(args) -> int:
-    field = _field_arg(args)
+    field = make_field(args.p, args.r)
     if args.format == "json":
         doc = field.to_json()
         doc["generator"] = field.generator
@@ -140,19 +135,17 @@ def cmd_field(args) -> int:
     for a in field.elements():
         print(f"  {a}: {field.element_str(a)}")
     if field.q <= 64:
-        print("add:")
-        for a in field.elements():
-            print("  " + " ".join(str(int(v)) for v in field.add_t[a]))
-        print("mul:")
-        for a in field.elements():
-            print("  " + " ".join(str(int(v)) for v in field.mul_t[a]))
+        for name, table in (("add", field.add_t), ("mul", field.mul_t)):
+            print(f"{name}:")
+            for a in field.elements():
+                print("  " + " ".join(str(int(v)) for v in table[a]))
     else:
         print("tables omitted (q > 64)")
     return 0
 
 
 def cmd_scan(args) -> int:
-    field = _field_arg(args)
+    field = make_field(args.p, args.r)
     rep = vf.scan_pp_degree_bound(field, args.n)
     print(_dump(rep.to_json()))
     return 0 if rep.ok else 1

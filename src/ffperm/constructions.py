@@ -26,7 +26,7 @@ from . import _kernels
 from .errors import (BadDegree, EqualPoints, FieldMismatch, NotMaxLpp,
                      NoValidB, UnsupportedField, VariableCountMismatch)
 from .gf import Field, exact_int
-from .mvpoly import MultiPoly, _check_points, compose_univariate, poly_build
+from .mvpoly import MultiPoly, _check_points, poly_build
 
 
 def _univariate(field: Field, exps, c: int = 1) -> MultiPoly:
@@ -256,11 +256,13 @@ def pp_product(field: Field, n: int, variant: str,
     is x_1^{q-1}..x_n^{q-1} + c with c = alpha or -a: its coefficients are
     written head and tail (_head_tail), and its values are c plus the
     n-fold outer product of the indicator of F_q^* through mul_t, so no
-    transform evaluates it.  The factor and f(y) share no variable, so the
-    product is an outer product of their coefficients and of their values,
-    and holds both domains.  Every outer product is grown by _grow: y is
-    appended to the factor through the q x q table u * f(y) of mul_t, so
-    each entry u copies one contiguous run of q products.
+    transform evaluates it.  A given g's factor holds its values only:
+    g's values raised by Field.powers, plus c.  The factor and f(y) share
+    no variable, so the product is an outer product of their coefficients
+    and of their values, and holds both domains.  Every outer product is
+    grown by _grow: y is appended to the factor through the q x q table
+    u * f(y) of mul_t, so each entry u copies one contiguous run of q
+    products.
     """
     q = field.q
     d, a = _product_constant(field, variant, a_or_alpha)
@@ -270,10 +272,9 @@ def pp_product(field: Field, n: int, variant: str,
         raise ValueError("the MERSENNE variant takes no g")
     if fy is None:
         fy = t_poly(field)
-    else:
-        if (fy.n != 1 or fy.total_degree != q - 2
-                or not is_univariate_pp(fy)):
-            raise BadDegree("f(y) must be a univariate PP of degree q-2")
+    elif (fy.n != 1 or fy.total_degree != q - 2
+          or not is_univariate_pp(fy)):
+        raise BadDegree("f(y) must be a univariate PP of degree q-2")
     n = _check_points(field, n, 1, "n")
     _check_points(field, n + 1)
     if g is not None:
@@ -285,17 +286,17 @@ def pp_product(field: Field, n: int, variant: str,
     c = a if d is None else field.neg(a)
     mul_t = field.mul_t
     if g is None:
-        # x^{q-1} is the indicator of F_q^*, so the factor's values are
-        # the outer product of that indicator through mul_t, plus c
+        # g^d = x_1^{q-1}..x_n^{q-1}, and x^{q-1} is the indicator of
+        # F_q^*, so g^d is the outer product of that indicator through mul_t
         ind = np.minimum(np.arange(q), 1)
         head = _head_tail(field, n, _univariate(field, [q - 1]),
-                          _univariate(field, [0], c))
-        factor = MultiPoly(field, n, head.coeffs, values=field.add_t[c].take(
-            _grow(ind, [mul_t[:, ind]] * (n - 1))))
+                          _univariate(field, [0], c)).coeffs
+        power = _grow(ind, [mul_t[:, ind]] * (n - 1))
     else:
-        # g^d - a, the univariate x^d - a applied to g's values
-        shift = _univariate(field, [d]) + _univariate(field, [0], c)
-        factor = compose_univariate(shift, g)
+        head, power = None, field.powers(g._values(), d)
+    # the factor's values g^d + c, read in place through the add_t row of c
+    field.add_t[c].take(power, out=power, mode="clip")
+    factor = MultiPoly(field, n, head, values=power)
     coeffs = _grow(factor.coeffs, [mul_t[:, fy.coeffs]])
     values = _grow(factor._values(), [mul_t[:, fy._values()]])
     return MultiPoly(field, n + 1, coeffs, values=values)
@@ -418,43 +419,47 @@ def lpp_chain(field: Field, n: int) -> MultiPoly:
     for every q > 3; maximum degree n(q-2) proven only for small n, odd p.
 
     The chain is x_1 grown n-1 times through the q x q table step[u, v] =
-    t(u^{q-2} + v^{q-2}) (_grow): every entry of f_{i-1} selects one row of
-    it, so step i writes q^i entries and nothing of size q^n is made but the
-    result, which holds its table only."""
+    t(u^{q-2} + v^{q-2}) (_grow), with t's table read from
+    transposition(field, 0, 1) and the powers from Field.powers: every
+    entry of f_{i-1} selects one row of it, so step i writes q^i entries
+    and nothing of size q^n is made but the result, which holds its table
+    only."""
     q = field.q
     if q <= 3:
         raise UnsupportedField("the recurrence needs q > 3")
     n = _check_points(field, n, 1, "n")
     inv = field.powers(np.arange(q), q - 2)
-    step = t_poly(field)._values()[field.add_t[np.ix_(inv, inv)]]
+    step = transposition(field, 0, 1)._values()[field.add_t[np.ix_(inv, inv)]]
     return MultiPoly(field, n, values=_grow(np.arange(q), [step] * (n - 1)))
 
 
 # Theorem 5.4's variants, each sigma(t(x1^a + x2^b) + x3^c): the field test
-# on (p, q), its refusal, (a, b, c) from q, and sigma from the field
+# on (p, q), its refusal, (a, b, c) from q, and sigma, the 0 <-> 1 swap t
+# or the inverse map x^(q-2)
 _THREE = {
     "A": (lambda p, q: p >= 5, "variant A needs p >= 5",
-          lambda q: (q - 2, q - 2, q - 2), t_poly),
+          lambda q: (q - 2, q - 2, q - 2), "t"),
     "B": (lambda p, q: p == 3 and q > 3, "variant B needs q = 3^r > 3",
-          lambda q: (q - 4, q - 2, q - 2), t_poly),
+          lambda q: (q - 4, q - 2, q - 2), "t"),
     "C": (lambda p, q: p == 2 and q > 2, "variant C needs q = 2^r > 2",
-          lambda q: (q - 2, q // 2 - 1, q // 2 - 1),
-          lambda field: _univariate(field, [field.q - 2])),
+          lambda q: (q - 2, q // 2 - 1, q // 2 - 1), "x^(q-2)"),
 }
 
 
 def lpp_three(field: Field, variant: str) -> MultiPoly:
     """Three-variable LPP families, one per characteristic, all of the shape
     sigma(t(x1^a + x2^b) + x3^c) with t the 0 <-> 1 swap (_THREE holds each
-    variant's field test, exponents and sigma): A for p >= 5 and B for
-    q = 3^r > 3 reach degree 3(q-2); C accepts q = 2^r > 2 and reaches
-    3(q-2) for q >= 8.  At q = 4, C returns the degree-2 LPP
-    1 + x1^2 + x2 + x3^2: every permutation of F_4 is F_2-affine, so no
-    composition of this shape can exceed degree 2.
+    variant's field test, exponents and sigma: t for A and B, x^(q-2) for
+    C): A for p >= 5 and B for q = 3^r > 3 reach degree 3(q-2); C accepts
+    q = 2^r > 2 and reaches 3(q-2) for q >= 8.  At q = 4, C returns the
+    degree-2 LPP 1 + x1^2 + x2 + x3^2: every permutation of F_4 is
+    F_2-affine, so no composition of this shape can exceed degree 2.
 
-    The table is x1^a grown by two q x q tables (_grow): t(u + x2^b) gives
-    the q^2 inner values, and sigma(u + x3^c) the q^3 result, which holds
-    its table only."""
+    t's table is read from transposition(field, 0, 1), x^(q-2)'s and the
+    powers' from Field.powers, so no polynomial is evaluated.  The table is
+    x1^a grown by two q x q tables (_grow): t(u + x2^b) gives the q^2 inner
+    values, and sigma(u + x3^c) the q^3 result, which holds its table
+    only."""
     variant = variant.upper()
     if variant not in _THREE:
         raise ValueError(f"unknown variant {variant!r}")
@@ -462,11 +467,12 @@ def lpp_three(field: Field, variant: str) -> MultiPoly:
     if not fits(field.p, field.q):
         raise UnsupportedField(refusal)
     _check_points(field, 3)
-    q, add_t = field.q, field.add_t
-    v1, v2, v3 = (field.powers(np.arange(q), e) for e in exps(q))
-    return MultiPoly(field, 3, values=_grow(v1, [
-        t_poly(field)._values()[add_t[:, v2]],
-        sigma(field)._values()[add_t[:, v3]]]))
+    q, add_t, x = field.q, field.add_t, np.arange(field.q)
+    v1, v2, v3 = (field.powers(x, e) for e in exps(q))
+    t = transposition(field, 0, 1)._values()
+    s = t if sigma == "t" else field.powers(x, q - 2)
+    return MultiPoly(field, 3, values=_grow(v1, [t[add_t[:, v2]],
+                                                 s[add_t[:, v3]]]))
 
 
 def lpp_linear(field: Field, n: int) -> MultiPoly:

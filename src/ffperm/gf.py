@@ -22,7 +22,6 @@ needs them.  make_field refuses q > TABLE_CAP.
 
 import operator
 from functools import lru_cache
-from math import isqrt
 
 import numpy as np
 
@@ -49,17 +48,17 @@ def fold_exp(e: int, q: int) -> int:
     return e if e < q else (e - 1) % (q - 1) + 1
 
 
-def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    if m < 4:
-        return True
-    if m % 2 == 0:
-        return False
-    for d in range(3, isqrt(m) + 1, 2):
-        if m % d == 0:
-            return False
-    return True
+def _radices(m: int) -> list[int]:
+    """The prime factors of m >= 1, smallest first, with multiplicity; []
+    for m < 2.  The one trial division: make_field's prime test and the
+    transform's DFT plan over F_q^* both read it."""
+    out, d = [], 2
+    while d * d <= m:
+        while m % d == 0:
+            out.append(d)
+            m //= d
+        d += 1
+    return out + [m] if m > 1 else out
 
 
 # --- F_p[z] helpers on coefficient lists, constant term first ---------------
@@ -320,7 +319,7 @@ def _make_field(p: int, r: int) -> Field:
     if r < 1:
         raise ValueError("extension degree must be at least 1")
     # trial division of a huge p would not end; such a p is over the cap
-    if p <= TABLE_CAP and not _is_prime(p):
+    if p <= TABLE_CAP and _radices(p) != [p]:
         raise NotPrime(f"{p} is not prime")
     # p >= 2, so r >= bit_length(TABLE_CAP) alone puts p^r over the cap
     if r >= TABLE_CAP.bit_length() or p**r > TABLE_CAP:

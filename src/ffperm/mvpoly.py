@@ -40,9 +40,9 @@ checkers, is read by _check_points: exactly (2.0 and numpy integers pass,
 before anything of size q^n exists.  to_table checks the cap again before
 it evaluates, and so does the first read of a held table's coefficients
 before it interpolates, since the cap may have been tightened since the
-build.  Neither FuncTable, which checks only that the values it is given
-are element ranks that fit its n, nor points, which reads its n exactly
-and makes the points one at a time, is capped.  A FuncTable is made only
+build.  points is capped through _check_points too, and makes the points
+one at a time.  Only FuncTable, which checks that the values it is given
+are element ranks that fit its n, is not capped.  A FuncTable is made only
 at the public edge: to_table wraps a polynomial's cached values through
 FuncTable's checks on each call, and interpolate holds a FuncTable's
 values without a copy.  Tables that ffperm computes itself through the
@@ -59,7 +59,7 @@ from . import _kernels
 from .caps import point_cap
 from .errors import (CapExceeded, FFPermError, FieldMismatch,
                      IndexOutOfRange, VariableCountMismatch)
-from .gf import Field, exact_int, field_from_json, fold_exp
+from .gf import Field, _radices, exact_int, field_from_json, fold_exp
 
 
 def _exponents(nz: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -104,7 +104,9 @@ class MultiPoly:
     interpolate or the helpers.
 
     ``coeffs`` is a (q,)*n tensor and ``values`` a flat table in point-rank
-    order; neither is checked, so both must hold element ranks.  ``coeffs``
+    order, each read through the (q,)*n shape, so an array of the wrong
+    size raises ValueError; their entries are not checked, so both must
+    hold element ranks.  ``coeffs``
     is interpolated from the table on first access, and the table is
     evaluated from ``coeffs`` on first use; both are then cached.
     """
@@ -117,7 +119,7 @@ class MultiPoly:
         self.n = n
         shape = (field.q,) * n
         self._coeffs = None if coeffs is None else _frozen(coeffs, shape)
-        self._vals = None if values is None else _frozen(values, -1)
+        self._vals = None if values is None else _frozen(values, shape).ravel()
 
     @property
     def coeffs(self) -> np.ndarray:
@@ -216,9 +218,7 @@ class MultiPoly:
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         self._compat(other)
-        field = self.field
-        return self._tabled(
-            field.add_t[self._values(), field.neg_t[other._values()]])
+        return self + -other
 
     def scale(self, c: int) -> "MultiPoly":
         """Multiply every coefficient by the element of rank c."""
@@ -469,17 +469,6 @@ _STAGE_ROWS = 3
 # leading_terms grows its corner from the top, only on tensors of at least
 # this many entries: on smaller ones the reductions cost more than they save.
 _SPARSE_MIN = 1 << 14
-
-
-def _radices(m: int) -> list[int]:
-    """The prime factors of m >= 1, smallest first, with multiplicity."""
-    out, d = [], 2
-    while d * d <= m:
-        while m % d == 0:
-            out.append(d)
-            m //= d
-        d += 1
-    return out + [m] if m > 1 else out
 
 
 def _dense_matrix(field: Field, inverse: bool,

@@ -54,6 +54,15 @@ def test_construct_text_extension_field_coeffs():
     assert res.stdout.strip() == "x1^2"
 
 
+def test_format_poly_renders_zero_and_orders_terms():
+    from ffperm import make_field, poly_build
+    from ffperm.cli import format_poly
+    F9 = make_field(3, 2)
+    assert format_poly(poly_build(F9, 2, [])) == "0"
+    f = poly_build(F9, 2, [((1, 2), 4), ((0, 0), 3), ((2, 0), 1)])
+    assert format_poly(f) == "x1^2 + (z+1)*x1*x2^2 + z"
+
+
 def test_construct_deterministic():
     a = run("construct", "--family", "lpp_indicator", "--p", "3", "--r", "2",
             "--n", "2")

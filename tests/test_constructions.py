@@ -21,8 +21,8 @@ from ffperm.caps import point_cap
 from ffperm.constructions import FAMILY_TAGS, block_sizes
 from ffperm.mvpoly import FuncTable, compose_univariate, monomial, points
 from oracle import (SMALL_FIELDS, NaiveField, all_points, extend,
-                    naive_interp_univariate, naive_is_lpp, naive_is_pp,
-                    naive_poly_build, naive_poly_mul)
+                    naive_eval, naive_interp_univariate, naive_is_lpp,
+                    naive_is_pp, naive_poly_build, naive_poly_mul)
 
 F3 = make_field(3)
 F4 = make_field(2, 2)
@@ -244,6 +244,39 @@ def test_pp_product_custom_fy():
     fy = t_poly(F5)
     f = pp_product(F5, 1, "QNR", fy=fy)
     assert f == pp_product(F5, 1, "QNR")
+
+
+@pytest.mark.parametrize("variant,p,r", [("QNR", 5, 1), ("QNR", 3, 2),
+                                         ("QNR", 5, 2), ("NONCUBE", 2, 2),
+                                         ("NONCUBE", 2, 4)])
+@pytest.mark.parametrize("n", [1, 2])
+def test_pp_product_given_g_matches_the_pointwise_oracle(variant, p, r, n):
+    # (g^d - a) f(y) at every point, by the oracle, for a sparse random g
+    # of total degree n(q-1)/d and f(y) = t (n = 1) or a transposition
+    field = make_field(p, r)
+    q, ref = field.q, naive_of(field)
+    d = 2 if variant == "QNR" else 3
+    want = n * (q - 1) // d
+    rng = np.random.default_rng(10 * q + n)
+    low = [e for e in itertools.product(range(q), repeat=n)
+           if sum(e) < want]
+    lead = (min(want, q - 1),) + (want - min(want, q - 1),) * (n > 1)
+    terms = [(lead, int(rng.integers(1, q)))]
+    terms += [(low[i], int(rng.integers(1, q)))
+              for i in rng.choice(len(low), size=min(4, len(low)),
+                                  replace=False)]
+    g = poly_build(field, n, terms)
+    fy = None if n == 1 else transposition(field, 2, q - 1)
+    f = pp_product(field, n, variant, g=g, fy=fy)
+    powers = {ref.pow(w, d) for w in range(q)}
+    a = min(w for w in range(q) if w not in powers)
+    y_terms = (t_poly(field) if fy is None else fy).terms()
+    f_y = [naive_eval(ref, 1, y_terms, (y,)) for y in range(q)]
+    factor = [ref.sub(ref.pow(naive_eval(ref, n, terms, x), d), a)
+              for x in all_points(ref, n)]
+    assert to_table(f).values.tolist() == [ref.mul(u, v) for u in factor
+                                           for v in f_y]
+    assert_domains_agree(f)
 
 
 # -- lpp_beta ---------------------------------------------------------------------
@@ -1047,28 +1080,29 @@ def test_prod_sum_families_verify_without_a_transform(applied, tag, p, r, n):
 
 @pytest.mark.parametrize("variant,p,r", [("A", 7, 1), ("B", 3, 2),
                                          ("C", 2, 6)])
-def test_lpp_three_transforms_only_univariate_pieces(applied, variant, p, r):
+def test_lpp_three_transforms_only_univariate_pieces(applied, transforms,
+                                                    variant, p, r):
+    # t, sigma and the powers are read from their definitions, so the build
+    # transforms nothing, not even a univariate piece
     f = lpp_three(make_field(p, r), variant)
-    assert applied and all(cols == 1 for _, (_, cols) in applied)
+    assert applied == [] and transforms == []
     assert f._coeffs is None
 
 
-@pytest.mark.parametrize("build,transformed", [
-    (lambda: lpp_chain(F7, 5), True), (lambda: lpp_chain(F16, 3), True),
-    (lambda: lpp_power(F7, 5), False), (lambda: lpp_power(F5, 3, 2), False)],
+@pytest.mark.parametrize("build", [
+    lambda: lpp_chain(F7, 5), lambda: lpp_chain(F16, 3),
+    lambda: lpp_power(F7, 5), lambda: lpp_power(F5, 3, 2)],
     ids=["chain_q7_n5", "chain_q16_n3", "power_q7_b5", "power_q5_b3_k2"])
 def test_one_variable_builds_transform_only_univariate_pieces(
-        monkeypatch, applied, build, transformed):
-    # each variable enters through a q x q table: only the univariate
-    # pieces are transformed (the chain's t; lpp_power reads x^(q-2) from
-    # the field's powers, so it applies no matrix at all), and the result
-    # holds no coefficients
+        monkeypatch, applied, transforms, build):
+    # each variable enters through a q x q table made from univariate
+    # pieces read from their definitions (the chain's t from
+    # transposition(field, 0, 1), x^(q-2) from the field's powers), so no
+    # piece is transformed, no matrix is applied, and the result holds no
+    # coefficients
     monkeypatch.setenv("FFPERM_POINT_CAP", str(1 << 21))   # 5^9 points
     f = build()
-    if transformed:
-        assert applied and all(cols == 1 for _, (_, cols) in applied)
-    else:
-        assert applied == []
+    assert applied == [] and transforms == []
     assert f._coeffs is None
 
 

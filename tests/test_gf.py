@@ -3,7 +3,7 @@ cross-checked against an independent pure-Python oracle."""
 
 import hashlib
 import tracemalloc
-from math import comb
+from math import comb, prod
 
 import numpy as np
 import pytest
@@ -335,6 +335,24 @@ def test_make_field_errors():
         make_field(10**30 + 1)      # refused before trial division
     with pytest.raises(ValueError):
         make_field(3, 0)
+
+
+def test_radices_is_the_one_prime_test():
+    # _radices factors by trial division, and make_field reads a prime as
+    # _radices(p) == [p]: both checked against naive primality and naive
+    # products up to the field cap
+    primes = [m for m in range(2, gf.TABLE_CAP + 1)
+              if all(m % d for d in range(2, m))]
+    assert [m for m in range(gf.TABLE_CAP + 1)
+            if gf._radices(m) == [m]] == primes
+    for m in range(1, gf.TABLE_CAP + 1):
+        radices = gf._radices(m)
+        assert radices == sorted(radices) and set(radices) <= set(primes)
+        assert prod(radices) == m
+    assert gf._radices(0) == []
+    for p in (0, 1, 4, 1023):
+        with pytest.raises(NotPrime, match=f"{p} is not prime"):
+            make_field(p)
 
 
 @pytest.mark.parametrize("args,message", [

@@ -11,8 +11,8 @@ import pytest
 
 from ffperm import _kernels, make_field, mvpoly
 from ffperm.constructions import pp_hn
-from ffperm.gf import TABLE_CAP, _is_prime
-from ffperm.mvpoly import _dense_matrix, _dft, _radices, _transform
+from ffperm.gf import TABLE_CAP, _radices
+from ffperm.mvpoly import _dense_matrix, _dft, _transform
 from oracle import NaiveField, naive_transform_matrices, sort_lpp_scan
 
 ORACLE_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (2, 3)]
@@ -80,17 +80,20 @@ def test_mat_apply_temporaries_are_bounded(p, r, R):
         tracemalloc.stop()
     # the first three cases take the fused update, which holds at most
     # 2 * max(R, _BLOCK) values, as the docstring says (at q = 64, R = 4096
-    # a block's tables fill _BLOCK values); below the gate a full q x R
-    # int64 temporary alone is 32 * 65536 bytes at q = 64
+    # a block's tables fill _BLOCK values); below the gate the row loop
+    # takes its mul gather in place, so at most two block-sized product
+    # arrays live at once, one row's and the next's (a full q x R int64
+    # temporary alone is 32 * 65536 bytes at q = 64)
     fused = R >= max(F.q**2, _kernels._FUSED_MIN)
     assert fused == (R != 4095)
-    per_value = 16 if fused else 32
+    per_value = 16 if fused else 24
     assert peak <= out.nbytes + per_value * max(R, _kernels._BLOCK)
 
 
 # every field the tables admit: 198 prime powers, 192 of them with q - 1
 # composite, where the transform has a multi-stage plan
-PRIME_POWERS = [(p, r) for p in range(2, TABLE_CAP + 1) if _is_prime(p)
+PRIME_POWERS = [(p, r) for p in range(2, TABLE_CAP + 1)
+                if _radices(p) == [p]
                 for r in range(1, TABLE_CAP.bit_length())
                 if p**r <= TABLE_CAP]
 

@@ -424,6 +424,25 @@ def test_misuse_is_refused_with_its_message(label, call, kind, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("n,values", [(2, list(range(5)) * 5 + [0]),
+                                      (2, np.zeros(24, dtype=np.int64)),
+                                      (1, [1, 2, 3]), (0, [1, 2]),
+                                      (1, np.zeros((5, 5), dtype=np.int64))])
+def test_multipoly_refuses_a_wrong_size_table(n, values):
+    # a table is read through the (q,)*n shape, so a wrong size is refused
+    # when the polynomial is made, before a checker reads it
+    with pytest.raises(ValueError):
+        MultiPoly(F5, n, values=values)
+
+
+def test_multipoly_refuses_a_wrong_size_tensor():
+    with pytest.raises(ValueError):
+        MultiPoly(F5, 2, np.zeros(24, dtype=np.int64))
+    # any array of the right size is read in point-rank order
+    f = MultiPoly(F5, 2, values=np.arange(25).reshape(5, 5) % 5)
+    assert f._values().shape == (25,) and not f._values().flags.writeable
+
+
 def test_func_table_equality_and_repr():
     field = make_field(3)
     t = FuncTable(field, 1, [2, 0, 1])
