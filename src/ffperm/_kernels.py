@@ -12,7 +12,7 @@ _BLOCK = 1 << 16
 # mat_apply fuses each multiply-add into one gather only when R is at least
 # this and at least q^2, so that building a block's tables (b q^2 lookups)
 # costs no more than the gathers they replace.  Most of `ffperm check
-# --all`'s 235 calls are tiny, and 15 are fused.  In process on a 2-core
+# --all`'s 228 calls are tiny, and 15 are fused.  In process on a 2-core
 # x86 VM (medians of 20 alternating runs, measured when the run made 259
 # calls) it took 36.3 ms with the gate at q^2 alone, 35.0 ms with this
 # value and 35.4 ms with no call fused.
@@ -25,72 +25,55 @@ def mat_apply(M, A, add_t, mul_t):
     M may have any number of rows (a row slice of a q x q field matrix gives
     the matching rows of out); the table stride q comes from add_t.
     All-zero rows of A are skipped: they add nothing, since mul_t[m, 0] == 0
-    and add_t[x, 0] == x.  Each nonzero row updates a block of
-    b = max(1, _BLOCK // R) output rows at a time, so a small R costs few
-    numpy calls.  The gathers index flattened tables at x * q + y: a 1-D
-    take is cheaper than a 2-D fancy index.  They read indices that are in
-    range by construction, so mode="clip" changes no value; it spares the
-    copy of out that mode="raise" buffers.
+    and add_t[x, 0] == x.  out is filled a block of b = max(1, _BLOCK // R)
+    output rows at a time, so a small R costs few numpy calls: the block is
+    set once, then each nonzero row a updates it in place by one rule,
+    blk <- T[q * blk + x].  The gathers index flattened tables at x * q + y:
+    a 1-D take is cheaper than a 2-D fancy index.  They read indices that
+    are in range by construction, so mode="clip" changes no value; it
+    spares the copy of out that mode="raise" buffers.
 
-    For R >= max(q^2, _FUSED_MIN) each multiply-add is one gather, through
+    Below R = max(q^2, _FUSED_MIN) the block starts at 0, T is add_t and x
+    holds the products mul_t[M[e, a], A[a]], taken in place into their
+    index array.  From there on each multiply-add is one gather, through
     W_m[x, y] = add_t[x, mul_t[m, y]]: add_t with its columns permuted by
-    the constant m = M[e, a].  A block stacks the tables of its rows, and
-    table e holds e * q + W_m, so each entry of row e is kept as e * q + x
-    and blk * q + A[a] indexes the stack directly; the offsets are set once
-    per block and removed at its end.  The tables cost b q^2 <= b R lookups
-    per row of A, and the fused update's temporaries hold at most
-    2 * max(R, _BLOCK) values.  Below the gate each row is a mul gather,
-    taken in place into its index array, and an add gather: the first
-    nonzero row writes its products into out instead of adding them to
-    zeros, and a column of M whose entries are all 1 (found once per call)
-    adds its row of A without the mul gather.
+    the constant m = M[e, a].  T stacks the tables of the block's rows, and
+    table e holds e * q + W_m, so each entry of row e is kept as e * q + x,
+    the block starts at those offsets, x is A[a], and the offsets are
+    removed at the block's end.  The tables cost b q^2 <= b R lookups per
+    row of A, and the fused update's temporaries hold at most
+    2 * max(R, _BLOCK) values.
     """
     q = add_t.shape[0]
-    rows = M.shape[0]
-    R = A.shape[1]
-    live = np.flatnonzero(A.any(axis=1))
-    if live.size == 0:
-        return np.zeros((rows, R), dtype=np.int64)
+    rows, R = M.shape[0], A.shape[1]
+    live = np.flatnonzero(A.any(axis=1)).tolist()
     out = np.empty((rows, R), dtype=np.int64)
-    add_f = add_t.ravel()
+    add_f, mul_f = add_t.ravel(), mul_t.ravel()
     step = max(1, _BLOCK // max(R, 1))
-    if R >= max(q * q, _FUSED_MIN):
-        nonzero = live.tolist()
-        b = min(step, rows)
+    fused = R >= max(q * q, _FUSED_MIN)
+    if fused:
         cols = q * np.arange(q)[:, None]
-        off = q * np.arange(b)[:, None]
-        W = np.empty((b, q, q), dtype=np.int64)
-        for s in range(0, rows, step):
-            blk = out[s:s + step]
-            k = len(blk)
-            Wk = W[:k]
-            blk[...] = off[:k]
-            for a in nonzero:
-                np.add(cols, mul_t[M[s:s + step, a], None], out=Wk)
-                add_f.take(Wk, out=Wk, mode="clip")
-                Wk += off[:k, :, None]
-                blk *= q
-                blk += A[a]
-                Wk.take(blk, out=blk, mode="clip")
-            blk -= off[:k]
-        return out
-    mul_f = mul_t.ravel()
-    ones = (M[:, live] == 1).all(axis=0).tolist()
-    for i, a in enumerate(live.tolist()):
-        row = A[a]
-        for s in range(0, rows, step):
-            blk = out[s:s + step]
-            if ones[i]:
-                prod = row
+        off = q * np.arange(min(step, rows))[:, None]
+        W = np.empty((len(off), q, q), dtype=np.int64)
+    for s in range(0, rows, step):
+        blk = out[s:s + step]
+        k = len(blk)
+        blk[...] = off[:k] if fused else 0
+        for a in live:
+            m = M[s:s + step, a, None]
+            if fused:
+                T, x = W[:k], A[a]
+                np.add(cols, mul_t[m], out=T)
+                add_f.take(T, out=T, mode="clip")
+                T += off[:k, :, None]
             else:
-                prod = q * M[s:s + step, a, None] + row
-                mul_f.take(prod, out=prod, mode="clip")
-            if i == 0:
-                blk[...] = prod
-                continue
+                T, x = add_f, q * m + A[a]
+                mul_f.take(x, out=x, mode="clip")
             blk *= q
-            blk += prod
-            add_f.take(blk, out=blk, mode="clip")
+            blk += x
+            T.take(blk, out=blk, mode="clip")
+        if fused:
+            blk -= off[:k]
     return out
 
 

@@ -94,11 +94,15 @@ def _prod_sum(field: Field, n: int, a: MultiPoly, b: MultiPoly) -> MultiPoly:
 
 def t_poly(field: Field) -> MultiPoly:
     """The bijection swapping 0 and 1 and fixing everything else,
-    x + sum_{k=0}^{q-2} x^k, reduced."""
+    x + sum_{k=0}^{q-2} x^k, reduced.  It holds both domains: its
+    coefficients from that formula, its table from transposition(field,
+    0, 1), so reading either transforms nothing (check_identities tests
+    that the two agree)."""
     q = field.q
     terms = [((k,), 1) for k in range(q - 1)]
     terms.append(((1,), 1))
-    return poly_build(field, 1, terms)
+    return MultiPoly(field, 1, poly_build(field, 1, terms).coeffs,
+                     values=transposition(field, 0, 1)._values())
 
 
 def h_polys(field: Field) -> tuple[MultiPoly, MultiPoly]:

@@ -69,6 +69,12 @@ def _exponents(nz: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return np.stack(np.unravel_index(nz, shape), axis=1)
 
 
+def _lead_degree(lead: list) -> int:
+    """The total degree of a leading_terms() list: -1 for the zero
+    polynomial's []."""
+    return sum(lead[0][0]) if lead else -1
+
+
 # int64 holds exactly the integers in [-_WIDE, _WIDE)
 _WIDE = 1 << 63
 
@@ -90,6 +96,20 @@ def _check_points(field: Field, n, least: int = 0,
     return n
 
 
+def _table_vars(field: Field, n, size: int) -> int:
+    """The variable count n of a table or tensor of size entries, read
+    exactly; ValueError unless n >= 0 and q^n == size.  q >= 2, so q^n
+    outgrows the table once n > bit_length(size): such an n is refused
+    without building q^n."""
+    n = exact_int(n, "variable count")
+    if n < 0:
+        raise ValueError("variable count must be nonnegative")
+    want = field.q**n if n <= size.bit_length() else f"{field.q}^{n}"
+    if want != size:
+        raise ValueError(f"expected {want} values, got {size}")
+    return n
+
+
 def _frozen(arr, shape) -> np.ndarray:
     """arr as a read-only contiguous int64 array of the given shape, copied
     only when it is not one already."""
@@ -104,9 +124,10 @@ class MultiPoly:
     interpolate or the helpers.
 
     ``coeffs`` is a (q,)*n tensor and ``values`` a flat table in point-rank
-    order, each read through the (q,)*n shape, so an array of the wrong
-    size raises ValueError; their entries are not checked, so both must
-    hold element ranks.  ``coeffs``
+    order, each read through the (q,)*n shape.  n is read as FuncTable
+    reads it (_table_vars), so n must be a nonnegative integer with q^n
+    entries in the array; the entries are not checked, so both must hold
+    element ranks.  ``coeffs``
     is interpolated from the table on first access, and the table is
     evaluated from ``coeffs`` on first use; both are then cached.
     """
@@ -116,7 +137,8 @@ class MultiPoly:
     def __init__(self, field: Field, n: int, coeffs: np.ndarray | None = None,
                  values: np.ndarray | None = None):
         self.field = field
-        self.n = n
+        self.n = n = _table_vars(
+            field, n, np.size(values if coeffs is None else coeffs))
         shape = (field.q,) * n
         self._coeffs = None if coeffs is None else _frozen(coeffs, shape)
         self._vals = None if values is None else _frozen(values, shape).ravel()
@@ -163,8 +185,7 @@ class MultiPoly:
 
     @property
     def total_degree(self) -> int:
-        lead = self.leading_terms()
-        return sum(lead[0][0]) if lead else -1
+        return _lead_degree(self.leading_terms())
 
     def leading_terms(self) -> list[tuple[tuple[int, ...], int]]:
         """Terms attaining the total degree, in ascending term rank; [] for
@@ -404,15 +425,8 @@ class FuncTable:
 
     def __init__(self, field: Field, n: int, values):
         self.field = field
-        self.n = n = exact_int(n, "variable count")
         vals = _integral(values)
-        if n < 0:
-            raise ValueError("variable count must be nonnegative")
-        # q >= 2, so q^n outgrows the table once n > bit_length(size): such
-        # an n is refused without building q^n
-        want = field.q**n if n <= vals.size.bit_length() else f"{field.q}^{n}"
-        if want != vals.size:
-            raise ValueError(f"expected {want} values, got {vals.size}")
+        self.n = _table_vars(field, n, vals.size)
         if vals.size and (vals.min() < 0 or vals.max() >= field.q):
             raise ValueError("table values must be element ranks")
         vals.setflags(write=False)

@@ -32,7 +32,7 @@ from . import constructions as cons
 from . import verify as vf
 from .errors import CapExceeded, FFPermError, NoValidB, UnsupportedField
 from .gf import Field, make_field
-from .mvpoly import MultiPoly, _check_points
+from .mvpoly import MultiPoly, _check_points, _lead_degree
 
 
 @dataclass
@@ -131,7 +131,7 @@ def _fill(row: Row, spec: Spec, field: Field, prev: MultiPoly | None):
         return None
     f, params = _build(spec, field, row.n, prev)
     lead = f.leading_terms()
-    row.measured_deg = sum(lead[0][0]) if lead else -1
+    row.measured_deg = _lead_degree(lead)
     pp_rep, lpp_rep = vf.is_pp(f), vf.is_lpp(f)
     row.pp, row.lpp = _verdict(pp_rep), _verdict(lpp_rep)
     failures = []

@@ -5,6 +5,7 @@ import importlib
 import inspect
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -565,6 +566,42 @@ def test_options_and_signatures_are_pinned():
     for name, want in SIGNATURES.items():
         params = inspect.signature(getattr(ffperm, name)).parameters
         assert [(p.name, p.default) for p in params.values()] == want, name
+
+
+WORKFLOW = Path(__file__).resolve().parents[1] / ".github/workflows/tests.yml"
+
+
+def workflow_commands() -> list[list[str]]:
+    """The arguments of every `python -m ffperm ...` command in the CI
+    workflow, read by a text scan with shlex (CI installs no YAML parser):
+    the words after `ffperm` up to the next pipe or `||`."""
+    commands = []
+    for line in WORKFLOW.read_text(encoding="utf-8").splitlines():
+        if line.lstrip().startswith("#") or "-m ffperm" not in line:
+            continue
+        words = shlex.split(line)
+        for i in range(len(words) - 2):
+            if words[i:i + 3] == ["python", "-m", "ffperm"]:
+                rest = words[i + 3:]
+                stop = [j for j, w in enumerate(rest) if w in ("|", "||")]
+                commands.append(rest[:stop[0]] if stop else rest)
+    return commands
+
+
+def test_ci_commands_parse(capsys):
+    # the workflow's commands are checked by the parser they will meet,
+    # so a renamed family or option fails here and not only on a runner
+    from ffperm import cli
+    parser = cli.build_parser()
+    commands = workflow_commands()
+    assert len(commands) >= 50
+    assert {argv[0] for argv in commands} == {"construct", "verify", "scan",
+                                              "check"}
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"{shlex.join(argv)}: {capsys.readouterr().err}")
 
 
 @pytest.mark.parametrize("argv", [

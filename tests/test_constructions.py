@@ -1046,15 +1046,15 @@ def test_sparse_evaluation_applies_few_products(monkeypatch, products):
 @pytest.mark.parametrize("tag,p,r,n", [("pp_qnr", 3, 2, 2),
                                        ("pp_noncube", 2, 4, 2),
                                        ("pp_mersenne", 2, 3, 3)])
-def test_product_families_verify_without_a_transform(applied, tag, p, r, n):
-    # the product is built in both domains, and only its univariate pieces
-    # are transformed: the default factor's values are an outer product
+def test_product_families_verify_without_a_transform(applied, transforms,
+                                                     tag, p, r, n):
+    # the product is built in both domains and nothing is transformed: the
+    # default factor's values are an outer product, and t holds both its
+    # coefficients and its table
     field = make_field(p, r)
     q = field.q
     f, _ = build_family(tag, field, n=n)
-    assert all(rows * cols < q**(n + 1) for _, (rows, cols) in applied)
-    assert applied and all(cols == 1 for _, (_, cols) in applied)
-    applied.clear()
+    assert applied == [] and transforms == []
     assert is_pp(f).ok
     is_lpp(f)
     assert assert_degree(f, (n + 1) * (q - 1) - 1).ok

@@ -80,7 +80,7 @@ def test_mat_apply_temporaries_are_bounded(p, r, R):
         tracemalloc.stop()
     # the first three cases take the fused update, which holds at most
     # 2 * max(R, _BLOCK) values, as the docstring says (at q = 64, R = 4096
-    # a block's tables fill _BLOCK values); below the gate the row loop
+    # a block's tables fill _BLOCK values); below the gate each update
     # takes its mul gather in place, so at most two block-sized product
     # arrays live at once, one row's and the next's (a full q x R int64
     # temporary alone is 32 * 65536 bytes at q = 64)
@@ -107,7 +107,7 @@ def test_fused_mat_apply_matches_oracle(monkeypatch, p, r):
     # is also applied as row slices.  A column of out depends only on its
     # column of A, so A's R columns are drawn from a pool of six, and the
     # oracle sums the pool alone: rows 1.. of A (row 0 is zero, row q - 1
-    # meets the all-ones column), and one live row
+    # meets the all-ones column), one live row, and no live row at all
     F = make_field(p, r)
     q = F.q
     nf = NaiveField(p, None if F.modulus is None else tuple(F.modulus))
@@ -119,8 +119,9 @@ def test_fused_mat_apply_matches_oracle(monkeypatch, p, r):
     dense[q - 1] = rng.integers(1, q, size=6)
     one = np.zeros((q, 6), dtype=np.int64)
     one[q // 2] = rng.integers(1, q, size=6)
+    zero = np.zeros((q, 6), dtype=np.int64)
     gate = max(q * q, _kernels._FUSED_MIN)
-    for pool in (dense, one):
+    for pool in (dense, one, zero):
         want = np.array(naive_mat_apply(nf, M.tolist(), pool.tolist()))
         for R in (gate - 1, gate):
             pick = rng.integers(0, 6, size=R)

@@ -406,6 +406,13 @@ MISUSE = [
      ValueError, "table values must be element ranks"),
     ("table value None", lambda: FuncTable(F5, 1, [None, 0, 2, 3, 4]),
      ValueError, "table values must be element ranks"),
+    # MultiPoly reads n as FuncTable does, before anything of size q^n
+    ("poly negative n", lambda: MultiPoly(F5, -1, values=[0]), ValueError,
+     "variable count must be nonnegative"),
+    ("poly huge n", lambda: MultiPoly(F5, 10**20, np.zeros(25)), ValueError,
+     f"expected 5^{10**20} values, got 25"),
+    ("poly n 2.5", lambda: MultiPoly(F5, 2.5, values=np.zeros(25)),
+     ValueError, "variable count must be an integer, not 2.5"),
     # points reads n as every variable count is read, before itertools
     ("points huge n", lambda: points(F5, 10**20), CapExceeded,
      f"5^{10**20} points exceed the point cap"),
@@ -433,6 +440,16 @@ def test_multipoly_refuses_a_wrong_size_table(n, values):
     # when the polynomial is made, before a checker reads it
     with pytest.raises(ValueError):
         MultiPoly(F5, n, values=values)
+
+
+@pytest.mark.parametrize("n", [np.int64(2), 2.0], ids=["numpy", "float"])
+def test_multipoly_reads_an_integral_n_as_an_int(n):
+    # an integral n of another type is kept as the int it equals, so the
+    # polynomial's JSON dumps and it equals the one made with n = 2
+    vals = np.arange(25) % 5
+    f = MultiPoly(F5, n, values=vals)
+    assert type(f.n) is int and f == MultiPoly(F5, 2, values=vals)
+    assert json.loads(json.dumps(poly_to_json(f)))["n"] == 2
 
 
 def test_multipoly_refuses_a_wrong_size_tensor():

@@ -483,6 +483,20 @@ def test_identities(p, r):
                           "t_is_transposition": True}
 
 
+def test_identities_test_t_by_its_coefficients(monkeypatch):
+    # t_poly's table is the transposition itself, so Lemma 2.2's third
+    # identity must compare coefficients: a t whose formula is off by one
+    # coefficient but whose table is right still fails it
+    field = F7
+    good = t_poly(field)
+    coeffs = good.coeffs.copy()
+    coeffs[3] = field.add(int(coeffs[3]), 1)
+    bad = MultiPoly(field, 1, coeffs, values=good._values())
+    monkeypatch.setattr(verify, "t_poly", lambda _: bad)
+    rep = check_identities(field)
+    assert not rep.ok and rep.witness == {"failed": ["t_is_transposition"]}
+
+
 def test_identities_refuse_f2():
     # at q = 2, h is the empty sum and both identities fail
     with pytest.raises(UnsupportedField, match=r"^Lemma 2\.2 needs q >= 3$"):
