@@ -160,7 +160,6 @@ def is_univariate_pp(f: MultiPoly) -> bool:
     _kernels.lpp_scan, the test is_lpp applies to every line."""
     if f.n != 1:
         raise VariableCountMismatch("expected a univariate polynomial")
-    _check_points(f.field, f.n)
     return _kernels.lpp_scan(f._values(), 1, f.field.q)[0] < 0
 
 
@@ -365,7 +364,6 @@ def lpp_restrict(f: MultiPoly) -> MultiPoly:
     if degree != n * (q - 2):
         raise NotMaxLpp(f"degree {degree} is not the maximum {n * (q - 2)}")
     # the line scan is_lpp runs: a nonnegative axis holds a failing line
-    _check_points(field, n)
     if _kernels.lpp_scan(f._values(), n, q)[0] >= 0:
         raise NotMaxLpp("input is not a local permutation polynomial")
     target = (n - 1) * (q - 2)

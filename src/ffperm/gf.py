@@ -20,7 +20,6 @@ matrix is stored: mvpoly makes them from exp and log when a transform
 needs them.  make_field refuses q > TABLE_CAP.
 """
 
-import operator
 from functools import lru_cache
 
 import numpy as np
@@ -230,10 +229,10 @@ class Field:
         """a^k for the ranks a (an int or an array of them), read off exp and
         log as exp[(log a * k) mod (q-1)], with 0^0 = 1 and 0^k = 0.
 
-        k is read with operator.index, so a bool counts as 0 or 1 as in
-        pow(), and folded into [1, q-1] when k >= q; a non-integral or
-        negative k raises ValueError."""
-        k = operator.index(k) if hasattr(k, "__index__") else -1
+        k is read with exact_int, as every count is, so a bool counts as 0
+        or 1 as in pow() and 2.0 as 2, and folded into [1, q-1] when
+        k >= q; a non-integral or negative k raises ValueError."""
+        k = exact_int(k, "exponent")
         if k < 0:
             raise ValueError("exponent must be a nonnegative integer")
         k = fold_exp(k, self.q)

@@ -37,16 +37,19 @@ straight from its bytes (_read_text); json.loads parses everything else.
 Every variable count that sizes work, here and in the families and
 checkers, is read by _check_points: exactly (2.0 and numpy integers pass,
 2.5 does not), with a least value of 0 or 1, and under the point cap
-before anything of size q^n exists.  to_table checks the cap again before
-it evaluates, and so does the first read of a held table's coefficients
-before it interpolates, since the cap may have been tightened since the
-build.  points is capped through _check_points too, and makes the points
-one at a time.  Only FuncTable, which checks that the values it is given
-are element ranks that fit its n, is not capped.  A FuncTable is made only
-at the public edge: to_table wraps a polynomial's cached values through
-FuncTable's checks on each call, and interpolate holds a FuncTable's
-values without a copy.  Tables that ffperm computes itself through the
-field's tables are ranks by construction and stay plain arrays.
+before anything of size q^n exists.  An existing polynomial's q^n is
+checked in one place, MultiPoly._values, on every read of its value
+table, since the cap may have been tightened since the build: to_table,
+the checkers, the ring operations, substitution, evaluation and
+composition read the table there, and a table-only polynomial's
+coefficients are interpolated from it.  points is capped through
+_check_points too, and makes the points one at a time.  Only FuncTable,
+which checks that the values it is given are element ranks that fit its
+n, is not capped.  A FuncTable is made only at the public edge: to_table
+wraps a polynomial's cached values through FuncTable's checks on each
+call, and interpolate holds a FuncTable's values without a copy.  Tables
+that ffperm computes itself through the field's tables are ranks by
+construction and stay plain arrays.
 """
 
 import itertools
@@ -124,38 +127,46 @@ class MultiPoly:
     interpolate or the helpers.
 
     ``coeffs`` is a (q,)*n tensor and ``values`` a flat table in point-rank
-    order, each read through the (q,)*n shape.  n is read as FuncTable
-    reads it (_table_vars), so n must be a nonnegative integer with q^n
-    entries in the array; the entries are not checked, so both must hold
-    element ranks.  ``coeffs``
-    is interpolated from the table on first access, and the table is
-    evaluated from ``coeffs`` on first use; both are then cached.
+    order, each read through the (q,)*n shape; at least one must be given.
+    n is read as FuncTable reads it (_table_vars), against each array
+    given, so n must be a nonnegative integer with q^n entries in every
+    array; the entries are not checked, so both must hold element ranks.
+    The table is evaluated from ``coeffs`` on first use, and ``coeffs`` is
+    interpolated from the table on first access; both are then cached.
+    Every read of the table (_values), and so every interpolation, is
+    under the point cap.
     """
 
     __slots__ = ("field", "n", "_coeffs", "_vals")
 
     def __init__(self, field: Field, n: int, coeffs: np.ndarray | None = None,
                  values: np.ndarray | None = None):
-        self.field = field
-        self.n = n = _table_vars(
-            field, n, np.size(values if coeffs is None else coeffs))
+        if coeffs is None and values is None:
+            raise ValueError("need coefficients or values")
+        for arr in (coeffs, values):
+            if arr is not None:
+                n = _table_vars(field, n, np.size(arr))
+        self.field, self.n = field, n
         shape = (field.q,) * n
         self._coeffs = None if coeffs is None else _frozen(coeffs, shape)
         self._vals = None if values is None else _frozen(values, shape).ravel()
 
     @property
     def coeffs(self) -> np.ndarray:
-        """Read-only coefficient tensor of shape (q,)*n."""
+        """Read-only coefficient tensor of shape (q,)*n; when only the table
+        is held, it is interpolated from _values(), under the point cap."""
         if self._coeffs is None:
-            field, n = self.field, self.n
-            _check_points(field, n)
-            shape = (field.q,) * n
+            vals = self._values().reshape((self.field.q,) * self.n)
             self._coeffs = _frozen(
-                _transform(field, self._vals.reshape(shape), True, n), shape)
+                _transform(self.field, vals, True, self.n), vals.shape)
         return self._coeffs
 
-    def _values(self) -> np.ndarray:
-        """Flat value table in point-rank order, evaluated on first use."""
+    def _values(self, least: int = 0) -> np.ndarray:
+        """Flat value table in point-rank order, evaluated on first use.
+        Every read checks n >= least and q^n against the point cap first
+        (_check_points), since the cap may have been tightened since the
+        polynomial was made."""
+        _check_points(self.field, self.n, least)
         if self._vals is None:
             self._vals = _frozen(
                 _transform(self.field, self._coeffs, False, self.n), -1)
@@ -666,11 +677,11 @@ def _transform(field: Field, arr: np.ndarray, inverse: bool,
 
 
 def to_table(f: MultiPoly) -> FuncTable:
-    """Exhaustively evaluate f at every point of F_q^n, under the point cap.
+    """Exhaustively evaluate f at every point of F_q^n, under the point cap
+    (which f._values() checks).
 
     f caches its values, so each call returns a new FuncTable, equal to the
     last and sharing its values, made through FuncTable's checks."""
-    _check_points(f.field, f.n)
     return FuncTable(f.field, f.n, f._values())
 
 

@@ -32,7 +32,7 @@ from . import constructions as cons
 from . import verify as vf
 from .errors import CapExceeded, FFPermError, NoValidB, UnsupportedField
 from .gf import Field, make_field
-from .mvpoly import MultiPoly, _check_points, _lead_degree
+from .mvpoly import MultiPoly, _lead_degree
 
 
 @dataclass
@@ -190,7 +190,6 @@ def _indicator(field: Field, n: int):
     q = field.q
     ind = cons.indicator_poly(field)
     measured = ind.total_degree
-    _check_points(field, ind.n)
     vals = ind._values()[None]
     s_alpha, s_a_alpha = vf.lemma_sums(field, vals)[:, 0].tolist()
     crit = s_alpha == 0 and s_a_alpha != 0

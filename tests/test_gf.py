@@ -391,16 +391,20 @@ def test_ranks_are_read_exactly(bad):
 
 
 def test_indices_and_counts_are_read_exactly():
-    # substitute's variable index is read like a rank: 1.5 and '1' are
-    # refused, 1.0 and numpy integers pass
+    # substitute's variable index and an exponent are read like a rank:
+    # 1.5 and '1' are refused, 1.0, bools and numpy integers pass
     F5 = make_field(5)
     f = poly_build(F5, 2, [((1, 2), 1), ((3, 0), 2)])
     for call, what in [(lambda: f.substitute(1.5, 1), "variable index"),
-                       (lambda: f.substitute("1", 1), "variable index")]:
+                       (lambda: f.substitute("1", 1), "variable index"),
+                       (lambda: f**2.5, "exponent"),
+                       (lambda: F5.pow(2, "2"), "exponent")]:
         with pytest.raises(ValueError, match=f"^{what} must be an integer"):
             call()
     assert f.substitute(1.0, 1) == f.substitute(1, 1)
     assert f.substitute(np.int64(0), 2) == f.substitute(0, 2)
+    assert f**2.0 == f**np.int64(2) == f * f and f**True == f
+    assert F5.pow(2, 2.0) == F5.pow(2, np.uint8(2)) == 4
 
 
 def test_large_field_exceeds_table_cap(monkeypatch):

@@ -320,21 +320,24 @@ def test_pow_matches_repeated_naive_mul(p, r, n):
 @pytest.mark.parametrize("p,r", [(2, 1), (5, 1), (2, 10)])
 def test_exponents_are_read_as_integers(p, r):
     # Field.pow and ** share one check and one fold: a bool counts as 0 or
-    # 1 as in pow(), a numpy integer is an integer, and a non-integral or
-    # negative exponent raises ValueError (at q = 2, q - 1 = 1)
+    # 1 as in pow(), a numpy integer or an integral float is an integer, and
+    # a non-integral or negative exponent raises ValueError (at q = 2,
+    # q - 1 = 1)
     field = make_field(p, r)
     q = field.q
     f = t_poly(field)
     one = monomial(field, 1, (0,))
     assert f**True == f and f**False == one
-    assert f**np.int64(2) == f * f and f**np.int64(q) == f
+    assert f**np.int64(2) == f**2.0 == f**np.float64(2) == f * f
+    assert f**np.int64(q) == f
     assert f**(2**70) == f**fold_exp(2**70, q)
     for a in (0, 1, q - 1):
         assert field.pow(a, True) == a and field.pow(a, False) == 1
         assert field.pow(a, np.int64(2)) == field.mul(a, a)
+        assert field.pow(a, 2.0) == field.mul(a, a)
         assert field.pow(a, np.uint16(q - 1)) == int(a != 0)
     assert field.inv(q - 1) == field.pow(q - 1, q - 2)
-    for k in (2.0, np.float64(2), -1, np.int64(-1), -2**70, "2", None):
+    for k in (2.5, np.float64(2.5), -1, np.int64(-1), -2**70, "2", None):
         with pytest.raises(ValueError):
             f**k
         with pytest.raises(ValueError):
@@ -413,6 +416,14 @@ MISUSE = [
      f"expected 5^{10**20} values, got 25"),
     ("poly n 2.5", lambda: MultiPoly(F5, 2.5, values=np.zeros(25)),
      ValueError, "variable count must be an integer, not 2.5"),
+    # n is read against every array given, and one array is needed
+    ("poly values size", lambda: MultiPoly(F5, 1, np.zeros(5),
+                                           values=np.zeros(4)),
+     ValueError, "expected 5 values, got 4"),
+    ("poly no arrays n 0", lambda: MultiPoly(F5, 0), ValueError,
+     "need coefficients or values"),
+    ("poly no arrays n 1", lambda: MultiPoly(F5, 1), ValueError,
+     "need coefficients or values"),
     # points reads n as every variable count is read, before itertools
     ("points huge n", lambda: points(F5, 10**20), CapExceeded,
      f"5^{10**20} points exceed the point cap"),

@@ -9,7 +9,8 @@ from ffperm import (CapExceeded, MultiPoly, UnsupportedField, assert_degree,
                     is_pp, lpp_beta, make_field, poly_build, points, pp_hn,
                     preimage_counts, scan_pp_degree_bound, t_poly, to_table)
 from ffperm import mvpoly, verify
-from ffperm.mvpoly import FuncTable, _dense_matrix, interpolate, monomial
+from ffperm.mvpoly import (FuncTable, _dense_matrix, compose_univariate,
+                           interpolate, monomial)
 from oracle import (NaiveField, naive_balanced_tables, naive_degree,
                     naive_eval, naive_interp_univariate)
 
@@ -544,9 +545,27 @@ def test_point_cap_respected(monkeypatch):
     assert is_pp(f).to_json()["verdict"] == "fail"
 
 
+def test_every_table_read_is_capped(monkeypatch):
+    # the cap is checked on each read of a polynomial's value table, so no
+    # public operation evaluates past a cap tightened after the build
+    f = poly_build(F5, 3, [((1, 1, 1), 1)])     # coefficients only
+    x = monomial(F5, 1, (1,))
+    monkeypatch.setenv("FFPERM_POINT_CAP", "100")
+    for call in (lambda: f + f, lambda: f - f, lambda: -f, lambda: f * f,
+                 lambda: f.scale(2), lambda: f**2, lambda: f == f,
+                 lambda: hash(f), lambda: f.substitute(0, 1),
+                 lambda: f.substitute(0, x), lambda: f.evaluate((1, 1, 1)),
+                 lambda: compose_univariate(x, f), lambda: to_table(f),
+                 lambda: preimage_counts(f)):
+        with pytest.raises(CapExceeded,
+                           match=r"^5\^3 points exceed the point cap$"):
+            call()
+        assert f._vals is None
+
+
 def test_is_pp_and_is_lpp_read_the_point_cap_once(monkeypatch):
-    # each checker reads its variable count, and with it the cap, once; the
-    # table it then reads is not capped a second time
+    # each checker and table reader reads the cap once, on its one read of
+    # the table
     reads = []
     real = mvpoly.point_cap
 
@@ -557,7 +576,7 @@ def test_is_pp_and_is_lpp_read_the_point_cap_once(monkeypatch):
     monkeypatch.setattr(mvpoly, "point_cap", counting)
     for f in (poly_build(F5, 3, [((1, 1, 1), 1)]),     # coefficients only
               interpolate(FuncTable(F5, 2, list(range(5)) * 5))):  # table
-        for check in (is_pp, is_lpp):
+        for check in (is_pp, is_lpp, to_table, preimage_counts):
             reads.clear()
             check(f)
             assert len(reads) == 1, check.__name__
